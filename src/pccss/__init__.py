@@ -13,7 +13,7 @@ from .bounds import (
     pz_upper_bound,
     rate_curves,
 )
-from .channel import PauliChannel, PauliError, make_channel, sample_error
+from .channel import PauliChannel, PauliError, make_channel, sample_error, sample_errors
 from .codes import (
     LinearCode,
     dual,
@@ -77,6 +77,7 @@ __all__ = [
     "PauliError",
     "make_channel",
     "sample_error",
+    "sample_errors",
     "exhaustive_decode",
     "bdd_alternant",
     "flip_decode",

@@ -1,9 +1,9 @@
 """Asymmetric Pauli channel: independent per-qubit I/X/Y/Z draws with
 p_X = p_Y and a Z bias controlled by the asymmetry zeta.
 
-Sampling is counter-based: every (seed, trial) pair gets its own keyed
-generator, so partitioned parallel trial loops reproduce the serial stream
-no matter how the work is scheduled.
+Sampling is counter-based: every (seed, trial) pair keys its own Philox
+stream, so any block of trials reproduces the serial stream no matter how
+the trials are grouped or ordered.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PauliChannel", "PauliError", "make_channel", "sample_error"]
+__all__ = ["PauliChannel", "PauliError", "make_channel", "sample_error", "sample_errors"]
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,40 @@ def make_channel(p: float, zeta: float) -> PauliChannel:
     return PauliChannel(p=p, zeta=zeta, p_x=p_x, p_y=p_x, p_z=p - 2.0 * p_x)
 
 
-def sample_error(ch: PauliChannel, n: int, seed: int, trial: int = 0) -> PauliError:
-    """One i.i.d. error on n qubits from the generator keyed (seed, trial)."""
-    key = np.array([seed, trial], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    u = rng.random(n)
+def check_key(name: str, value: int) -> None:
+    """Reject a seed or trial index that does not fit its 64-bit word of the
+    Philox key."""
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} {value} outside [0, 2^64)")
+
+
+def sample_errors(ch: PauliChannel, n: int, seed: int, trials) -> PauliError:
+    """Errors on n qubits for a sequence of trial indices, stacked one row
+    per trial: row i is the error keyed (seed, trials[i]).
+
+    One Philox bit generator is reused; for each trial its key is reset to
+    (seed, trial) and its counter to zero, which yields exactly the stream
+    of a fresh ``Generator(Philox(key=(seed, trial)))``.
+    """
+    trials = [int(t) for t in trials]
+    check_key("seed", seed)
+    for t in trials:
+        check_key("trial index", t)
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    state = bits.state
+    rng = np.random.Generator(bits)
+    u = np.empty((len(trials), n))
+    for row, t in zip(u, trials):
+        state["state"]["key"][:] = (seed, t)
+        state["state"]["counter"][:] = 0
+        bits.state = state
+        rng.random(n, out=row)
     x = (u < ch.p_x + ch.p_y).astype(np.uint8)
     z = ((u >= ch.p_x) & (u < ch.p)).astype(np.uint8)
     return PauliError(n=n, x=x, z=z)
+
+
+def sample_error(ch: PauliChannel, n: int, seed: int, trial: int = 0) -> PauliError:
+    """One i.i.d. error on n qubits from the generator keyed (seed, trial)."""
+    e = sample_errors(ch, n, seed, (trial,))
+    return PauliError(n=n, x=e.x[0], z=e.z[0])

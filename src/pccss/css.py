@@ -9,7 +9,6 @@ X distance is the minimum weight over null(hx) \\ rowspace(hz).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field as dc_field
 
 import numpy as np
@@ -425,17 +424,17 @@ def _scan_gray(lo: int, hi: int, basis: list[int], pivots: list[tuple[int, int]]
 
 
 def _min_weight_excluded(basis: list[int], pivots, weigh, workers: int):
+    """Best (weight, vector-int) over the nonzero span of basis outside the
+    pivot rows' span, scanned in `workers` contiguous chunks one after
+    another; the minimum is the same for any chunk count."""
     total = 1 << len(basis)
     if workers <= 1 or total < 4096:
         return _scan_gray(1, total, basis, pivots, weigh)
     bounds = np.linspace(1, total, workers + 1, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(
-                lambda ab: _scan_gray(int(ab[0]), int(ab[1]), basis, pivots, weigh),
-                zip(bounds[:-1], bounds[1:]),
-            )
-        )
+    parts = [
+        _scan_gray(int(lo), int(hi), basis, pivots, weigh)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
     parts = [p for p in parts if p is not None]
     return min(parts) if parts else None
 

@@ -12,7 +12,6 @@ miscorrection after the fact.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
@@ -72,6 +71,14 @@ def syndrome_of(M: MatrixGF, e: np.ndarray) -> np.ndarray:
 _EXHAUSTIVE_CAP = 2 ** 18
 
 
+def _check_exhaustive_size(code) -> None:
+    q = code.field.size
+    if code.n > 24:
+        raise ValueError(f"exhaustive decoding capped at n = 24, got {code.n}")
+    if q ** code.k > _EXHAUSTIVE_CAP:
+        raise ValueError(f"coset of {q}^{code.k} codewords is too large to enumerate")
+
+
 def exhaustive_decode(code, s) -> DecodeOutcome:
     """Minimum-weight coset leader by full enumeration, lexicographic ties.
 
@@ -80,10 +87,7 @@ def exhaustive_decode(code, s) -> DecodeOutcome:
     s = _as_vector(s)
     field = code.field
     q = field.size
-    if code.n > 24:
-        raise ValueError(f"exhaustive decoding capped at n = 24, got {code.n}")
-    if q ** code.k > _EXHAUSTIVE_CAP:
-        raise ValueError(f"coset of {q}^{code.k} codewords is too large to enumerate")
+    _check_exhaustive_size(code)
     x0 = solve(code.H, s)
     if x0 is None:
         return DecodeOutcome(DETECTED, np.zeros(code.n, dtype=np.uint8), {"cosets": 0})
@@ -320,21 +324,67 @@ def bdd_alternant(code, s, t: int | None = None) -> DecodeOutcome:
 
 # ------------------------------------------------------------------- flip
 
-def _graph_arrays(H: MatrixGF):
+@dataclass(frozen=True)
+class _FlipGraph:
+    """The Tanner graph of a binary check matrix as plain tuples, built once
+    and reused by every flip_decode call that is handed it as the code."""
+
+    H: MatrixGF
+    checks_of_bit: tuple[tuple[int, ...], ...]
+    bits_of_check: tuple[tuple[int, ...], ...]
+
+
+def _flip_graph(H: MatrixGF) -> _FlipGraph:
     data = H.data != 0
-    bit_edges, check_edges = np.nonzero(data.T)
-    degree = data.sum(axis=0).astype(np.int64)
-    return bit_edges, check_edges, degree
+    return _FlipGraph(
+        H=H,
+        checks_of_bit=tuple(tuple(np.flatnonzero(col).tolist()) for col in data.T),
+        bits_of_check=tuple(tuple(np.flatnonzero(row).tolist()) for row in data),
+    )
+
+
+def _flip_sequential(graph: _FlipGraph, unsat: list[int], budget: int):
+    """Flip the lowest-index strict-majority bit until none is left or the
+    flip budget runs out; updates unsat in place, returns (estimate, flips).
+
+    A bit is queued at most once at a time: a queued bit's test is re-run
+    when it is popped, so a second copy could only repeat that test."""
+    checks_of_bit, bits_of_check = graph.checks_of_bit, graph.bits_of_check
+    est = np.zeros(len(checks_of_bit), dtype=np.uint8)
+    flips = 0
+    heap = sorted({b for j, u in enumerate(unsat) if u for b in bits_of_check[j]})
+    queued = set(heap)
+    while heap and flips < budget:
+        i = heapq.heappop(heap)
+        queued.discard(i)
+        incident = checks_of_bit[i]
+        if 2 * sum(map(unsat.__getitem__, incident)) <= len(incident):
+            continue
+        est[i] ^= 1
+        flips += 1
+        for j in incident:
+            unsat[j] ^= 1
+            for b in bits_of_check[j]:
+                if b not in queued:
+                    queued.add(b)
+                    heapq.heappush(heap, b)
+    return est, flips
 
 
 def flip_decode(code, s, max_rounds: int = 100, parallel: bool = False) -> DecodeOutcome:
     """Bit-flip decoding over a binary sparse check matrix.
 
     Sequential mode flips the lowest-index bit whose unsatisfied incident
-    checks form a strict majority, one at a time; parallel mode flips every
-    such bit per round.  Non-convergence inside the flip budget is reported
-    as detected-uncorrectable with the residual syndrome attached.
+    checks form a strict majority, one at a time, within a budget of
+    max_rounds * n flips; parallel mode flips every such bit per round, for
+    at most max_rounds rounds.  The counters are "flips" and, in parallel
+    mode only, "rounds".  Non-convergence is reported as
+    detected-uncorrectable with the residual syndrome attached.
+
+    code is a binary code or its check matrix; callers decoding many
+    syndromes may pass the graph _flip_graph built from it instead.
     """
+    graph = code if isinstance(code, _FlipGraph) else None
     H = getattr(code, "H", code)
     if H.q != 2:
         raise ValueError("flip decoding is defined over GF(2)")
@@ -342,14 +392,14 @@ def flip_decode(code, s, max_rounds: int = 100, parallel: bool = False) -> Decod
     if s.shape[0] != H.rows:
         raise ValueError(f"syndrome length {s.shape[0]} does not match {H.rows} checks")
     n = H.cols
-    bit_edges, check_edges, degree = _graph_arrays(H)
-    unsat = s.copy()
-    est = np.zeros(n, dtype=np.uint8)
-    flips = 0
-    rounds = 0
-    budget = max_rounds * n
 
     if parallel:
+        data = H.data != 0
+        bit_edges, check_edges = np.nonzero(data.T)
+        degree = data.sum(axis=0)
+        unsat = s.copy()
+        est = np.zeros(n, dtype=np.uint8)
+        flips = rounds = 0
         while rounds < max_rounds and unsat.any():
             ucount = np.bincount(bit_edges, weights=unsat[check_edges], minlength=n)
             flip_mask = 2 * ucount > degree
@@ -360,24 +410,13 @@ def flip_decode(code, s, max_rounds: int = 100, parallel: bool = False) -> Decod
             unsat ^= (np.bincount(touched, minlength=H.rows) % 2).astype(np.uint8)
             flips += int(flip_mask.sum())
             rounds += 1
+        counters = {"flips": flips, "rounds": rounds}
     else:
-        checks_of_bit = [check_edges[bit_edges == i] for i in range(n)]
-        bits_of_check = [bit_edges[check_edges == j] for j in range(H.rows)]
-        heap = sorted({int(b) for j in np.flatnonzero(unsat) for b in bits_of_check[j]})
-        heapq.heapify(heap)
-        while heap and flips < budget:
-            i = heapq.heappop(heap)
-            incident = checks_of_bit[i]
-            if 2 * int(unsat[incident].sum()) <= degree[i]:
-                continue
-            est[i] ^= 1
-            flips += 1
-            unsat[incident] ^= 1
-            for j in incident:
-                for b in bits_of_check[j]:
-                    heapq.heappush(heap, int(b))
+        unsat_list = s.tolist()
+        est, flips = _flip_sequential(graph or _flip_graph(H), unsat_list, max_rounds * n)
+        unsat = np.array(unsat_list, dtype=np.uint8)
+        counters = {"flips": flips}
 
-    counters = {"flips": flips, "rounds": rounds}
     if unsat.any():
         return DecodeOutcome(DETECTED, est, counters, residual=unsat)
     return DecodeOutcome(CORRECTED, est, counters)
@@ -423,21 +462,20 @@ def _osmlg_rows(S: np.ndarray, d0: int) -> np.ndarray:
 def pccss_decode_z(Q, s_z, partitions: int = 1) -> DecodeOutcome:
     """Z-side decoding: independent majority decoding of every block.
 
-    With partitions > 1 the blocks are split into contiguous chunks decoded
-    concurrently; the output is bitwise identical to the serial order.
+    With partitions > 1 the blocks are decoded in that many contiguous
+    chunks, one after another; the output is bitwise identical to the
+    single-chunk order.
     """
     n0 = Q.n0
     n2 = Q.n // n0
     d0 = (n0 - 1) // 2
     s = _as_vector(s_z).astype(np.uint8)
     if s.shape[0] != n2 * (n0 - 1):
-        raise ValueError(f"syndrome length {s.shape[0]} does not match {n2} blocks")
+        raise ValueError(
+            f"syndrome length {s.shape[0]} does not match {n2 * (n0 - 1)} bits "
+            f"({n2} blocks of {n0 - 1})"
+        )
     S = s.reshape(n2, n0 - 1)
-    if partitions <= 1:
-        blocks = _osmlg_rows(S, d0)
-    else:
-        chunks = np.array_split(S, partitions)
-        with ThreadPoolExecutor(max_workers=partitions) as pool:
-            parts = list(pool.map(lambda c: _osmlg_rows(c, d0), chunks))
-        blocks = np.concatenate(parts, axis=0)
+    chunks = np.array_split(S, max(1, partitions))
+    blocks = np.concatenate([_osmlg_rows(c, d0) for c in chunks], axis=0)
     return DecodeOutcome(CORRECTED, blocks.reshape(-1), {"block_decodes": n2})

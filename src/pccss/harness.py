@@ -3,25 +3,34 @@ failure rates under asymmetric Pauli noise, adversarial fixed-weight sweeps,
 and serial-versus-partitioned decoder timing.
 
 Every trial is keyed by (seed, trial index), so record streams are identical
-for any partition width and any scheduling of the workers.
+however the trials are grouped.  run_trials and adversarial_sweep work in
+blocks of trials: one keyed sampler call, stacked syndromes, one majority
+decode over every Z block of the block, the flip search only where the X
+syndrome is nonzero, and vectorised logical checks.  The per-trial path
+(sample_error, pccss_decode_x/_z, logical_check) stays public and is the
+reference the block results are tested against.  A record's decode_seconds
+is its share of its block's decoding time, not a per-trial measurement.
 """
 from __future__ import annotations
 
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .bounds import pz_upper_bound
-from .channel import PauliError, make_channel, sample_error
+from .channel import PauliError, check_key, make_channel, sample_errors
 from .decode import (
     CORRECTED,
+    DETECTED,
+    _check_exhaustive_size,
+    _flip_graph,
+    _osmlg_rows,
     exhaustive_decode,
-    pccss_decode_x,
+    flip_decode,
     pccss_decode_z,
 )
 from .matgf import in_rowspace, rref
@@ -107,6 +116,11 @@ def logical_check(q, residual: PauliError) -> tuple[bool, bool]:
 
 @dataclass
 class ExperimentConfig:
+    """One Monte Carlo run.  seed and every trial index must lie in
+    [0, 2^64).  partitions (resolved_partitions) is kept for existing
+    callers; run_trials runs on one thread and its output does not depend
+    on it."""
+
     p: float
     zeta: float
     trials: int
@@ -125,6 +139,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
+        check_key("seed", self.seed)
+        check_key("trial index", self.trials - 1)
         if self.decoder not in ("flip", "exhaustive"):
             raise ValueError(f"unknown decoder {self.decoder!r}")
         if self.bundle is None and (self.n is None or self.n0 is None):
@@ -163,69 +179,138 @@ def _build_code(cfg: ExperimentConfig):
     return fast_family(cfg.n, cfg.n0, c=cfg.c, d=cfg.d, seed=cfg.code_seed, validate=False)
 
 
-def _syndromes(q, e: PauliError) -> tuple[np.ndarray, np.ndarray]:
-    """Both syndromes through the block structure, never materializing the
-    full check matrices."""
+# Trials per block.  The block's arrays grow with block size times code
+# length, so longer codes take fewer trials per block to keep memory flat.
+_BLOCK_TRIALS = 128
+_BLOCK_BITS = _BLOCK_TRIALS * 1024
+
+
+def _block_size(n: int) -> int:
+    return max(1, min(_BLOCK_TRIALS, _BLOCK_BITS // n))
+
+
+def _z_syndromes(z: np.ndarray, n0: int) -> np.ndarray:
+    """Z syndromes of a stack of errors, shape (rows, blocks, n0 - 1): each
+    block's first n0 - 1 bits XORed with its last bit."""
+    blocks = z.reshape(z.shape[0], -1, n0)
+    return blocks[:, :, : n0 - 1] ^ blocks[:, :, n0 - 1 :]
+
+
+def _outer_decoder(q, decoder: str, max_rounds: int):
+    """The outer-code syndrome decoder for one run; the flip decoder's graph
+    is built here, once, rather than on every call."""
+    if decoder == "flip":
+        graph = _flip_graph(q.outer.H)
+        return lambda s: flip_decode(graph, s, max_rounds=max_rounds)
+    # refused here, since blocks with only zero X syndromes never call it
+    _check_exhaustive_size(q.outer)
+    return lambda s: exhaustive_decode(q.outer, s)
+
+
+@dataclass(frozen=True)
+class _BlockOutcome:
+    status_x: list
+    flips: list
+    x_logical: np.ndarray
+    z_logical: np.ndarray
+    decode_seconds: float
+
+
+def _decode_block(q, decode_outer, x: np.ndarray, z: np.ndarray) -> _BlockOutcome:
+    """Decode a stack of errors (one trial per row) on both sides and check
+    the residuals: per row, the same outcome as pccss_decode_x (or the
+    exhaustive outer decoder) and pccss_decode_z followed by logical_check.
+
+    Rows with a zero X syndrome skip the outer decoder: both decoders
+    return "corrected" with a zero estimate and no flips there.  The Z side
+    is one majority decode over every block of every row; like
+    pccss_decode_z it always reports "corrected".
+    """
+    t = x.shape[0]
     n0 = q.n0
     n2 = q.n // n0
-    pi = e.x.reshape(n2, n0).sum(axis=1).astype(np.uint8) % 2
-    s_x = (q.outer.H.data @ pi % 2).astype(np.uint8)
-    blocks = e.z.reshape(n2, n0)
-    s_z = (blocks[:, : n0 - 1] ^ blocks[:, n0 - 1 :]).ravel()
-    return s_x, s_z
+    h2t = q.outer.H.data.T
+    # block parities of the X error, then of the X residual once decoded
+    parity = np.bitwise_xor.reduce(x.reshape(t, n2, n0), axis=2)
+    s_x = parity @ h2t % 2
+    s_z = _z_syndromes(z, n0)
 
-
-def _decode_x(q, s_x, decoder: str, max_rounds: int):
-    if decoder == "flip":
-        return pccss_decode_x(q, s_x, max_rounds=max_rounds)
-    out = exhaustive_decode(q.outer, s_x)
-    est = np.zeros(q.n, dtype=np.uint8)
-    est[np.flatnonzero(out.estimate) * q.n0] = 1
-    out.estimate = est
-    return out
-
-
-def _one_trial(q, ch, cfg: ExperimentConfig, t: int) -> TrialRecord:
-    e = sample_error(ch, q.n, cfg.seed, trial=t)
-    s_x, s_z = _syndromes(q, e)
     t0 = time.perf_counter()
-    out_x = _decode_x(q, s_x, cfg.decoder, cfg.max_rounds)
-    out_z = pccss_decode_z(q, s_z)
+    status_x = [CORRECTED] * t
+    flips = [0] * t
+    for i in np.flatnonzero(s_x.any(axis=1)):
+        out = decode_outer(s_x[i])
+        status_x[i] = CORRECTED if out.status == CORRECTED else DETECTED
+        flips[i] = int(out.counters.get("flips", 0))
+        parity[i] ^= out.estimate != 0
+    est_z = _osmlg_rows(s_z.reshape(t * n2, n0 - 1), (n0 - 1) // 2)
     seconds = time.perf_counter() - t0
-    residual = PauliError(n=q.n, x=e.x ^ out_x.estimate, z=e.z ^ out_z.estimate)
-    x_logical, z_logical = logical_check(q, residual)
-    return TrialRecord(
-        trial=t,
-        wt_x=int(e.x.sum()),
-        wt_z=int(e.z.sum()),
-        status_x=out_x.status,
-        status_z=out_z.status,
-        x_failed=bool(x_logical or out_x.status != CORRECTED),
-        z_failed=bool(z_logical or out_z.status != CORRECTED),
-        flips=int(out_x.counters.get("flips", 0)),
-        block_decodes=int(out_z.counters.get("block_decodes", 0)),
-        decode_seconds=seconds,
-    )
+
+    x_logical = parity.any(axis=1) & ~(parity @ h2t % 2).any(axis=1)
+    residual = z.reshape(t, n2, n0) ^ est_z.reshape(t, n2, n0)
+    uniform = ~(residual ^ residual[:, :, :1]).any(axis=(1, 2))
+    w = residual[:, :, 0]
+    z_logical = np.zeros(t, dtype=bool)
+    for i in np.flatnonzero(uniform & w.any(axis=1)):
+        z_logical[i] = not in_rowspace(_cached_rref(q, "_h2_rref", q.outer.H), w[i])
+    return _BlockOutcome(status_x, flips, x_logical, z_logical, seconds)
+
+
+def _status_counts(side: str, statuses, failed) -> dict:
+    """Per-side split of the trials: corrected, detected-uncorrectable, and
+    silent miscorrections (reported corrected, yet a logical failure)."""
+    corrected = detected = silent = 0
+    for status, fail in zip(statuses, failed):
+        if status != CORRECTED:
+            detected += 1
+        elif fail:
+            silent += 1
+        else:
+            corrected += 1
+    return {
+        f"{side}_corrected": corrected,
+        f"{side}_detected_uncorrectable": detected,
+        f"{side}_silent_miscorrections": silent,
+    }
 
 
 def run_trials(cfg: ExperimentConfig, code=None):
     """Run cfg.trials seeded trials; returns (records, summary) and writes a
-    CSV when cfg.out is set.  Identical output for every partition width."""
+    CSV when cfg.out is set.
+
+    Trials run in blocks of consecutive indices; every record depends only
+    on (cfg.seed, trial), so the output is the same for any block size and
+    any cfg.partitions.  A record's decode_seconds is its block's decoding
+    time (X and Z decoders, not sampling, syndromes or the logical check)
+    divided by the block's trial count.
+    """
     q = code if code is not None else _build_code(cfg)
     if getattr(q, "n0", None) is None or getattr(q, "outer", None) is None:
         raise ValueError("run_trials needs a block-structured code with n0 and outer")
     ch = make_channel(cfg.p, cfg.zeta)
-    width = cfg.resolved_partitions()
-    trials = range(cfg.trials)
-    if width == 1:
-        records = [_one_trial(q, ch, cfg, t) for t in trials]
-    else:
-        chunks = np.array_split(np.arange(cfg.trials), width)
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            parts = list(
-                pool.map(lambda idx: [_one_trial(q, ch, cfg, int(t)) for t in idx], chunks)
-            )
-        records = [r for part in parts for r in part]
+    decode_outer = _outer_decoder(q, cfg.decoder, cfg.max_rounds)
+    block = _block_size(q.n)
+    records = []
+    for lo in range(0, cfg.trials, block):
+        trials = range(lo, min(lo + block, cfg.trials))
+        e = sample_errors(ch, q.n, cfg.seed, trials)
+        out = _decode_block(q, decode_outer, e.x, e.z)
+        share = out.decode_seconds / len(trials)
+        for i, (t, wt_x, wt_z) in enumerate(
+            zip(trials, e.x.sum(axis=1).tolist(), e.z.sum(axis=1).tolist())
+        ):
+            records.append(TrialRecord(
+                trial=t,
+                wt_x=wt_x,
+                wt_z=wt_z,
+                status_x=out.status_x[i],
+                status_z=CORRECTED,
+                x_failed=bool(out.x_logical[i] or out.status_x[i] != CORRECTED),
+                z_failed=bool(out.z_logical[i]),
+                flips=out.flips[i],
+                block_decodes=q.n // q.n0,
+                decode_seconds=share,
+            ))
 
     x_fail = sum(r.x_failed for r in records)
     z_fail = sum(r.z_failed for r in records)
@@ -237,6 +322,8 @@ def run_trials(cfg: ExperimentConfig, code=None):
         "trials": cfg.trials,
         "x_failures": x_fail,
         "z_failures": z_fail,
+        **_status_counts("x", (r.status_x for r in records), (r.x_failed for r in records)),
+        **_status_counts("z", (r.status_z for r in records), (r.z_failed for r in records)),
         "x_rate": x_fail / cfg.trials,
         "z_rate": z_fail / cfg.trials,
         "x_wilson_upper95": wilson_upper(x_fail, cfg.trials),
@@ -311,30 +398,29 @@ def adversarial_sweep(q, side: str, weights, samples: int = 500, seed: int = 0,
         outer = q.outer
         small = outer.n <= 24 and outer.field.size**outer.k <= 1 << 18
         decoder = "exhaustive" if small else "flip"
+    # a Z sweep has no X errors, so it never runs the outer decoder
+    decode_outer = _outer_decoder(q, decoder, max_rounds) if side == "x" else None
+    block = _block_size(q.n)
     rng = np.random.default_rng(seed)
-    zeros = np.zeros(q.n, dtype=np.uint8)
     rows = []
     for w in weights:
         patterns, exhaustive = _weight_patterns(q.n, int(w), samples, rng)
         good = 0
-        for pos in patterns:
-            vec = zeros.copy()
-            vec[pos] = 1
+        for lo in range(0, len(patterns), block):
+            chunk = patterns[lo : lo + block]
+            errors = np.zeros((len(chunk), q.n), dtype=np.uint8)
+            for row, pos in zip(errors, chunk):
+                row[pos] = 1
+            zeros = np.zeros_like(errors)
             if side == "x":
-                e = PauliError(n=q.n, x=vec, z=zeros)
+                out = _decode_block(q, decode_outer, errors, zeros)
+                good += sum(
+                    status == CORRECTED and not failed
+                    for status, failed in zip(out.status_x, out.x_logical)
+                )
             else:
-                e = PauliError(n=q.n, x=zeros, z=vec)
-            s_x, s_z = _syndromes(q, e)
-            if side == "x":
-                out = _decode_x(q, s_x, decoder, max_rounds)
-                residual = PauliError(n=q.n, x=vec ^ out.estimate, z=zeros)
-                failed = logical_check(q, residual)[0]
-            else:
-                out = pccss_decode_z(q, s_z)
-                residual = PauliError(n=q.n, x=zeros, z=vec ^ out.estimate)
-                failed = logical_check(q, residual)[1]
-            if out.status == CORRECTED and not failed:
-                good += 1
+                out = _decode_block(q, decode_outer, zeros, errors)
+                good += int((~out.z_logical).sum())
         rows.append(SweepRow(weight=int(w), trials=len(patterns), successes=good,
                              exhaustive=exhaustive))
     return tuple(rows)
@@ -379,9 +465,8 @@ def timing_scaling(codes, trials: int = 32, partitions: int = 2, p: float = 0.05
     ch = make_channel(p, math.inf)
     rows = []
     for q in codes:
-        batches = [
-            _syndromes(q, sample_error(ch, q.n, seed, trial=t))[1] for t in range(trials)
-        ]
+        z = sample_errors(ch, q.n, seed, range(trials)).z
+        batches = list(_z_syndromes(z, q.n0).reshape(trials, -1))
         serial = min(
             _timed_decode(q, batches, 1) for _ in range(repeats)
         )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pccss.channel import make_channel, sample_error
+from pccss.channel import make_channel, sample_error, sample_errors
 
 
 def test_symmetric_channel_splits_evenly():
@@ -70,6 +70,35 @@ def test_trial_keying_is_schedule_independent():
     for t in range(8):
         assert (forward[t].x == backward[7 - t].x).all()
         assert (forward[t].z == backward[7 - t].z).all()
+
+
+def test_block_sampling_equals_per_trial_sampling():
+    for p, zeta in ((0.05, math.inf), (0.02, 10.0), (0.3, 1.0)):
+        ch = make_channel(p, zeta)
+        trials = [9, 0, 3, 2**64 - 1, 3]
+        block = sample_errors(ch, 70, seed=2**63 + 5, trials=trials)
+        assert block.x.shape == block.z.shape == (len(trials), 70)
+        for row, t in enumerate(trials):
+            one = sample_error(ch, 70, seed=2**63 + 5, trial=t)
+            assert block.x[row].tolist() == one.x.tolist()
+            assert block.z[row].tolist() == one.z.tolist()
+
+
+def test_block_sampling_matches_a_fresh_keyed_generator():
+    ch = make_channel(0.2, 4.0)
+    block = sample_errors(ch, 33, seed=12, trials=range(4))
+    for t in range(4):
+        key = np.array([12, t], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).random(33)
+        assert block.x[t].tolist() == (u < ch.p_x + ch.p_y).astype(np.uint8).tolist()
+        assert block.z[t].tolist() == ((u >= ch.p_x) & (u < ch.p)).astype(np.uint8).tolist()
+
+
+def test_keys_outside_64_bits_are_rejected():
+    ch = make_channel(0.1, 2.0)
+    for seed, trial in ((-1, 0), (2**64, 0), (0, -1), (0, 2**64)):
+        with pytest.raises(ValueError, match="2\\^64"):
+            sample_error(ch, 10, seed=seed, trial=trial)
 
 
 def test_saturated_symmetric_channel_splits_three_ways():

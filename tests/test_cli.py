@@ -178,6 +178,29 @@ def test_simulate_prints_summary(shor_bundle, capsys):
     assert "pz_bound" in summary
 
 
+def test_simulate_prints_status_split(shor_bundle, capsys):
+    rc, out, _ = run(capsys, "simulate", "--bundle", str(shor_bundle),
+                     "--p", "0.2", "--zeta", "2", "--trials", "40", "--seed", "3")
+    assert rc == 0
+    summary = dict(line.split(maxsplit=1) for line in out.strip().splitlines())
+    for side in "xz":
+        split = [int(summary[f"{side}_{kind}"]) for kind in
+                 ("corrected", "detected_uncorrectable", "silent_miscorrections")]
+        assert sum(split) == 40
+        assert split[1] + split[2] == int(summary[f"{side}_failures"])
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_simulate_rejects_seed_outside_64_bits(shor_bundle, capsys, seed):
+    rc, out, err = run(capsys, "simulate", "--bundle", str(shor_bundle),
+                       "--p", "0.01", "--zeta", "inf", "--trials", "5",
+                       "--seed", seed)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: seed") and "2^64" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_reports_exhaustive_weight_one_success(shor_bundle, capsys):
     rc, out, _ = run(capsys, "sweep", "--bundle", str(shor_bundle),
                      "--side", "x", "--weights", "1")

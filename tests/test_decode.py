@@ -3,6 +3,7 @@ inject-and-recover trials.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 from types import SimpleNamespace
 
@@ -244,6 +245,63 @@ def test_flip_stall_reports_residual():
     assert out.residual is not None and out.residual.any()
 
 
+def reference_flip(H: MatrixGF, s: np.ndarray, max_rounds: int = 100):
+    """The sequential flip search written plainly: a heap that may hold a
+    bit many times, numpy incidence lookups, the same flip rule."""
+    data = H.data != 0
+    unsat = s.astype(np.uint8).copy()
+    est = np.zeros(H.cols, dtype=np.uint8)
+    checks_of_bit = [np.flatnonzero(data[:, i]) for i in range(H.cols)]
+    bits_of_check = [np.flatnonzero(data[j]) for j in range(H.rows)]
+    heap = sorted({int(b) for j in np.flatnonzero(unsat) for b in bits_of_check[j]})
+    flips = 0
+    while heap and flips < max_rounds * H.cols:
+        i = heapq.heappop(heap)
+        incident = checks_of_bit[i]
+        if 2 * int(unsat[incident].sum()) <= len(incident):
+            continue
+        est[i] ^= 1
+        flips += 1
+        unsat[incident] ^= 1
+        for j in incident:
+            for b in bits_of_check[j]:
+                heapq.heappush(heap, int(b))
+    return est, flips, unsat
+
+
+def test_flip_matches_reference_search():
+    code, _ = make_expander(64, 3, 6, seed=1)
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        if trial % 2:
+            s = rng.integers(0, 2, size=code.H.rows).astype(np.uint8)
+        else:
+            e = np.zeros(64, dtype=np.uint8)
+            e[rng.choice(64, size=1 + trial % 6, replace=False)] = 1
+            s = syndrome_of(code.H, e)
+        for max_rounds in (100, 1 / 64, 3 / 64):  # budgets of 6400, 1 and 3 flips
+            est, flips, unsat = reference_flip(code.H, s, max_rounds)
+            out = flip_decode(code, s, max_rounds=max_rounds)
+            assert out.estimate.tolist() == est.tolist()
+            assert out.counters == {"flips": flips}
+            assert out.status == ("detected-uncorrectable" if unsat.any() else "corrected")
+            if unsat.any():
+                assert out.residual.tolist() == unsat.tolist()
+
+
+def test_flip_counts_rounds_only_in_parallel_mode():
+    code, _ = make_expander(1000, 4, 5, seed=7)
+    e = np.zeros(1000, dtype=np.uint8)
+    e[[3, 500]] = 1
+    s = syndrome_of(code.H, e)
+    seq = flip_decode(code, s)
+    par = flip_decode(code, s, parallel=True)
+    assert set(seq.counters) == {"flips"}
+    assert seq.counters["flips"] == 2
+    assert set(par.counters) == {"flips", "rounds"}
+    assert par.counters["rounds"] >= 1
+
+
 # ----------------------------------------------------------------- osmlg
 
 def test_osmlg_hand_examples():
@@ -369,6 +427,12 @@ def test_pccss_z_partitioned_bitwise_identical():
             a = pccss_decode_z(q, s)
             b = pccss_decode_z(q, s, partitions=parts)
             assert a.estimate.tolist() == b.estimate.tolist()
+
+
+def test_pccss_z_wrong_length_names_expected_bits():
+    q = SimpleNamespace(n=9, n0=3, outer=None)
+    with pytest.raises(ValueError, match=r"length 3 does not match 6 bits \(3 blocks of 2\)"):
+        pccss_decode_z(q, np.zeros(3, dtype=np.uint8))
 
 
 def test_outcome_carries_work_counters():

@@ -4,12 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from pccss.channel import PauliError
+from pccss.channel import PauliError, make_channel, sample_error
 from pccss.codes import lift_block, make_alternant, make_repetition
 from pccss.css import fast_family, make_css, make_pccss
+from pccss.decode import (
+    CORRECTED,
+    exhaustive_decode,
+    pccss_decode_x,
+    pccss_decode_z,
+    syndrome_of,
+)
 from pccss.galois import FieldSpec
 from pccss.harness import (
     ExperimentConfig,
+    TrialRecord,
+    _block_size,
     adversarial_sweep,
     logical_check,
     run_trials,
@@ -160,6 +169,108 @@ def test_run_trials_records_recompute_from_keys():
     assert _strip_seconds(records) == _strip_seconds(again)
 
 
+def oracle_records(q, cfg):
+    """run_trials written one trial at a time through the public per-trial
+    calls, with decode_seconds zeroed."""
+    ch = make_channel(cfg.p, cfg.zeta)
+    records = []
+    for t in range(cfg.trials):
+        e = sample_error(ch, q.n, cfg.seed, trial=t)
+        s_x = syndrome_of(q.hx, e.x)
+        if cfg.decoder == "flip":
+            out_x = pccss_decode_x(q, s_x, max_rounds=cfg.max_rounds)
+        else:
+            out_x = exhaustive_decode(q.outer, s_x)
+            est = np.zeros(q.n, dtype=np.uint8)
+            est[np.flatnonzero(out_x.estimate) * q.n0] = 1
+            out_x.estimate = est
+        out_z = pccss_decode_z(q, syndrome_of(q.hz, e.z))
+        residual = PauliError(q.n, e.x ^ out_x.estimate, e.z ^ out_z.estimate)
+        x_logical, z_logical = logical_check(q, residual)
+        records.append(TrialRecord(
+            trial=t,
+            wt_x=int(e.x.sum()),
+            wt_z=int(e.z.sum()),
+            status_x=out_x.status,
+            status_z=out_z.status,
+            x_failed=bool(x_logical or out_x.status != CORRECTED),
+            z_failed=bool(z_logical or out_z.status != CORRECTED),
+            flips=int(out_x.counters.get("flips", 0)),
+            block_decodes=int(out_z.counters["block_decodes"]),
+            decode_seconds=0.0,
+        ))
+    return records
+
+
+@pytest.mark.parametrize("code_seed", [0, 1])
+@pytest.mark.parametrize("p, zeta, seed", [(0.05, math.inf, 0), (0.02, 10.0, 4)])
+def test_run_trials_matches_per_trial_oracle(code_seed, p, zeta, seed):
+    q = fast_family(1024, 16, 3, 6, code_seed, validate=False)
+    cfg = ExperimentConfig(p=p, zeta=zeta, trials=300, n=1024, n0=16, seed=seed)
+    assert cfg.trials % _block_size(q.n) != 0  # a last, partial block
+    records, summary = run_trials(cfg, code=q)
+    assert _strip_seconds(records) == oracle_records(q, cfg)
+    assert summary["z_failures"] == sum(r.z_failed for r in records)
+    if zeta == 10.0:
+        assert any(r.flips for r in records)
+        assert any(r.status_x != CORRECTED for r in records)
+
+
+def test_run_trials_matches_oracle_below_one_block():
+    q = fast_family(64, 4, 3, 6, 1, validate=False)
+    cfg = ExperimentConfig(p=0.08, zeta=3.0, trials=7, n=64, n0=4, seed=2**64 - 1)
+    assert _strip_seconds(run_trials(cfg, code=q)[0]) == oracle_records(q, cfg)
+
+
+def test_run_trials_exhaustive_decoder_matches_oracle():
+    q = shor_like_code()
+    cfg = ExperimentConfig(p=0.15, zeta=1.0, trials=300, n=9, n0=3,
+                           decoder="exhaustive", seed=3)
+    records, _ = run_trials(cfg, code=q)
+    assert _strip_seconds(records) == oracle_records(q, cfg)
+    assert any(r.x_failed for r in records)
+
+
+def test_run_trials_refuses_exhaustive_decoder_on_large_outer_code():
+    cfg = ExperimentConfig(p=0.05, zeta=math.inf, trials=3, n=1024, n0=16,
+                           decoder="exhaustive")
+    with pytest.raises(ValueError, match="capped at n = 24"):
+        run_trials(cfg)
+
+
+def test_run_trials_status_split_matches_records():
+    q = fast_family(1024, 16, 3, 6, 0, validate=False)
+    cfg = ExperimentConfig(p=0.05, zeta=10.0, trials=200, n=1024, n0=16, seed=1)
+    records, summary = run_trials(cfg, code=q)
+    for side in "xz":
+        status = [getattr(r, f"status_{side}") for r in records]
+        failed = [getattr(r, f"{side}_failed") for r in records]
+        counts = [summary[f"{side}_{kind}"] for kind in
+                  ("corrected", "detected_uncorrectable", "silent_miscorrections")]
+        assert sum(counts) == cfg.trials
+        assert counts == [
+            sum(st == CORRECTED and not f for st, f in zip(status, failed)),
+            sum(st != CORRECTED for st in status),
+            sum(st == CORRECTED and f for st, f in zip(status, failed)),
+        ]
+        assert counts[1] + counts[2] == summary[f"{side}_failures"]
+    assert summary["x_detected_uncorrectable"] > 0
+
+
+def test_run_trials_decode_seconds_share_their_block():
+    cfg = ExperimentConfig(p=0.05, zeta=10.0, trials=20, n=64, n0=4, seed=6)
+    records, _ = run_trials(cfg)
+    assert len({r.decode_seconds for r in records}) == 1
+    assert records[0].decode_seconds > 0
+
+
+def test_config_rejects_keys_outside_64_bits():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(p=0.1, zeta=1.0, trials=1, n=64, n0=4, seed=seed)
+    ExperimentConfig(p=0.1, zeta=1.0, trials=1, n=64, n0=4, seed=2**64 - 1)
+
+
 def test_run_trials_writes_csv(tmp_path):
     out = tmp_path / "trials.csv"
     cfg = ExperimentConfig(p=0.02, zeta=3.0, trials=10, n=64, n0=4, out=str(out))
@@ -211,6 +322,32 @@ def test_sweep_sampled_above_enumeration_cap():
     (row,) = adversarial_sweep(q, "z", [4], samples=25, seed=1)
     assert not row.exhaustive
     assert row.trials == 25
+
+
+@pytest.mark.parametrize("side", ["x", "z"])
+def test_sweep_matches_per_pattern_oracle(side):
+    q = fast_family(1024, 16, 3, 6, 0, validate=False)
+    (row,) = adversarial_sweep(q, side, [9], samples=150, seed=2)
+    rng = np.random.default_rng(2)
+    zero = np.zeros(q.n, dtype=np.uint8)
+    good = 0
+    for _ in range(150):
+        vec = zero.copy()
+        vec[np.sort(rng.choice(q.n, size=9, replace=False))] = 1
+        if side == "x":
+            out = pccss_decode_x(q, syndrome_of(q.hx, vec))
+            failed = logical_check(q, PauliError(q.n, vec ^ out.estimate, zero))[0]
+        else:
+            out = pccss_decode_z(q, syndrome_of(q.hz, vec))
+            failed = logical_check(q, PauliError(q.n, zero, vec ^ out.estimate))[1]
+        good += out.status == CORRECTED and not failed
+    assert (row.trials, row.successes, row.exhaustive) == (150, good, False)
+
+
+def test_sweep_z_side_ignores_x_decoder_choice():
+    q = fast_family(1024, 16, 3, 6, 0, validate=False)
+    rows = adversarial_sweep(q, "z", [9], samples=20, seed=2, decoder="exhaustive")
+    assert rows == adversarial_sweep(q, "z", [9], samples=20, seed=2, decoder="flip")
 
 
 def test_sweep_validation():
