@@ -3,7 +3,7 @@ across a grid of dephasing probabilities, next to the analytic block
 failure bound.
 
 Each grid point runs the same seeded trial schedule, so rows are
-reproducible bit for bit regardless of worker count.
+reproducible bit for bit.
 """
 import argparse
 import sys
@@ -23,7 +23,6 @@ def main() -> int:
     ap.add_argument("--zeta", type=float, default=float("inf"))
     ap.add_argument("--trials", type=int, default=20000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--pz", type=float, nargs="+",
                     default=[0.02, 0.05, 0.08, 0.11, 0.14])
     args = ap.parse_args()
@@ -39,7 +38,6 @@ def main() -> int:
             n=args.N,
             n0=args.n0,
             seed=args.seed,
-            partitions=args.workers,
         )
         _, summary = run_trials(cfg, code=code)
         bound = pz_upper_bound(args.N, args.n0, pz)

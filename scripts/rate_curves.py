@@ -5,11 +5,11 @@ column per asymmetry) and prints the largest gap and the zero-rate
 crossover for each asymmetry value.
 """
 import argparse
-import math
 import sys
 
 from pccss.bounds import (
     curves_to_csv,
+    gap_curves,
     max_hashing_gap,
     pccss_channel_rate,
     rate_curves,
@@ -28,15 +28,7 @@ def main() -> int:
     zetas = args.zeta or [10.0, 100.0, 1000.0]
 
     curves = rate_curves(zetas, pmax=args.pmax, step=args.step)
-    hashing = curves[0]
-    gap_curves = []
-    for curve, zeta in zip(curves[1:], zetas):
-        gaps = tuple(
-            abs(h - y) if h > 0 and not math.isnan(y) and y > 0 else float("nan")
-            for h, y in zip(hashing.y, curve.y)
-        )
-        gap_curves.append(type(curve)(f"gap zeta={zeta:g}", hashing.x, gaps))
-    csv = curves_to_csv(curves + gap_curves)
+    csv = curves_to_csv(curves + gap_curves(curves, zetas))
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -10,10 +10,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .channel import make_channel
+
 __all__ = [
     "RateCurve",
     "channel_split",
     "entropy_q",
+    "gap_curves",
     "gv_aqc_rate",
     "gv_css_rate",
     "gv_enlarged_rate",
@@ -85,14 +88,10 @@ def gv_enlarged_rate(delta: float, q: int = 2) -> float:
 # ----------------------------------------------------------- channel rates
 
 def channel_split(p: float, zeta: float) -> tuple[float, float, float]:
-    """(p_X, p_Y, p_Z) with p_X = p_Y = p/(2 zeta + 1); zeta may be inf."""
-    p = _clip01(float(p), "total error probability")
-    if zeta < 1:
-        raise ValueError(f"asymmetry must be >= 1, got {zeta}")
-    if math.isinf(zeta):
-        return 0.0, 0.0, p
-    px = p / (2 * zeta + 1)
-    return px, px, p - 2 * px
+    """(p_X, p_Y, p_Z) of channel.make_channel, p_X = p_Y = p/(2 zeta + 1);
+    zeta may be inf. Float fuzz on p is snapped onto [0, 1] first."""
+    ch = make_channel(_clip01(float(p), "total error probability"), zeta)
+    return ch.p_x, ch.p_y, ch.p_z
 
 
 def hashing_rate(p: float) -> float:
@@ -196,6 +195,20 @@ def rate_curves(zetas, pmax: float = 0.5, step: float = 1e-3) -> list[RateCurve]
                 ys.append(float("nan"))
         curves.append(RateCurve(f"pccss zeta={z:g}", tuple(grid), tuple(ys)))
     return curves
+
+
+def gap_curves(curves: list[RateCurve], zetas) -> list[RateCurve]:
+    """|hashing - achievable| per asymmetry from rate_curves(zetas, ...)'s
+    output, NaN wherever either rate is not positive."""
+    hashing = curves[0]
+    out = []
+    for curve, zeta in zip(curves[1:], zetas):
+        gaps = tuple(
+            abs(h - y) if h > 0 and not math.isnan(y) and y > 0 else float("nan")
+            for h, y in zip(hashing.y, curve.y)
+        )
+        out.append(RateCurve(f"gap zeta={zeta:g}", hashing.x, gaps))
+    return out
 
 
 def curves_to_csv(curves: list[RateCurve]) -> str:

@@ -7,13 +7,12 @@ scripting: 0 success, 1 validation failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
 import numpy as np
 
-from .bounds import RateCurve, curves_to_csv, max_hashing_gap, rate_curves
+from .bounds import curves_to_csv, gap_curves, max_hashing_gap, rate_curves
 from .codes import LinearCode, code_from_text, lift_block, make_repetition
 from .css import (
     check_valid,
@@ -219,15 +218,7 @@ def _cmd_bounds(args) -> int:
     step = args.step if args.step is not None else (1e-4 if args.fig1 else 1e-3)
     zetas = args.zeta
     curves = rate_curves(zetas, pmax=pmax, step=step)
-    hashing = curves[0]
-    gap_curves = []
-    for curve, zeta in zip(curves[1:], zetas):
-        gaps = tuple(
-            abs(h - y) if h > 0 and not math.isnan(y) and y > 0 else float("nan")
-            for h, y in zip(hashing.y, curve.y)
-        )
-        gap_curves.append(RateCurve(f"gap zeta={zeta:g}", hashing.x, gaps))
-    csv = curves_to_csv(curves + gap_curves)
+    csv = curves_to_csv(curves + gap_curves(curves, zetas))
     if args.out:
         _write_text(args.out, csv)
         for zeta in zetas:

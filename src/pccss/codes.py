@@ -16,15 +16,17 @@ from .bounds import vol_q
 from .galois import FieldSpec, field_of_size
 from .matgf import (
     MatrixGF,
-    _field_tables,
+    _field_ops,
+    bundle_header,
+    bundle_line,
     identity,
     kron,
-    mat_from_text,
     mat_to_text,
     mul,
     nullspace,
     rank,
     rref,
+    take_matrix,
     transpose,
     zeros,
 )
@@ -104,10 +106,10 @@ def min_weight(G: MatrixGF, cap: int = 2**22) -> int:
             if w < best:
                 best = w
         return best
-    add, mulo, _, _ = _field_tables(field)
+    add, mulf, _, _ = _field_ops(field)
     q = field.size
     digits = [0] * k
-    cw = np.zeros(n, dtype=np.uint8)
+    cw = np.zeros(n, dtype=G.data.dtype)
     best = n + 1
     for _ in range(total - 1):
         pos = 0
@@ -116,11 +118,11 @@ def min_weight(G: MatrixGF, cap: int = 2**22) -> int:
             new = old + 1
             if new == q:
                 digits[pos] = 0
-                cw = add[cw, mulo[field.sub(0, old), G.data[pos]]]
+                cw = add(cw, mulf(field.sub(0, old), G.data[pos]))
                 pos += 1
             else:
                 digits[pos] = new
-                cw = add[cw, mulo[field.sub(new, old), G.data[pos]]]
+                cw = add(cw, mulf(field.sub(new, old), G.data[pos]))
                 break
         w = int(np.count_nonzero(cw))
         if w and w < best:
@@ -454,10 +456,7 @@ def code_to_text(code: LinearCode, graph: ExpanderGraph | None = None) -> str:
 
 def code_from_text(text: str) -> tuple[LinearCode, ExpanderGraph | None]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "linearcode":
-        raise ValueError(f"not a code bundle: {lines[0]!r}")
-    q, n, k = int(head[1]), int(head[2]), int(head[3])
+    q, n, k = bundle_header(lines, "linearcode")
     pos = 1
     d_val = None
     d_method = None
@@ -469,31 +468,24 @@ def code_from_text(text: str) -> tuple[LinearCode, ExpanderGraph | None]:
     if pos < len(lines) and lines[pos].startswith("alternant "):
         _, p, m0, m, r = lines[pos].split()
         ext = FieldSpec(int(p), int(m0), int(m))
-        pts = tuple(int(v) for v in lines[pos + 1].split()[1:])
-        mults = tuple(int(v) for v in lines[pos + 2].split()[1:])
+        pts = tuple(int(v) for v in bundle_line(lines, pos + 1, "the points line").split()[1:])
+        mults = tuple(int(v) for v in bundle_line(lines, pos + 2, "the mults line").split()[1:])
         provenance = {
             "origin": "alternant", "ext": ext, "a": pts, "y": mults,
             "r": int(r), "d_lower": int(r) + 1,
         }
         pos += 3
-
-    def read_matrix(start: int) -> tuple[MatrixGF, int]:
-        rows = int(lines[start].split()[1])
-        block = "\n".join(lines[start: start + rows + 1])
-        return mat_from_text(block), start + rows + 1
-
-    G, pos = read_matrix(pos)
-    H, pos = read_matrix(pos)
+    G, pos = take_matrix(lines, pos, "G")
+    H, pos = take_matrix(lines, pos, "H")
     graph = None
     if pos < len(lines) and lines[pos].startswith("expander "):
         _, gn, gr, gc, gd, gseed = lines[pos].split()
         gn, gr, gc, gd = int(gn), int(gr), int(gc), int(gd)
-        pos += 1
-        left = tuple(tuple(int(v) for v in lines[pos + i].split()) for i in range(gn))
-        pos += gn
-        right = tuple(tuple(int(v) for v in lines[pos + j].split()) for j in range(gr))
-        pos += gr
-        graph = ExpanderGraph(gn, gr, gc, gd, left, right, int(gseed))
+        adjacency = tuple(
+            tuple(int(v) for v in bundle_line(lines, pos + 1 + i, f"adjacency row {i}").split())
+            for i in range(gn + gr)
+        )
+        graph = ExpanderGraph(gn, gr, gc, gd, adjacency[:gn], adjacency[gn:], int(gseed))
         if not provenance:
             provenance = {"origin": "expander", "c": gc, "d": gd, "seed": int(gseed)}
     field = field_of_size(q)

@@ -17,15 +17,17 @@ from .codes import LinearCode, lift_block, make_expander, make_repetition
 from .galois import GF2, FieldSpec, is_irreducible
 from .matgf import (
     MatrixGF,
+    bundle_header,
+    bundle_line,
     hstack,
     identity,
     kron,
-    mat_from_text,
     mat_to_text,
     mul,
     nullspace,
     rank,
     rref,
+    take_matrix,
     vstack,
     zeros,
 )
@@ -531,12 +533,6 @@ def css_to_text(q: CssCode) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _take_matrix(lines: list[str], at: int) -> tuple[MatrixGF, int]:
-    rows = int(lines[at].split()[1])
-    chunk = lines[at : at + 1 + rows]
-    return mat_from_text("\n".join(chunk)), at + 1 + rows
-
-
 def _outer_from_hx(hx: MatrixGF, n0: int) -> LinearCode:
     h2 = MatrixGF(hx.field, hx.data[:, ::n0])
     k = h2.cols - rank(h2)
@@ -552,16 +548,13 @@ def _outer_from_hx(hx: MatrixGF, n0: int) -> LinearCode:
 
 def css_from_text(text: str, validate: bool = True) -> CssCode:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    tag, qs, ns, ks = lines[0].split()
-    if tag != "csscode":
-        raise ValueError(f"not a csscode bundle: {lines[0]!r}")
-    n, k = int(ns), int(ks)
+    _, n, k = bundle_header(lines, "csscode")
     n0 = None
     construction = None
     d_x = d_z = None
     d_method = None
     at = 1
-    while lines[at] not in ("hx",):
+    while bundle_line(lines, at, "the hx section") != "hx":
         key, val = lines[at].split(maxsplit=1)
         if key == "n0":
             n0 = int(val)
@@ -574,12 +567,12 @@ def css_from_text(text: str, validate: bool = True) -> CssCode:
             else:
                 d_z = int(dist)
         at += 1
-    at += 1  # past "hx"
-    hx, at = _take_matrix(lines, at)
-    if lines[at] != "hz":
-        raise ValueError("bundle missing hz section")
-    hx_rows_end = at + 1
-    hz, at = _take_matrix(lines, hx_rows_end)
+    hx, at = take_matrix(lines, at + 1, "hx")
+    if bundle_line(lines, at, "the hz section") != "hz":
+        raise ValueError(f"line {at + 1}: expected the hz section, got {lines[at]!r}")
+    hz, _ = take_matrix(lines, at + 1, "hz")
+    if n0 is not None and (n0 < 2 or n % n0):
+        raise ValueError(f"n0 {n0} must be at least 2 and divide n = {n}")
     outer = _outer_from_hx(hx, n0) if n0 else None
     prov = {"construction": construction} if construction else {}
     return CssCode(
@@ -608,13 +601,11 @@ def stab_to_text(s: StabilizerCode) -> str:
 
 def stab_from_text(text: str, validate: bool = True) -> StabilizerCode:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    tag, qs, ns, ks = lines[0].split()
-    if tag != "stabcode":
-        raise ValueError(f"not a stabcode bundle: {lines[0]!r}")
+    _, n, k = bundle_header(lines, "stabcode")
     d = None
     d_method = None
     at = 1
-    while lines[at] != "gens":
+    while bundle_line(lines, at, "the gens section") != "gens":
         key, val = lines[at].split(maxsplit=1)
         if key == "d":
             dist, d_method = val.split()
@@ -622,7 +613,7 @@ def stab_from_text(text: str, validate: bool = True) -> StabilizerCode:
         else:
             raise ValueError(f"unknown bundle key {key!r}")
         at += 1
-    gens, _ = _take_matrix(lines, at + 1)
+    gens, _ = take_matrix(lines, at + 1, "gens")
     return StabilizerCode(
-        n=int(ns), gens=gens, k=int(ks), d=d, d_method=d_method, validate=validate
+        n=n, gens=gens, k=k, d=d, d_method=d_method, validate=validate
     )

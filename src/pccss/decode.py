@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .galois import FieldSpec
-from .matgf import MatrixGF, _field_tables, mul, solve
+from .matgf import MatrixGF, _field_ops, mul, solve
 
 __all__ = [
     "Syndrome",
@@ -92,10 +92,9 @@ def exhaustive_decode(code, s) -> DecodeOutcome:
     if x0 is None:
         return DecodeOutcome(DETECTED, np.zeros(code.n, dtype=np.uint8), {"cosets": 0})
     if code.k == 0:
-        est = x0.astype(np.uint8)
-        return DecodeOutcome(CORRECTED, est, {"cosets": 1})
+        return DecodeOutcome(CORRECTED, x0, {"cosets": 1})
 
-    add = _field_tables(field)[0] if q <= 256 else None
+    add = _field_ops(field)[0]
     best_w = None
     best = None
     total = q ** code.k
@@ -105,20 +104,14 @@ def exhaustive_decode(code, s) -> DecodeOutcome:
         idx = np.arange(lo, hi, dtype=np.int64)
         msgs = ((idx[:, None] // pows[None, :]) % q).astype(code.G.data.dtype)
         cw = mul(MatrixGF(field, msgs), code.G).data
-        if add is not None:
-            vecs = add[cw, x0[None, :]]
-        else:
-            vecs = np.array(
-                [[field.add(int(a), int(b)) for a, b in zip(row, x0)] for row in cw],
-                dtype=cw.dtype,
-            )
+        vecs = add(cw, x0[None, :])
         weights = (vecs != 0).sum(axis=1)
         wmin = int(weights.min())
         if best_w is None or wmin <= best_w:
             cand = min(map(tuple, vecs[weights == wmin]))
             if best_w is None or (wmin, cand) < (best_w, best):
                 best_w, best = wmin, cand
-    est = np.array(best, dtype=np.uint8 if q <= 256 else np.int64)
+    est = np.array(best, dtype=x0.dtype)
     assert np.array_equal(syndrome_of(code.H, est), s)
     return DecodeOutcome(CORRECTED, est, {"cosets": total})
 

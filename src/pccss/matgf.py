@@ -1,17 +1,24 @@
 """Dense matrices over GF(q): echelon forms, nullspaces, products, standard form.
 
-Entries are stored as element indices in a numpy array (uint8 when q <= 256).
-GF(2) elimination runs bit-packed, 64 columns per machine word; every other
-field goes through a generic element-wise path. Prime fields use modular
-integer arithmetic directly; prime-power fields up to q = 256 use cached
-q x q operation tables; larger extension fields fall back to per-element
-field calls (only tiny matrices live there).
+Entries are stored as element indices in a numpy array (uint8 when q <= 256,
+int64 above). Arithmetic takes one of two paths:
+
+- GF(2) works on words: elimination runs bit-packed, 64 columns per machine
+  word, products are integer matrix products mod 2, and row-space reduction
+  XORs rows.
+- Every other field goes through one cached provider of elementwise
+  (add, mul, neg, inv) over index arrays: q x q lookup tables up to q = 256,
+  scalar FieldSpec calls above that (only small matrices live there).
 
 Pivot choice is leftmost column, topmost row, in both paths, so echelon
 forms are canonical and golden-file comparable.
+
+The text format is a "q rows cols" header line followed by one line of
+entries per row; the bundle readers share its block reader, take_matrix.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +28,8 @@ from .galois import FieldSpec, field_of_size
 __all__ = [
     "MatrixGF",
     "RrefResult",
+    "bundle_header",
+    "bundle_line",
     "identity",
     "in_rowspace",
     "kron",
@@ -33,6 +42,7 @@ __all__ = [
     "rref",
     "solve",
     "standard_form",
+    "take_matrix",
     "transpose",
     "vstack",
     "hstack",
@@ -109,31 +119,34 @@ def zeros(field: FieldSpec, rows: int, cols: int) -> MatrixGF:
 __all__.append("zeros")
 
 
-# ------------------------------------------------------------ op tables
+# ----------------------------------------------------------- field ops
 
-_TABLES: dict = {}
+@functools.cache
+def _field_ops(field: FieldSpec):
+    """Elementwise (add, mul, neg, inv) over arrays of element indices.
 
+    q x q lookup tables when q <= 256; above that, ufuncs calling the scalar
+    FieldSpec methods on Python ints, returning int64 arrays.
+    """
+    q = field.size
+    if q <= 256:
+        elems = range(q)
+        add = np.array([[field.add(a, b) for b in elems] for a in elems], dtype=np.uint8)
+        mulo = np.array([[field.mul(a, b) for b in elems] for a in elems], dtype=np.uint8)
+        neg = np.array([field.neg(a) for a in elems], dtype=np.uint8)
+        inv = np.array([0] + [field.inv(a) for a in elems[1:]], dtype=np.uint8)
 
-def _field_tables(field: FieldSpec):
-    key = (field.p, field.m0, field.m, field.modulus)
-    hit = _TABLES.get(key)
-    if hit is None:
-        q = field.size
-        add = np.empty((q, q), dtype=np.uint8)
-        mulo = np.empty((q, q), dtype=np.uint8)
-        for a in range(q):
-            for b in range(q):
-                add[a, b] = field.add(a, b)
-                mulo[a, b] = field.mul(a, b)
-        neg = np.array([field.neg(a) for a in range(q)], dtype=np.uint8)
-        inv = np.array([0] + [field.inv(a) for a in range(1, q)], dtype=np.uint8)
-        hit = (add, mulo, neg, inv)
-        _TABLES[key] = hit
-    return hit
+        def pair(table):
+            flat = table.ravel()  # one flat gather beats a 2-D fancy index
+            return lambda a, b: flat[np.multiply(a, q, dtype=np.intp) + b]
 
+        return pair(add), pair(mulo), neg.__getitem__, inv.__getitem__
 
-def _is_prime_field(field: FieldSpec) -> bool:
-    return field.degree == 1
+    def lift(fn, nin):
+        ufunc = np.frompyfunc(fn, nin, 1)
+        return lambda *xs: np.asarray(ufunc(*xs), dtype=np.int64)
+
+    return lift(field.add, 2), lift(field.mul, 2), lift(field.neg, 1), lift(field.inv, 1)
 
 
 # --------------------------------------------------------- bit packing
@@ -191,8 +204,9 @@ def _rref_packed(bits: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
     return _unpack_rows(P, c), cur, tuple(pivots)
 
 
-def _rref_prime(a: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
-    R = a.astype(np.int64) % p
+def _rref_generic(a: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, int, tuple[int, ...]]:
+    add, mulf, neg, inv = _field_ops(field)
+    R = a.copy()
     r, c = R.shape
     pivots: list[int] = []
     cur = 0
@@ -206,82 +220,31 @@ def _rref_prime(a: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]
         if piv != cur:
             R[[cur, piv]] = R[[piv, cur]]
         if R[cur, col] != 1:
-            R[cur] = R[cur] * pow(int(R[cur, col]), p - 2, p) % p
+            R[cur] = mulf(inv(R[cur, col]), R[cur])
         others = np.nonzero(R[:, col])[0]
         others = others[others != cur]
         if others.size:
-            R[others] = (R[others] - np.outer(R[others, col], R[cur])) % p
+            R[others] = add(R[others], mulf(neg(R[others, col])[:, None], R[cur][None, :]))
         pivots.append(col)
         cur += 1
     return R, cur, tuple(pivots)
-
-
-def _rref_tables(a: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, int, tuple[int, ...]]:
-    add, mulo, neg, inv = _field_tables(field)
-    R = a.astype(np.uint8).copy()
-    r, c = R.shape
-    pivots: list[int] = []
-    cur = 0
-    for col in range(c):
-        if cur == r:
-            break
-        nz = np.nonzero(R[cur:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = cur + int(nz[0])
-        if piv != cur:
-            R[[cur, piv]] = R[[piv, cur]]
-        if R[cur, col] != 1:
-            R[cur] = mulo[inv[R[cur, col]], R[cur]]
-        others = np.nonzero(R[:, col])[0]
-        others = others[others != cur]
-        if others.size:
-            R[others] = add[R[others], mulo[neg[R[others, col]][:, None], R[cur][None, :]]]
-        pivots.append(col)
-        cur += 1
-    return R, cur, tuple(pivots)
-
-
-def _rref_python(a: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, int, tuple[int, ...]]:
-    R = [list(map(int, row)) for row in a]
-    r, c = a.shape
-    pivots: list[int] = []
-    cur = 0
-    for col in range(c):
-        if cur == r:
-            break
-        piv = next((i for i in range(cur, r) if R[i][col]), None)
-        if piv is None:
-            continue
-        R[cur], R[piv] = R[piv], R[cur]
-        s = field.inv(R[cur][col])
-        if s != 1:
-            R[cur] = [field.mul(s, v) for v in R[cur]]
-        for i in range(r):
-            if i != cur and R[i][col]:
-                f = field.neg(R[i][col])
-                R[i] = [field.add(vi, field.mul(f, vc)) for vi, vc in zip(R[i], R[cur])]
-        pivots.append(col)
-        cur += 1
-    return np.array(R, dtype=_dtype_for(field.size)).reshape(r, c), cur, tuple(pivots)
 
 
 def rref(M: MatrixGF, method: str = "auto") -> RrefResult:
-    """Reduced row echelon form with rank and pivot columns."""
+    """Reduced row echelon form with rank and pivot columns.
+
+    method="generic" forces the field-ops kernel on GF(2) too; it is the
+    reference the packed kernel is tested against.
+    """
     field = M.field
-    q = field.size
     if method not in ("auto", "packed", "generic"):
         raise ValueError(f"unknown rref method {method!r}")
-    if method == "packed" and q != 2:
+    if method == "packed" and field.size != 2:
         raise ValueError("packed elimination only applies to GF(2)")
-    if q == 2 and method in ("auto", "packed"):
+    if field.size == 2 and method != "generic":
         R, rk, piv = _rref_packed(M.data)
-    elif _is_prime_field(field):
-        R, rk, piv = _rref_prime(M.data, field.p)
-    elif q <= 256:
-        R, rk, piv = _rref_tables(M.data, field)
     else:
-        R, rk, piv = _rref_python(M.data, field)
+        R, rk, piv = _rref_generic(M.data, field)
     return RrefResult(MatrixGF(field, R), rk, piv)
 
 
@@ -301,17 +264,9 @@ def nullspace(M: MatrixGF) -> MatrixGF:
     if free:
         B[np.arange(len(free)), free] = 1
         if piv:
-            R = rr.matrix.data[: rr.rank]
-            block = R[:, free].T  # coefficients of pivot variables per free column
-            if field.size == 2:
-                B[:, piv] = block
-            elif _is_prime_field(field):
-                B[:, piv] = (-block.astype(np.int64)) % field.p
-            elif field.size <= 256:
-                neg = _field_tables(field)[2]
-                B[:, piv] = neg[block]
-            else:
-                B[:, piv] = np.vectorize(field.neg)(block)
+            # coefficients of the pivot variables, one row per free column
+            block = rr.matrix.data[: rr.rank, free].T
+            B[:, piv] = _field_ops(field)[2](block)
     return MatrixGF(field, B)
 
 
@@ -323,25 +278,12 @@ def mul(A: MatrixGF, B: MatrixGF) -> MatrixGF:
     if A.cols != B.rows:
         raise ValueError(f"shape mismatch {A.shape} x {B.shape}")
     field = A.field
-    if A.cols == 0:
-        return zeros(field, A.rows, B.cols)
-    if _is_prime_field(field):
-        p = field.p
-        C = A.data.astype(np.int64) @ B.data.astype(np.int64) % p
-        return MatrixGF(field, C)
-    if field.size <= 256:
-        add, mulo, _, _ = _field_tables(field)
-        C = np.zeros((A.rows, B.cols), dtype=np.uint8)
-        for k in range(A.cols):
-            C = add[C, mulo[A.data[:, k][:, None], B.data[k, :][None, :]]]
-        return MatrixGF(field, C)
-    C = np.zeros((A.rows, B.cols), dtype=np.int64)
-    for i in range(A.rows):
-        for j in range(B.cols):
-            acc = 0
-            for k in range(A.cols):
-                acc = field.add(acc, field.mul(int(A.data[i, k]), int(B.data[k, j])))
-            C[i, j] = acc
+    if field.size == 2:
+        return MatrixGF(field, A.data.astype(np.int64) @ B.data.astype(np.int64) % 2)
+    add, mulf, _, _ = _field_ops(field)
+    C = np.zeros((A.rows, B.cols), dtype=_dtype_for(field.size))
+    for k in range(A.cols):
+        C = add(C, mulf(A.data[:, k, None], B.data[None, k, :]))
     return MatrixGF(field, C)
 
 
@@ -352,16 +294,9 @@ def transpose(A: MatrixGF) -> MatrixGF:
 def kron(A: MatrixGF, B: MatrixGF) -> MatrixGF:
     if A.field != B.field:
         raise ValueError("kron across different fields")
-    field = A.field
     Arep = np.repeat(np.repeat(A.data, B.rows, axis=0), B.cols, axis=1)
     Btil = np.tile(B.data, (A.rows, A.cols))
-    if _is_prime_field(field):
-        C = Arep.astype(np.int64) * Btil.astype(np.int64) % field.p
-    elif field.size <= 256:
-        C = _field_tables(field)[1][Arep, Btil]
-    else:
-        C = np.vectorize(field.mul)(Arep, Btil)
-    return MatrixGF(field, C)
+    return MatrixGF(A.field, _field_ops(A.field)[1](Arep, Btil))
 
 
 def hstack(mats: list[MatrixGF]) -> MatrixGF:
@@ -393,15 +328,6 @@ def standard_form(G: MatrixGF) -> tuple[MatrixGF, np.ndarray]:
 
 # ----------------------------------------------------- solve / rowspace
 
-def _scaled_rows(field: FieldSpec, coeffs: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Matrix whose row i is coeffs[i] * R[i]."""
-    if _is_prime_field(field):
-        return coeffs.astype(np.int64)[:, None] * R.astype(np.int64) % field.p
-    if field.size <= 256:
-        return _field_tables(field)[1][coeffs[:, None], R]
-    return np.vectorize(field.mul)(coeffs[:, None], R)
-
-
 def reduce_vector(rr: RrefResult, v: np.ndarray) -> np.ndarray:
     """Residual of v after removing its row-space component of rr.
 
@@ -410,19 +336,16 @@ def reduce_vector(rr: RrefResult, v: np.ndarray) -> np.ndarray:
     """
     field = rr.matrix.field
     v = np.asarray(v)
-    if rr.rank == 0:
-        return v.copy()
     R = rr.matrix.data[: rr.rank]
     coeffs = v[list(rr.pivots)]
-    contrib = _scaled_rows(field, coeffs, R)
     if field.size == 2:
-        return (v ^ np.bitwise_xor.reduce(contrib, axis=0)).astype(v.dtype)
-    if _is_prime_field(field):
-        return ((v.astype(np.int64) - contrib.sum(axis=0)) % field.p).astype(v.dtype)
-    out = v.copy()
-    for row in contrib:
-        out = np.array([field.sub(int(a), int(b)) for a, b in zip(out, row)], dtype=v.dtype)
-    return out
+        return (v ^ np.bitwise_xor.reduce(R[coeffs == 1], axis=0)).astype(v.dtype)
+    add, mulf, neg, _ = _field_ops(field)
+    out = v
+    for c, row in zip(coeffs, R):
+        if c:
+            out = add(out, mulf(neg(c), row))
+    return out.astype(v.dtype)
 
 
 def in_rowspace(rr: RrefResult, v: np.ndarray) -> bool:
@@ -455,16 +378,57 @@ def mat_to_text(M: MatrixGF) -> str:
     return "\n".join(lines) + "\n"
 
 
+def bundle_line(lines: list[str], at: int, section: str) -> str:
+    """lines[at], or a ValueError naming the section the text ends before.
+
+    Line numbers in messages count the non-blank lines the readers keep.
+    """
+    if at >= len(lines):
+        raise ValueError(f"text ends before {section} (line {at + 1})")
+    return lines[at]
+
+
+def bundle_header(lines: list[str], tag: str) -> tuple[int, int, int]:
+    """(q, n, k) from a bundle's first line, which must read "tag q n k"."""
+    head = bundle_line(lines, 0, f"the {tag} header").split()
+    if len(head) != 4 or head[0] != tag:
+        raise ValueError(f"not a {tag} bundle: {lines[0]!r}")
+    q, n, k = map(int, head[1:])
+    return q, n, k
+
+
+def take_matrix(lines: list[str], at: int, section: str) -> tuple[MatrixGF, int]:
+    """Read the matrix block starting at lines[at]: a "q rows cols" header,
+    then one line of entries per row. Returns the matrix and the index of
+    the line after the block."""
+    head = bundle_line(lines, at, f"the {section} header").split()
+    if len(head) != 3:
+        raise ValueError(f"line {at + 1}: {section} header must read 'q rows cols'")
+    q, rows, cols = map(int, head)
+    if rows < 0 or cols < 0:
+        raise ValueError(f"line {at + 1}: {section} has negative shape {rows} x {cols}")
+    field = field_of_size(q)
+    data = np.empty((rows, cols), dtype=_dtype_for(q))
+    for i in range(rows):
+        vals = bundle_line(lines, at + 1 + i, f"{section} row {i}").split()
+        where = f"line {at + 2 + i}: {section} row {i}"
+        if len(vals) != cols:
+            raise ValueError(f"{where} has {len(vals)} entries, expected {cols}")
+        # parse as int64 and range-check before narrowing to the storage dtype
+        try:
+            row = np.array(vals, dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        bad = row[(row < 0) | (row >= q)]
+        if bad.size:
+            raise ValueError(f"{where}: entry {bad[0]} out of range for {field}")
+        data[i] = row
+    return MatrixGF(field, data), at + 1 + rows
+
+
 def mat_from_text(text: str) -> MatrixGF:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    q, rows, cols = map(int, lines[0].split())
-    field = field_of_size(q)
-    if len(lines) != rows + 1:
-        raise ValueError(f"expected {rows} rows, found {len(lines) - 1}")
-    data = np.zeros((rows, cols), dtype=_dtype_for(q))
-    for i, ln in enumerate(lines[1:]):
-        vals = ln.split()
-        if len(vals) != cols:
-            raise ValueError(f"row {i} has {len(vals)} entries, expected {cols}")
-        data[i] = [int(v) for v in vals]
-    return MatrixGF(field, data)
+    M, end = take_matrix(lines, 0, "matrix")
+    if end != len(lines):
+        raise ValueError(f"expected {M.rows} rows, found {len(lines) - 1}")
+    return M

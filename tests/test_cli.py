@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from pccss.cli import build_parser, main
-from pccss.codes import code_to_text, dual, make_alternant, make_repetition
+from pccss.codes import code_to_text, dual, make_alternant, make_expander, make_repetition
 from pccss.css import css_from_text, stab_from_text
 from pccss.galois import FieldSpec
 from pccss.stabcirc import circuit_from_text
@@ -244,3 +244,84 @@ def test_workers_env_override(shor_bundle, capsys, monkeypatch):
                      "--p", "0.0", "--zeta", "1", "--trials", "8")
     assert rc == 0
     assert "x_failures 0" in out
+
+
+# ------------------------------------------------------- malformed bundles
+
+def prefix_exit_codes(capsys, tmp_path, text, argv_for):
+    """Exit codes of the command argv_for(path) on every proper line-prefix
+    of a bundle; main must return, never raise."""
+    lines = text.splitlines(keepends=True)
+    codes = []
+    for cut in range(len(lines)):
+        path = tmp_path / f"prefix{cut}.txt"
+        path.write_text("".join(lines[:cut]))
+        rc, _, err = run(capsys, *argv_for(path))
+        assert rc in (0, 1, 2), (cut, rc)
+        if rc == 2:
+            assert err.startswith("error:") and "Traceback" not in err, (cut, err)
+        codes.append(rc)
+    return codes
+
+
+def test_truncated_csscode_bundles_exit_two(shor_bundle, tmp_path, capsys):
+    codes = prefix_exit_codes(capsys, tmp_path, shor_bundle.read_text(),
+                              lambda path: ("check", str(path)))
+    assert set(codes) == {2}
+
+
+def test_truncated_stabcode_bundles_exit_two(tmp_path, capsys):
+    f = FieldSpec(2, 1, 3)
+    alpha = [f.pow(2, i) for i in range(7)]
+    c1 = tmp_path / "hamming.txt"
+    c2 = tmp_path / "spc.txt"
+    c1.write_text(code_to_text(make_alternant(f, a=alpha, y=alpha, r=1)))
+    c2.write_text(code_to_text(dual(make_repetition(3))))
+    bundle = tmp_path / "enlarged.txt"
+    rc, _, _ = run(capsys, "construct", "enlarged", "--code1", str(c1),
+                   "--code2", str(c2), "--out", str(bundle))
+    assert rc == 0
+    codes = prefix_exit_codes(capsys, tmp_path, bundle.read_text(),
+                              lambda path: ("check", str(path)))
+    assert set(codes) == {2}
+
+
+def test_truncated_expander_code_bundles_exit_cleanly(tmp_path, capsys):
+    code, graph = make_expander(12, 3, 6, 0)
+    text = code_to_text(code, graph)
+    outer = tmp_path / "outer.txt"
+    outer.write_text(code_to_text(make_repetition(code.k)))
+    out = tmp_path / "out.txt"
+    codes = prefix_exit_codes(
+        capsys, tmp_path, text,
+        lambda path: ("construct", "pccss", "--code1", str(path),
+                      "--code2", str(outer), "--out", str(out)),
+    )
+    # the only valid prefix stops right after H, before the adjacency block
+    h_end = text.splitlines().index("expander 12 6 3 6 0")
+    assert codes == [2] * h_end + [0] + [2] * (len(codes) - h_end - 1)
+
+
+def test_negative_entry_exits_two(shor_bundle, tmp_path, capsys):
+    lines = shor_bundle.read_text().splitlines()
+    at = lines.index("hx") + 2
+    row = lines[at].split()
+    row[0] = "-1"
+    lines[at] = " ".join(row)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, "check", str(bad))
+    assert rc == 2
+    assert out == ""
+    assert "out of range" in err
+
+
+def test_block_length_must_divide_n(shor_bundle, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(shor_bundle.read_text().replace("n0 3", "n0 4"))
+    syn = tmp_path / "zsyn.txt"
+    syn.write_text("1 1 0 0 0 0\n")
+    rc, out, err = run(capsys, "decode", str(bad), "--side", "z", "--syndrome", str(syn))
+    assert rc == 2
+    assert out == ""
+    assert "n0 4" in err

@@ -29,6 +29,8 @@ from pccss.matgf import (
 
 GF4 = field_of_size(4)
 GF5 = field_of_size(5)
+# fields above the 256-element table limit: the scalar FieldSpec path
+LARGE = [field_of_size(625), field_of_size(8192)]
 
 
 def brute_nullspace_vectors(M: MatrixGF) -> set[tuple[int, ...]]:
@@ -47,6 +49,25 @@ def brute_nullspace_vectors(M: MatrixGF) -> set[tuple[int, ...]]:
         if ok:
             out.add(cand)
     return out
+
+
+def loop_product(f, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B by scalar field calls."""
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for i, j in itertools.product(range(A.shape[0]), range(B.shape[1])):
+        acc = 0
+        for k in range(A.shape[1]):
+            acc = f.add(acc, f.mul(int(A[i, k]), int(B[k, j])))
+        out[i, j] = acc
+    return out
+
+
+def with_dependent_row(f, rng, rows: int, cols: int) -> np.ndarray:
+    """Random matrix whose last row is a random combination of the others."""
+    data = rng.integers(0, f.size, size=(rows, cols))
+    coeffs = rng.integers(0, f.size, size=(1, rows - 1))
+    data[-1] = loop_product(f, coeffs, data[:-1])[0]
+    return data
 
 
 def span(M: MatrixGF) -> set[tuple[int, ...]]:
@@ -99,6 +120,26 @@ def test_rref_pivots_strictly_increasing_and_reduced():
             assert not R[rr.rank:].any()
 
 
+@pytest.mark.parametrize("q", [3, 9])
+def test_rref_pivots_are_the_leftmost_independent_columns(q):
+    field = field_of_size(q)
+    rng = np.random.default_rng(q)
+    for _ in range(5):
+        data = with_dependent_row(field, rng, 3, 5)
+        data[:, 1] = 0
+        M = MatrixGF(field, data)
+        rr = rref(M)
+        # column j is a pivot exactly when it raises the rank of the columns before it
+        sizes = [len(span(MatrixGF(field, data[:, :j]))) for j in range(6)]
+        assert rr.pivots == tuple(j for j in range(5) if sizes[j + 1] > sizes[j])
+        R = rr.matrix.data
+        for i, p in enumerate(rr.pivots):
+            assert not R[i, :p].any()
+            assert R[:, p].tolist() == [int(i == r) for r in range(3)]
+        assert not R[rr.rank:].any()
+        assert span(rr.matrix) == span(M)
+
+
 def test_rref_preserves_row_space():
     rng = np.random.default_rng(6)
     M = MatrixGF(GF4, rng.integers(0, 4, size=(3, 4)))
@@ -135,6 +176,16 @@ def test_nullspace_annihilates_and_matches_enumeration(field):
     assert span(B) == brute_nullspace_vectors(M)
 
 
+@pytest.mark.parametrize("field", LARGE, ids=lambda f: f"q{f.size}")
+def test_nullspace_over_large_fields_annihilates(field):
+    rng = np.random.default_rng(field.size)
+    M = MatrixGF(field, with_dependent_row(field, rng, 3, 5))
+    B = nullspace(M)
+    assert B.rows == 5 - rank(M) == 3
+    assert rank(B) == B.rows
+    assert not loop_product(field, M.data, B.data.T).any()
+
+
 # ------------------------------------------------------- mul / transpose
 
 def test_mul_repetition_check_annihilates_generator():
@@ -145,7 +196,7 @@ def test_mul_repetition_check_annihilates_generator():
 
 def test_mul_against_field_loops():
     rng = np.random.default_rng(8)
-    for field in (GF2, GF4, GF5, FieldSpec(2, 1, 4)):
+    for field in (GF2, GF4, GF5, FieldSpec(2, 1, 4), *LARGE):
         A = MatrixGF(field, rng.integers(0, field.size, size=(3, 4)))
         B = MatrixGF(field, rng.integers(0, field.size, size=(4, 2)))
         C = mul(A, B)
@@ -211,6 +262,16 @@ def test_kron_over_gf4_matches_loops():
         assert K.data[i * 2 + k, j * 3 + l] == GF4.mul(int(A.data[i, j]), int(B.data[k, l]))
 
 
+@pytest.mark.parametrize("field", LARGE, ids=lambda f: f"q{f.size}")
+def test_kron_over_large_fields_matches_loops(field):
+    rng = np.random.default_rng(field.size)
+    A = MatrixGF(field, rng.integers(0, field.size, size=(2, 3)))
+    B = MatrixGF(field, rng.integers(0, field.size, size=(2, 2)))
+    K = kron(A, B)
+    for i, j, k, l in itertools.product(range(2), range(3), range(2), range(2)):
+        assert K.data[i * 2 + k, j * 2 + l] == field.mul(int(A.data[i, j]), int(B.data[k, l]))
+
+
 # ------------------------------------------------------- solve / rowspace
 
 def test_solve_consistent_and_inconsistent():
@@ -230,6 +291,38 @@ def test_rowspace_membership():
     assert not in_rowspace(rr, np.array([1, 0, 0], dtype=np.uint8))
     res = reduce_vector(rr, np.array([1, 1, 1], dtype=np.uint8))
     assert not res.any()
+
+
+@pytest.mark.parametrize("field", LARGE, ids=lambda f: f"q{f.size}")
+def test_solve_over_large_fields(field):
+    rng = np.random.default_rng(field.size)
+    A = MatrixGF(field, rng.integers(0, field.size, size=(3, 4)))
+    b = loop_product(field, A.data, rng.integers(0, field.size, size=(4, 1)))[:, 0]
+    x = solve(A, b)
+    assert x is not None
+    assert np.array_equal(loop_product(field, A.data, x.reshape(-1, 1))[:, 0], b)
+    D = MatrixGF(field, with_dependent_row(field, rng, 3, 4))
+    rhs = loop_product(field, D.data, rng.integers(0, field.size, size=(4, 1)))[:, 0]
+    rhs[-1] = field.add(int(rhs[-1]), 1)
+    assert solve(D, rhs) is None
+
+
+@pytest.mark.parametrize("field", LARGE, ids=lambda f: f"q{f.size}")
+def test_reduce_vector_over_large_fields_matches_loops(field):
+    rng = np.random.default_rng(field.size)
+    M = MatrixGF(field, with_dependent_row(field, rng, 3, 6))
+    rr = rref(M)
+    member = loop_product(field, rng.integers(0, field.size, size=(1, 3)), M.data)[0]
+    assert in_rowspace(rr, member)
+    v = rng.integers(0, field.size, size=6)
+    want = [int(a) for a in v]
+    for i, p in enumerate(rr.pivots):
+        c = field.neg(int(v[p]))
+        want = [field.add(w, field.mul(c, int(r))) for w, r in zip(want, rr.matrix.data[i])]
+    res = reduce_vector(rr, v)
+    assert res.tolist() == want
+    assert not res[list(rr.pivots)].any()
+    assert in_rowspace(rr, v) == (not any(want))
 
 
 # --------------------------------------------------- packed path parity
