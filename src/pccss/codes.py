@@ -17,6 +17,7 @@ from .galois import FieldSpec, field_of_size
 from .matgf import (
     MatrixGF,
     _field_ops,
+    bundle_columns,
     bundle_header,
     bundle_line,
     identity,
@@ -388,25 +389,31 @@ def make_expander(n: int, c: int, d: int, seed: int) -> tuple[LinearCode, Expand
     right_stubs = np.repeat(np.arange(r), d)
     for _ in range(1000):
         assign = right_stubs[rng.permutation(n * c)]
-        key = left_nodes * r + assign
-        if np.unique(key).size == n * c:
+        # row i lists the checks of bit i in order; simple iff none repeats
+        bit_checks = np.sort(assign.reshape(n, c), axis=1)
+        if not (bit_checks[:, 1:] == bit_checks[:, :-1]).any():
             break
     else:
         raise RuntimeError(f"no simple ({c},{d}) graph on {n} bits in 1000 matchings")
     f2 = field_of_size(2)
     Hd = np.zeros((r, n), dtype=np.uint8)
     Hd[assign, left_nodes] = 1
-    left = tuple(tuple(sorted(assign[i * c:(i + 1) * c].tolist())) for i in range(n))
-    right = tuple(tuple(sorted(np.nonzero(Hd[j])[0].tolist())) for j in range(r))
+    # stubs sorted by (check, bit): row j lists the bits of check j in order
+    right_bits = left_nodes[np.lexsort((left_nodes, assign))].reshape(r, d)
+    left = tuple(map(tuple, bit_checks.tolist()))
+    right = tuple(map(tuple, right_bits.tolist()))
     graph = ExpanderGraph(n, r, c, d, left, right, seed)
     H = MatrixGF(f2, Hd)
-    rk = rank(H)
+    G = nullspace(H)
     code = _new_code(
-        f2, n, n - rk, nullspace(H), H,
+        f2, n, G.rows, G, H,
         provenance={"origin": "expander", "c": c, "d": d, "seed": seed},
         validate=False,
     )
-    assert not mul(code.G, transpose(code.H)).data.any()
+    # G·Hᵀ from the graph: column j is the XOR of G's columns in right[j],
+    # taken here over G's columns packed eight rows to a byte
+    columns = np.ascontiguousarray(np.packbits(G.data, axis=0).T)
+    assert not np.bitwise_xor.reduce(columns[right_bits], axis=1).any()
     return code, graph
 
 
@@ -476,7 +483,11 @@ def code_from_text(text: str) -> tuple[LinearCode, ExpanderGraph | None]:
         }
         pos += 3
     G, pos = take_matrix(lines, pos, "G")
+    bundle_columns(G, n, "G")
+    if G.rows != k:
+        raise ValueError(f"G has {G.rows} rows, expected {k} from the header")
     H, pos = take_matrix(lines, pos, "H")
+    bundle_columns(H, n, "H")
     graph = None
     if pos < len(lines) and lines[pos].startswith("expander "):
         _, gn, gr, gc, gd, gseed = lines[pos].split()

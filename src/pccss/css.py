@@ -17,6 +17,7 @@ from .codes import LinearCode, lift_block, make_expander, make_repetition
 from .galois import GF2, FieldSpec, is_irreducible
 from .matgf import (
     MatrixGF,
+    bundle_columns,
     bundle_header,
     bundle_line,
     hstack,
@@ -568,9 +569,11 @@ def css_from_text(text: str, validate: bool = True) -> CssCode:
                 d_z = int(dist)
         at += 1
     hx, at = take_matrix(lines, at + 1, "hx")
+    bundle_columns(hx, n, "hx")
     if bundle_line(lines, at, "the hz section") != "hz":
         raise ValueError(f"line {at + 1}: expected the hz section, got {lines[at]!r}")
     hz, _ = take_matrix(lines, at + 1, "hz")
+    bundle_columns(hz, n, "hz")
     if n0 is not None and (n0 < 2 or n % n0):
         raise ValueError(f"n0 {n0} must be at least 2 and divide n = {n}")
     outer = _outer_from_hx(hx, n0) if n0 else None
@@ -614,6 +617,7 @@ def stab_from_text(text: str, validate: bool = True) -> StabilizerCode:
             raise ValueError(f"unknown bundle key {key!r}")
         at += 1
     gens, _ = take_matrix(lines, at + 1, "gens")
+    bundle_columns(gens, 2 * n, "gens")
     return StabilizerCode(
         n=n, gens=gens, k=k, d=d, d_method=d_method, validate=validate
     )

@@ -4,7 +4,8 @@ Entries are stored as element indices in a numpy array (uint8 when q <= 256,
 int64 above). Arithmetic takes one of two paths:
 
 - GF(2) works on words: elimination runs bit-packed, 64 columns per machine
-  word, products are integer matrix products mod 2, and row-space reduction
+  word, products are float32 BLAS products reduced mod 2 (exact, since the
+  inner dimension is split into chunks below 2^24), and row-space reduction
   XORs rows.
 - Every other field goes through one cached provider of elementwise
   (add, mul, neg, inv) over index arrays: q x q lookup tables up to q = 256,
@@ -28,6 +29,7 @@ from .galois import FieldSpec, field_of_size
 __all__ = [
     "MatrixGF",
     "RrefResult",
+    "bundle_columns",
     "bundle_header",
     "bundle_line",
     "identity",
@@ -259,7 +261,8 @@ def nullspace(M: MatrixGF) -> MatrixGF:
     field = M.field
     rr = rref(M)
     piv = list(rr.pivots)
-    free = [j for j in range(M.cols) if j not in set(piv)]
+    pivset = set(piv)
+    free = [j for j in range(M.cols) if j not in pivset]
     B = np.zeros((len(free), M.cols), dtype=_dtype_for(field.size))
     if free:
         B[np.arange(len(free)), free] = 1
@@ -272,6 +275,11 @@ def nullspace(M: MatrixGF) -> MatrixGF:
 
 # ------------------------------------------------------------- products
 
+# float32 holds every integer below 2^24 exactly, so a GF(2) product summed
+# over at most this many inner terms has an exact integer value
+_F32_EXACT_TERMS = 2**24 - 1
+
+
 def mul(A: MatrixGF, B: MatrixGF) -> MatrixGF:
     if A.field != B.field:
         raise ValueError("matrix product across different fields")
@@ -279,7 +287,12 @@ def mul(A: MatrixGF, B: MatrixGF) -> MatrixGF:
         raise ValueError(f"shape mismatch {A.shape} x {B.shape}")
     field = A.field
     if field.size == 2:
-        return MatrixGF(field, A.data.astype(np.int64) @ B.data.astype(np.int64) % 2)
+        C = np.zeros((A.rows, B.cols), dtype=np.uint8)
+        for s in range(0, A.cols, _F32_EXACT_TERMS):
+            t = s + _F32_EXACT_TERMS
+            part = A.data[:, s:t].astype(np.float32) @ B.data[s:t].astype(np.float32)
+            C ^= (part % 2).astype(np.uint8)
+        return MatrixGF(field, C)
     add, mulf, _, _ = _field_ops(field)
     C = np.zeros((A.rows, B.cols), dtype=_dtype_for(field.size))
     for k in range(A.cols):
@@ -321,7 +334,8 @@ def standard_form(G: MatrixGF) -> tuple[MatrixGF, np.ndarray]:
     if rr.rank < G.rows:
         raise ValueError(f"standard form needs full row rank, got {rr.rank} < {G.rows}")
     piv = list(rr.pivots)
-    rest = [j for j in range(G.cols) if j not in set(piv)]
+    pivset = set(piv)
+    rest = [j for j in range(G.cols) if j not in pivset]
     perm = np.array(piv + rest, dtype=np.int64)
     return MatrixGF(G.field, rr.matrix.data[:, perm]), perm
 
@@ -397,6 +411,13 @@ def bundle_header(lines: list[str], tag: str) -> tuple[int, int, int]:
     return q, n, k
 
 
+def bundle_columns(M: MatrixGF, width: int, section: str) -> None:
+    """ValueError unless M, read as section, has the width that the bundle
+    header's length calls for."""
+    if M.cols != width:
+        raise ValueError(f"{section} has {M.cols} columns, expected {width} from the header")
+
+
 def take_matrix(lines: list[str], at: int, section: str) -> tuple[MatrixGF, int]:
     """Read the matrix block starting at lines[at]: a "q rows cols" header,
     then one line of entries per row. Returns the matrix and the index of
@@ -408,17 +429,20 @@ def take_matrix(lines: list[str], at: int, section: str) -> tuple[MatrixGF, int]
     if rows < 0 or cols < 0:
         raise ValueError(f"line {at + 1}: {section} has negative shape {rows} x {cols}")
     field = field_of_size(q)
-    data = np.empty((rows, cols), dtype=_dtype_for(q))
+    try:
+        data = np.empty((rows, cols), dtype=_dtype_for(q))
+    except (MemoryError, ValueError):
+        raise ValueError(f"line {at + 1}: {section} shape {rows} x {cols} is too large") from None
     for i in range(rows):
-        vals = bundle_line(lines, at + 1 + i, f"{section} row {i}").split()
+        text = bundle_line(lines, at + 1 + i, f"{section} row {i}")
         where = f"line {at + 2 + i}: {section} row {i}"
-        if len(vals) != cols:
-            raise ValueError(f"{where} has {len(vals)} entries, expected {cols}")
         # parse as int64 and range-check before narrowing to the storage dtype
         try:
-            row = np.array(vals, dtype=np.int64)
-        except (ValueError, OverflowError) as exc:
+            row = np.fromstring(text, dtype=np.int64, sep=" ")
+        except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
+        if row.size != cols:
+            raise ValueError(f"{where} has {row.size} entries, expected {cols}")
         bad = row[(row < 0) | (row >= q)]
         if bad.size:
             raise ValueError(f"{where}: entry {bad[0]} out of range for {field}")

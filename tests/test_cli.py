@@ -1,9 +1,15 @@
 """Command line surface: bundle round trips, exit codes, frozen help text."""
 
+import contextlib
+import functools
+import io
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pccss.cli import build_parser, main
 from pccss.codes import code_to_text, dual, make_alternant, make_expander, make_repetition
@@ -325,3 +331,151 @@ def test_block_length_must_divide_n(shor_bundle, tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert "n0 4" in err
+
+
+@pytest.fixture
+def wide_header_bundle(shor_bundle, tmp_path):
+    """The [[9,1]] bundle with its header claiming n = 12."""
+    text = shor_bundle.read_text()
+    assert text.startswith("csscode 2 9 1\n")
+    bad = tmp_path / "wide.txt"
+    bad.write_text(text.replace("csscode 2 9 1", "csscode 2 12 1", 1))
+    return bad
+
+
+def test_decode_rejects_header_length_mismatch(wide_header_bundle, tmp_path, capsys):
+    syn = tmp_path / "zsyn.txt"
+    syn.write_text("1 1 0 0 0 0 0 0\n")
+    rc, out, err = run(capsys, "decode", str(wide_header_bundle), "--side", "z",
+                       "--syndrome", str(syn))
+    assert rc == 2
+    assert out == ""
+    assert "hx has 9 columns, expected 12" in err
+
+
+def test_encode_circuit_rejects_header_length_mismatch(wide_header_bundle, tmp_path, capsys):
+    dest = tmp_path / "enc.txt"
+    rc, out, err = run(capsys, "encode-circuit", str(wide_header_bundle), "--out", str(dest))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "hx has 9 columns" in err
+    assert not dest.exists()
+
+
+def test_stabcode_rejects_header_length_mismatch(tmp_path, capsys):
+    lines = sample_bundles()["stabcode"].splitlines()
+    head = lines[0].split()
+    n = int(head[2])
+    head[2] = str(n + 1)
+    bundle = tmp_path / "enlarged.txt"
+    bundle.write_text("\n".join([" ".join(head)] + lines[1:]) + "\n")
+    rc, out, err = run(capsys, "check", str(bundle))
+    assert rc == 2
+    assert out == ""
+    assert f"gens has {2 * n} columns, expected {2 * n + 2}" in err
+
+
+def test_huge_matrix_shape_exits_two(shor_bundle, tmp_path, capsys):
+    lines = shor_bundle.read_text().splitlines()
+    at = lines.index("hx") + 1
+    lines[at] = "2 1000000000000 9"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, "check", str(bad))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+# --------------------------------------------------------- fuzzed bundles
+
+@functools.cache
+def sample_bundles() -> dict[str, str]:
+    """The [[9,1]] csscode, an enlarged stabcode and an expander linearcode."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        f = FieldSpec(2, 1, 3)
+        alpha = [f.pow(2, i) for i in range(7)]
+        (d / "hamming.txt").write_text(code_to_text(make_alternant(f, a=alpha, y=alpha, r=1)))
+        (d / "spc.txt").write_text(code_to_text(dual(make_repetition(3))))
+        quiet_main("construct", "fast", "--N", "9", "--n0", "3", "--outer", "rep",
+                   "--out", str(d / "css.txt"))
+        quiet_main("construct", "enlarged", "--code1", str(d / "hamming.txt"),
+                   "--code2", str(d / "spc.txt"), "--out", str(d / "stab.txt"))
+        code, graph = make_expander(12, 3, 6, 0)
+        return {
+            "csscode": (d / "css.txt").read_text(),
+            "stabcode": (d / "stab.txt").read_text(),
+            "linearcode": code_to_text(code, graph),
+        }
+
+
+def quiet_main(*argv) -> tuple[int, str]:
+    """main's exit code and stderr; main must return, never raise."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return rc, err.getvalue()
+
+
+FUZZ_TOKENS = ["0", "1", "2", "3", "4", "9", "12", "-1", "100000", "4294967296",
+               "x", "1.5", "hx", "hz", "gens", "n0", "d", "dx", "expander"]
+
+
+@st.composite
+def mutated_lines(draw, kind: str) -> str:
+    """The bundle of this kind with one to three line or token edits."""
+    lines = sample_bundles()[kind].splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "repeat", "swap", "set", "delete", "insert"]))
+        tokens = lines[at].split()
+        if edit == "drop":
+            del lines[at]
+        elif edit == "repeat":
+            lines.insert(at, lines[at])
+        elif edit == "swap":
+            other = draw(st.integers(0, len(lines) - 1))
+            lines[at], lines[other] = lines[other], lines[at]
+        else:
+            pos = draw(st.integers(0, len(tokens)))
+            if edit == "insert" or not tokens:
+                tokens.insert(pos, draw(st.sampled_from(FUZZ_TOKENS)))
+            elif edit == "set":
+                tokens[min(pos, len(tokens) - 1)] = draw(st.sampled_from(FUZZ_TOKENS))
+            else:
+                del tokens[min(pos, len(tokens) - 1)]
+            lines[at] = " ".join(tokens)
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+def fuzz_commands(kind: str, bundle: Path, d: Path) -> list[tuple[str, ...]]:
+    if kind == "linearcode":
+        (d / "outer.txt").write_text(code_to_text(make_repetition(6)))
+        return [("construct", "pccss", "--code1", str(bundle), "--code2", str(d / "outer.txt"),
+                 "--out", str(d / "out.txt"))]
+    commands = [("check", str(bundle)), ("distance", str(bundle))]
+    if kind == "csscode":
+        (d / "xsyn.txt").write_text("1 0\n")
+        (d / "zsyn.txt").write_text("1 1 0 0 0 0\n")
+        commands += [("decode", str(bundle), "--side", side,
+                      "--syndrome", str(d / f"{side}syn.txt")) for side in ("x", "z")]
+    return commands
+
+
+@pytest.mark.parametrize("kind", ["csscode", "stabcode", "linearcode"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_bundles_only_exit_with_documented_codes(kind, data):
+    text = data.draw(mutated_lines(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        bundle = d / "bundle.txt"
+        for argv in fuzz_commands(kind, bundle, d):
+            bundle.write_text(text)
+            rc, err = quiet_main(*argv)
+            assert rc in (0, 1, 2), (argv[0], rc, text)
+            if rc == 2:
+                assert err.startswith("error:") and "Traceback" not in err, (argv[0], err)

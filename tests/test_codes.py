@@ -6,6 +6,7 @@ weight enumeration for distances.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -261,6 +262,72 @@ def test_expander_deterministic_in_seed():
     c1, g1 = make_expander(24, 2, 4, seed=9)
     c2, g2 = make_expander(24, 2, 4, seed=9)
     assert c1.H == c2.H and g1 == g2
+
+
+def expander_digest(code: LinearCode, graph: ExpanderGraph) -> str:
+    h = hashlib.sha256()
+    for M in (code.G, code.H):
+        h.update(M.data.tobytes())
+        h.update(repr(M.shape).encode())
+    h.update(repr(graph.left).encode())
+    h.update(repr(graph.right).encode())
+    return h.hexdigest()[:16]
+
+
+# (n, c, d, seed) -> (k, digest of G, H, left and right): fixed outputs, so
+# any change to the sampled graph or to the matrices built from it shows here
+EXPANDER_GOLDEN = {
+    (12, 3, 6, 0): (6, "e65ccf9913742030"),
+    (64, 3, 6, 0): (32, "60d1515fa6fe81c8"),
+    (64, 3, 6, 1): (32, "a132da568f0ec330"),
+    (60, 4, 5, 2): (13, "1969648c458d0273"),
+    (40, 4, 5, 0): (9, "bf77a118e7e78c51"),
+    (256, 3, 6, 7): (128, "4fd7d7b6060ca8a8"),
+    (1024, 3, 6, 3): (512, "db9d51efabf4e630"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(EXPANDER_GOLDEN))
+def test_expander_matches_golden_digest(args):
+    code, graph = make_expander(*args)
+    assert (code.k, expander_digest(code, graph)) == EXPANDER_GOLDEN[args]
+    assert code.k == code.n - rank(code.H) == code.G.rows
+
+
+@pytest.mark.parametrize("n,c,d,seed", [(12, 3, 6, 0), (64, 3, 6, 1), (128, 3, 6, 2),
+                                        (40, 4, 5, 0), (60, 4, 5, 2), (100, 4, 5, 3)])
+def test_expander_graph_products_equal_dense_products(n, c, d, seed):
+    """XOR-gathering columns over graph.right is the product with Hᵀ, for the
+    generator (the construction's self-check) and for arbitrary matrices."""
+    code, graph = make_expander(n, c, d, seed)
+    right = np.array(graph.right)
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 2, size=(9, n), dtype=np.uint8)
+    for M in (code.G, MatrixGF(GF2, X)):
+        dense = mul(M, transpose(code.H)).data
+        assert np.array_equal(np.bitwise_xor.reduce(M.data[:, right], axis=2), dense)
+        # the construction's form: columns packed eight rows to a byte
+        columns = np.ascontiguousarray(np.packbits(M.data, axis=0).T)
+        packed = np.bitwise_xor.reduce(columns[right], axis=1)
+        assert np.array_equal(packed, np.packbits(dense, axis=0).T)
+    assert not mul(code.G, transpose(code.H)).data.any()
+    assert mul(MatrixGF(GF2, X), transpose(code.H)).data.any()
+
+
+def test_linearcode_rejects_header_shape_mismatch():
+    code, graph = make_expander(12, 3, 6, 0)
+    text = code_to_text(code, graph)
+    assert text.startswith("linearcode 2 12 6\n")
+    with pytest.raises(ValueError, match="G has 12 columns, expected 13"):
+        code_from_text(text.replace("linearcode 2 12 6", "linearcode 2 13 6", 1))
+    with pytest.raises(ValueError, match="G has 6 rows, expected 5"):
+        code_from_text(text.replace("linearcode 2 12 6", "linearcode 2 12 5", 1))
+    lines = text.splitlines()
+    h_head = lines.index("2 6 12", lines.index("2 6 12") + 1)  # G is also 6 x 12
+    lines[h_head] = "2 6 11"
+    lines[h_head + 1:h_head + 7] = [row[:-2] for row in lines[h_head + 1:h_head + 7]]
+    with pytest.raises(ValueError, match="H has 11 columns, expected 12"):
+        code_from_text("\n".join(lines))
 
 
 def test_expander_probe_records_no_low_weight_words():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pccss import matgf
 from pccss.galois import GF2, FieldSpec, field_of_size
 from pccss.matgf import (
     MatrixGF,
@@ -206,6 +207,42 @@ def test_mul_against_field_loops():
                 for k in range(4):
                     acc = field.add(acc, field.mul(int(A.data[i, k]), int(B.data[k, j])))
                 assert C.data[i, j] == acc
+
+
+def int64_product_mod2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return A.astype(np.int64) @ B.astype(np.int64) % 2
+
+
+GF2_SHAPES = [(0, 4, 3), (3, 4, 0), (3, 0, 5), (0, 0, 0), (1, 1, 1), (7, 64, 9), (33, 200, 17)]
+
+
+@pytest.mark.parametrize("m,k,n", GF2_SHAPES)
+def test_gf2_mul_matches_int64_reference(m, k, n):
+    rng = np.random.default_rng(m * 1000 + k * 10 + n)
+    A = rng.integers(0, 2, size=(m, k), dtype=np.uint8)
+    B = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
+    C = mul(MatrixGF(GF2, A), MatrixGF(GF2, B))
+    assert C.data.dtype == np.uint8 and C.shape == (m, n)
+    assert np.array_equal(C.data, int64_product_mod2(A, B))
+    # a transposed (strided) right operand, as in G·Hᵀ
+    Bt = MatrixGF(GF2, B.T.copy())
+    assert np.array_equal(mul(MatrixGF(GF2, A), transpose(Bt)).data, C.data)
+
+
+def test_gf2_mul_sums_inner_chunks(monkeypatch):
+    """With the exact-term limit lowered, products split the inner dimension
+    into several chunks and XOR their parities."""
+    rng = np.random.default_rng(12)
+    A = rng.integers(0, 2, size=(6, 50), dtype=np.uint8)
+    B = rng.integers(0, 2, size=(50, 4), dtype=np.uint8)
+    ones = np.ones((1, 50), dtype=np.uint8)
+    for terms in (1, 3, 7, 49, 50):
+        monkeypatch.setattr(matgf, "_F32_EXACT_TERMS", terms)
+        assert np.array_equal(mul(MatrixGF(GF2, A), MatrixGF(GF2, B)).data,
+                              int64_product_mod2(A, B))
+        assert mul(MatrixGF(GF2, ones), MatrixGF(GF2, ones.T)).data.tolist() == [[0]]
+        odd = MatrixGF(GF2, ones[:, :49])
+        assert mul(odd, transpose(odd)).data.tolist() == [[1]]
 
 
 def test_transpose_involution():
