@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channel import make_channel
+from .channel import check_asymmetry, make_channel
 
 __all__ = [
     "RateCurve",
@@ -187,6 +187,7 @@ def rate_curves(zetas, pmax: float = 0.5, step: float = 1e-3) -> list[RateCurve]
         k += 1
     curves = [RateCurve("hashing", tuple(grid), tuple(hashing_rate(p) for p in grid))]
     for z in zetas:
+        check_asymmetry(z)  # a bad zeta is an input error, not a NaN column
         ys = []
         for p in grid:
             try:

@@ -40,10 +40,15 @@ def make_channel(p: float, zeta: float) -> PauliChannel:
     math.inf for a pure-Z channel."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"total error probability {p} outside [0, 1]")
-    if not zeta >= 1.0:
-        raise ValueError(f"asymmetry {zeta} must be >= 1")
+    check_asymmetry(zeta)
     p_x = 0.0 if math.isinf(zeta) else p / (2.0 * zeta + 1.0)
     return PauliChannel(p=p, zeta=zeta, p_x=p_x, p_y=p_x, p_z=p - 2.0 * p_x)
+
+
+def check_asymmetry(zeta: float) -> None:
+    """Reject an asymmetry below 1 (or NaN); math.inf is allowed."""
+    if not zeta >= 1.0:
+        raise ValueError(f"asymmetry {zeta} must be >= 1")
 
 
 def check_key(name: str, value: int) -> None:

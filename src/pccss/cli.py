@@ -36,15 +36,19 @@ from .stabcirc import build_encoder, circuit_to_text
 __all__ = ["build_parser", "main"]
 
 
+def _at_least_one(name: str, value: int) -> int:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def _resolve_workers(flag: int | None) -> int:
     """Flag wins, then the PCCSS_WORKERS variable, then available parallelism."""
     if flag is not None:
-        if flag < 1:
-            raise ValueError(f"worker count must be >= 1, got {flag}")
-        return flag
+        return _at_least_one("worker count", flag)
     env = os.environ.get("PCCSS_WORKERS")
     if env:
-        return int(env)
+        return _at_least_one("worker count", int(env))
     return os.cpu_count() or 1
 
 
@@ -168,7 +172,8 @@ def _cmd_decode(args) -> int:
     if _bundle_kind(args.bundle, text) != "csscode":
         raise ValueError("decode needs a csscode bundle")
     q = css_from_text(text, validate=False)
-    decoder = _side_decoder(q, args.side, args.max_rounds, _resolve_workers(args.workers))
+    max_rounds = _at_least_one("round cap", args.max_rounds)
+    decoder = _side_decoder(q, args.side, max_rounds, _resolve_workers(args.workers))
     check_rows = (q.hx if args.side == "x" else q.hz).rows if q.n0 is None else None
 
     out_lines = []
@@ -253,7 +258,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         partitions=_resolve_workers(args.workers),
         decoder=args.decoder,
-        max_rounds=args.max_rounds,
+        max_rounds=_at_least_one("round cap", args.max_rounds),
         out=args.out,
     )
     _, summary = run_trials(cfg)
@@ -274,7 +279,7 @@ def _cmd_sweep(args) -> int:
         samples=args.samples,
         seed=args.seed,
         decoder=args.decoder,
-        max_rounds=args.max_rounds,
+        max_rounds=_at_least_one("round cap", args.max_rounds),
     )
     header = "weight trials successes rate exhaustive"
     lines = [header] + [
@@ -336,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("x", "z", "both"), default="both",
                    help="which distance to certify (csscode only)")
     p.add_argument("--cap", type=int, help="refuse dimensions beyond this size")
-    p.add_argument("--workers", type=int, help="enumeration threads")
+    p.add_argument("--workers", type=int, help="accepted; changes nothing")
     p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("decode", help="decode syndromes from a file")

@@ -86,7 +86,9 @@ def _new_code(field, n, k, G, H, d=None, method=None, provenance=None, validate=
 # ------------------------------------------------------------ enumeration
 
 def min_weight(G: MatrixGF, cap: int = 2**22) -> int:
-    """Exact minimum weight of the row space, by enumerating all codewords."""
+    """Exact minimum weight of the row space: over GF(2) by the distance
+    oracles' weight-bounded enumeration, otherwise over every codeword. cap
+    bounds the codeword count either way."""
     field = G.field
     k, n = G.rows, G.cols
     if k == 0:
@@ -95,17 +97,11 @@ def min_weight(G: MatrixGF, cap: int = 2**22) -> int:
     if total > cap:
         raise ValueError(f"{total} codewords exceed enumeration cap {cap}")
     if field.size == 2:
-        rows = [
-            int.from_bytes(np.packbits(G.data[i], bitorder="little").tobytes(), "little")
-            for i in range(k)
-        ]
-        best = n + 1
-        cw = 0
-        for i in range(1, total):
-            cw ^= rows[(i & -i).bit_length() - 1]
-            w = cw.bit_count()
-            if w < best:
-                best = w
+        from .css import _min_weight_outside  # css builds on this module
+
+        best = _min_weight_outside(G, zeros(field, 0, n))
+        if best is None:
+            raise ValueError("zero-dimensional code has no nonzero codeword")
         return best
     add, mulf, _, _ = _field_ops(field)
     q = field.size

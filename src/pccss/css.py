@@ -8,6 +8,7 @@ X distance is the minimum weight over null(hx) \\ rowspace(hz).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import InitVar, dataclass, field as dc_field
 
@@ -17,6 +18,7 @@ from .codes import LinearCode, lift_block, make_expander, make_repetition
 from .galois import GF2, FieldSpec, is_irreducible
 from .matgf import (
     MatrixGF,
+    _pack_rows,
     bundle_columns,
     bundle_header,
     bundle_line,
@@ -387,63 +389,77 @@ def check_valid_stabilizer(s: StabilizerCode) -> ValidityReport:
 
 # --------------------------------------------------------- distance oracles
 
-def _pack_int(row: np.ndarray) -> int:
-    out = 0
-    for i in np.flatnonzero(row):
-        out |= 1 << int(i)
-    return out
+# Candidates per vectorised step of the enumeration; bounds its memory.
+_BLOCK = 1 << 20
 
 
-def _pivot_rows(M: MatrixGF) -> list[tuple[int, int]]:
-    rr = rref(M)
-    return [
-        (col, _pack_int(rr.matrix.data[i]))
-        for i, col in enumerate(rr.pivots)
-    ]
+def _weights(v: np.ndarray, halves: int) -> np.ndarray:
+    """Weights of packed rows; with halves=2 a row is (x words | z words)
+    and its weight counts the positions where x or z is set."""
+    if halves == 2:
+        h = v.shape[1] // 2
+        v = v[:, :h] | v[:, h:]
+    return np.bitwise_count(v).sum(axis=1, dtype=np.int64)
 
 
-def _scan_gray(lo: int, hi: int, basis: list[int], pivots: list[tuple[int, int]], weigh):
-    """Walk gray codes of [lo, hi); return the best (weight, vector-int)."""
-    v = 0
-    g = lo ^ (lo >> 1)
-    for b in range(g.bit_length()):
-        if (g >> b) & 1:
-            v ^= basis[b]
-    best = None
-    for i in range(lo, hi):
-        if v:
-            x = v
-            for col, row in pivots:
-                if (x >> col) & 1:
-                    x ^= row
-            if x:
-                w = weigh(v)
-                if best is None or (w, v) < best:
-                    best = (w, v)
-        flip = (i + 1) & -(i + 1)
-        if i + 1 < hi:
-            v ^= basis[flip.bit_length() - 1]
+def _min_weight_outside(basis: MatrixGF, exclude: MatrixGF, halves: int = 1) -> int | None:
+    """Minimum weight over span(basis) minus rowspace(exclude), or None when
+    the first lies inside the second; with halves=2 rows are symplectic
+    (x | z) and the weight is the symplectic weight.
+
+    The basis is row-reduced, so a combination of t rows has at least t ones
+    on its pivot columns, hence weight at least ceil(t / halves). Each row is
+    reduced once against rref(exclude): a combination lies in that row space
+    exactly when the XOR of its rows' residuals is zero. Combinations are
+    enumerated by size t = 1, 2, ... as XORs of packed words until the best
+    weight found is at most the bound for t + 1 rows: a table of every
+    s-subset sorted by its largest index (s as large as fits in _BLOCK) is
+    XORed with each (t - s)-subset of larger indices.
+    """
+    rr = rref(basis)
+    B = rr.matrix.data[: rr.rank]
+    ex = rref(exclude)
+    part = mul(MatrixGF(GF2, B[:, list(ex.pivots)]), MatrixGF(GF2, ex.matrix.data[: ex.rank]))
+    residual = B ^ part.data
+    if not residual.any():
+        return None
+    words = np.hstack([_pack_rows(half) for half in np.hsplit(B, halves)])
+    res = _pack_rows(residual)
+    k = len(words)
+    table_w = np.zeros((1, words.shape[1]), dtype=np.uint64)  # the empty subset
+    table_r = np.zeros((1, res.shape[1]), dtype=np.uint64)
+    s = 0
+    best = B.shape[1] + 1
+    for t in range(1, k + 1):
+        while s < t and math.comb(k, s + 1) <= _BLOCK:
+            table_w = np.concatenate([table_w[: math.comb(j, s)] ^ words[j] for j in range(k)])
+            table_r = np.concatenate([table_r[: math.comb(j, s)] ^ res[j] for j in range(k)])
+            s += 1
+        for top in itertools.combinations(range(k), t - s):
+            size = math.comb(top[0] if top else k, s)
+            if not size:
+                continue
+            rows = list(top)
+            w = _weights(table_w[:size] ^ np.bitwise_xor.reduce(words[rows]), halves)
+            low = np.flatnonzero(w < best)
+            if low.size:
+                hit = (table_r[low] ^ np.bitwise_xor.reduce(res[rows])).any(axis=1)
+                if hit.any():
+                    best = int(w[low[hit]].min())
+        if best <= -(-(t + 1) // halves):
+            break
     return best
 
 
-def _min_weight_excluded(basis: list[int], pivots, weigh, workers: int):
-    """Best (weight, vector-int) over the nonzero span of basis outside the
-    pivot rows' span, scanned in `workers` contiguous chunks one after
-    another; the minimum is the same for any chunk count."""
-    total = 1 << len(basis)
-    if workers <= 1 or total < 4096:
-        return _scan_gray(1, total, basis, pivots, weigh)
-    bounds = np.linspace(1, total, workers + 1, dtype=np.int64)
-    parts = [
-        _scan_gray(int(lo), int(hi), basis, pivots, weigh)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-    parts = [p for p in parts if p is not None]
-    return min(parts) if parts else None
-
-
 def distance_css(q: CssCode, side: str, cap: int = 26, workers: int = 1) -> int:
-    """Exact degenerate distance on one side by nullspace enumeration."""
+    """Exact degenerate distance on one side: the minimum weight over
+    null(a) minus rowspace(b), with (a, b) = (hx, hz) for side x.
+
+    Combinations of t kernel basis rows are enumerated for t = 1, 2, ...,
+    stopping once the best weight found is at most t + 1 (no combination of
+    more rows can weigh less) or every combination has been seen. cap bounds
+    the kernel dimension; workers is accepted and changes nothing.
+    """
     if q.field.size != 2:
         raise ValueError("distance oracle implemented over GF(2)")
     side = side.lower()
@@ -453,19 +469,22 @@ def distance_css(q: CssCode, side: str, cap: int = 26, workers: int = 1) -> int:
         a, b = q.hz, q.hx
     else:
         raise ValueError(f"side must be x or z, got {side!r}")
-    basis_m = nullspace(a)
-    if basis_m.rows > cap:
-        raise ValueError(f"nullspace dimension {basis_m.rows} exceeds cap {cap}")
-    basis = [_pack_int(row) for row in basis_m.data]
-    pivots = _pivot_rows(b)
-    best = _min_weight_excluded(basis, pivots, lambda v: v.bit_count(), workers)
+    basis = nullspace(a)
+    if basis.rows > cap:
+        raise ValueError(f"nullspace dimension {basis.rows} exceeds cap {cap}")
+    best = _min_weight_outside(basis, b)
     if best is None:
         raise ValueError(f"no logical operator on side {side}")
-    return best[0]
+    return best
 
 
 def distance_stabilizer(s: StabilizerCode, cap: int = 12) -> int:
-    """Minimum symplectic weight over the normalizer minus the stabilizer."""
+    """Minimum symplectic weight over the normalizer minus the stabilizer.
+
+    Combinations of t normalizer basis rows are enumerated for t = 1, 2, ...,
+    stopping once the best weight found is at most ceil((t + 1) / 2) or every
+    combination has been seen. cap bounds n.
+    """
     n = s.n
     if n > cap:
         raise ValueError(f"n = {n} exceeds cap {cap}")
@@ -473,18 +492,10 @@ def distance_stabilizer(s: StabilizerCode, cap: int = 12) -> int:
     x = MatrixGF(field, s.gens.data[:, :n])
     z = MatrixGF(field, s.gens.data[:, n:])
     commute = hstack([z, x])  # error (x|z) commutes iff z·x_e + x·z_e = 0
-    basis_m = nullspace(commute)
-    basis = [_pack_int(row) for row in basis_m.data]
-    pivots = _pivot_rows(s.gens)
-    mask = (1 << n) - 1
-
-    def weigh(v: int) -> int:
-        return ((v & mask) | (v >> n)).bit_count()
-
-    best = _min_weight_excluded(basis, pivots, weigh, workers=1)
+    best = _min_weight_outside(nullspace(commute), s.gens, halves=2)
     if best is None:
         raise ValueError("normalizer equals the stabilizer group")
-    return best[0]
+    return best
 
 
 # --------------------------------------------------------- counting checks

@@ -516,6 +516,9 @@ class FieldElement:
 
 _FIELDS_BY_SIZE: dict[int, FieldSpec] = {}
 
+# The largest field with a built-in modulus, so the largest field_of_size builds.
+_MAX_FIELD_SIZE = max(p**degree for p, degree in DEFAULT_MODULI)
+
 
 def field_of_size(q: int) -> FieldSpec:
     """GF(q) with the default modulus, cached so repeat calls share tables."""
@@ -524,6 +527,11 @@ def field_of_size(q: int) -> FieldSpec:
         return hit
     if q < 2:
         raise ValueError(f"no field of size {q}")
+    # checked before the trial division below, which takes sqrt(q) steps
+    if q > _MAX_FIELD_SIZE:
+        raise ValueError(
+            f"field size {q} exceeds {_MAX_FIELD_SIZE}, the largest with a built-in modulus"
+        )
     p = None
     for d in range(2, math.isqrt(q) + 1):
         if q % d == 0:

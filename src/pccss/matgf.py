@@ -307,9 +307,11 @@ def transpose(A: MatrixGF) -> MatrixGF:
 def kron(A: MatrixGF, B: MatrixGF) -> MatrixGF:
     if A.field != B.field:
         raise ValueError("kron across different fields")
-    Arep = np.repeat(np.repeat(A.data, B.rows, axis=0), B.cols, axis=1)
-    Btil = np.tile(B.data, (A.rows, A.cols))
-    return MatrixGF(A.field, _field_ops(A.field)[1](Arep, Btil))
+    # one scaled copy of B per distinct entry of A, gathered into place
+    vals, which = np.unique(A.data, return_inverse=True)
+    blocks = _field_ops(A.field)[1](vals[:, None, None], B.data[None])[which.reshape(A.shape)]
+    out = blocks.transpose(0, 2, 1, 3).reshape(A.rows * B.rows, A.cols * B.cols)
+    return MatrixGF(A.field, out)
 
 
 def hstack(mats: list[MatrixGF]) -> MatrixGF:
@@ -387,8 +389,9 @@ def solve(A: MatrixGF, b: np.ndarray):
 
 def mat_to_text(M: MatrixGF) -> str:
     lines = [f"{M.q} {M.rows} {M.cols}"]
+    digits = [str(v) for v in range(M.q)]
     for row in M.data:
-        lines.append(" ".join(str(int(v)) for v in row))
+        lines.append(" ".join(map(digits.__getitem__, row.tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -428,7 +431,10 @@ def take_matrix(lines: list[str], at: int, section: str) -> tuple[MatrixGF, int]
     q, rows, cols = map(int, head)
     if rows < 0 or cols < 0:
         raise ValueError(f"line {at + 1}: {section} has negative shape {rows} x {cols}")
-    field = field_of_size(q)
+    try:
+        field = field_of_size(q)
+    except ValueError as exc:
+        raise ValueError(f"line {at + 1}: {section}: {exc}") from None
     try:
         data = np.empty((rows, cols), dtype=_dtype_for(q))
     except (MemoryError, ValueError):

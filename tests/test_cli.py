@@ -5,6 +5,7 @@ import functools
 import io
 import os
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -385,6 +386,60 @@ def test_huge_matrix_shape_exits_two(shor_bundle, tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+
+def test_huge_field_size_exits_two_quickly(shor_bundle, tmp_path, capsys):
+    lines = shor_bundle.read_text().splitlines()
+    at = lines.index("hx") + 1
+    lines[at] = "1000000000000000003 " + " ".join(lines[at].split()[1:])
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "check", str(bad))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: line {at + 1}: hx:") and "1000000000000000003" in err
+
+
+# ------------------------------------------------------- out-of-range flags
+
+@pytest.mark.parametrize("zeta", ["0", "-5"])
+def test_bounds_rejects_asymmetry_below_one(capsys, zeta):
+    rc, out, err = run(capsys, "bounds", "--zeta", zeta, "--pmax", "0.01", "--step", "0.005")
+    assert rc == 2
+    assert out == ""
+    assert "asymmetry" in err and "must be >= 1" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "decode"])
+@pytest.mark.parametrize("rounds", ["0", "-1"])
+def test_max_rounds_below_one_exits_two(shor_bundle, tmp_path, capsys, command, rounds):
+    syn = tmp_path / "syn.txt"
+    syn.write_text("1 0\n")
+    argv = {
+        "simulate": ["simulate", "--bundle", str(shor_bundle), "--p", "0.1",
+                     "--zeta", "2", "--trials", "4"],
+        "sweep": ["sweep", "--bundle", str(shor_bundle), "--side", "x", "--weights", "1"],
+        "decode": ["decode", str(shor_bundle), "--side", "x", "--syndrome", str(syn)],
+    }[command]
+    rc, out, err = run(capsys, *argv, "--max-rounds", rounds)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: round cap must be >= 1, got {rounds}\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_env_below_one_exits_two(shor_bundle, capsys, monkeypatch, workers):
+    monkeypatch.setenv("PCCSS_WORKERS", workers)
+    for argv in (["distance", str(shor_bundle)],
+                 ["simulate", "--bundle", str(shor_bundle), "--p", "0.1", "--zeta", "2",
+                  "--trials", "4"]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: worker count must be >= 1, got {workers}\n"
 
 
 # --------------------------------------------------------- fuzzed bundles

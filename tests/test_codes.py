@@ -95,6 +95,16 @@ def test_lift_rep2_twice():
     assert min_weight(c.G) == 2 == c.d_certified
 
 
+def test_min_weight_skips_zero_from_dependent_rows():
+    # a repeated generator row makes the zero word a combination of rows;
+    # it is not a nonzero codeword, so the minimum stays that of the code
+    G = make_repetition(5).G
+    assert min_weight(MatrixGF(GF2, np.vstack([G.data, G.data]))) == 5
+    f3 = field_of_size(3)
+    G3 = MatrixGF(f3, [[1, 2, 0, 1], [0, 1, 1, 1]])
+    assert min_weight(MatrixGF(f3, np.vstack([G3.data, G3.data]))) == min_weight(G3)
+
+
 # ------------------------------------------------------------------- GRS
 
 def oracle_grs_codewords(field, a, v, k) -> set[tuple[int, ...]]:

@@ -20,6 +20,7 @@ from pccss.codes import (
     make_repetition,
     min_weight,
 )
+import pccss.css as css_module
 from pccss.css import (
     CssCode,
     StabilizerCode,
@@ -38,7 +39,7 @@ from pccss.css import (
     stab_to_text,
 )
 from pccss.galois import FieldSpec
-from pccss.matgf import MatrixGF, mul, rank, zeros
+from pccss.matgf import MatrixGF, mul, nullspace, rank, rref, zeros
 
 
 def hamming_code():
@@ -298,6 +299,149 @@ def test_stabilizer_distance_cap():
     gens = MatrixGF(f, np.eye(1, 26, dtype=np.uint8))
     with pytest.raises(ValueError):
         distance_stabilizer(StabilizerCode(n=13, gens=gens, k=12))
+
+
+# ------------------------------------------- oracles against the Gray walk
+
+def gray_min_weight(basis: np.ndarray, exclude: np.ndarray, weigh):
+    """Reference: walk every nonzero combination of the basis rows in Gray
+    order, reduce each against rref(exclude)'s pivot rows bit by bit, and
+    keep the least weight of those left nonzero (None if there are none)."""
+    def pack(row) -> int:
+        return sum(1 << int(i) for i in np.flatnonzero(row))
+
+    rr = rref(MatrixGF(FieldSpec(2), exclude))
+    pivots = [(col, pack(rr.matrix.data[i])) for i, col in enumerate(rr.pivots)]
+    rows = [pack(r) for r in basis]
+    best = None
+    v = 0
+    for i in range(1, 1 << len(rows)):
+        v ^= rows[(i & -i).bit_length() - 1]
+        x = v
+        for col, prow in pivots:
+            if (x >> col) & 1:
+                x ^= prow
+        if x and (best is None or weigh(v) < best):
+            best = weigh(v)
+    return best
+
+
+def gray_distance_css(q: CssCode, side: str):
+    a, b = (q.hx, q.hz) if side == "x" else (q.hz, q.hx)
+    return gray_min_weight(nullspace(a).data, b.data, int.bit_count)
+
+
+def gray_distance_stabilizer(s: StabilizerCode):
+    n = s.n
+    commute = np.hstack([s.gens.data[:, n:], s.gens.data[:, :n]])
+    mask = (1 << n) - 1
+    return gray_min_weight(nullspace(MatrixGF(FieldSpec(2), commute)).data, s.gens.data,
+                           lambda v: ((v & mask) | (v >> n)).bit_count())
+
+
+def random_css(seed: int, max_n: int = 14) -> CssCode:
+    """hx random, hz random combinations of null(hx) rows, so they commute."""
+    rng = np.random.default_rng(seed)
+    f = FieldSpec(2)
+    n = int(rng.integers(2, max_n + 1))
+    hx = MatrixGF(f, rng.integers(0, 2, size=(int(rng.integers(n // 3, n)), n)))
+    null = nullspace(hx)
+    coeffs = rng.integers(0, 2, size=(int(rng.integers(0, null.rows + 1)), null.rows))
+    hz = mul(MatrixGF(f, coeffs), null)
+    return CssCode(n=n, hx=hx, hz=hz)
+
+
+def random_stabilizer(seed: int, max_n: int = 8) -> StabilizerCode:
+    """Random symplectic rows kept while they commute with, and are
+    independent of, the rows kept so far."""
+    rng = np.random.default_rng(seed)
+    f = FieldSpec(2)
+    n = int(rng.integers(1, max_n + 1))
+    want = int(rng.integers(n // 2, n + 1))
+    gens = np.zeros((0, 2 * n), dtype=np.uint8)
+    for _ in range(200):
+        if len(gens) == want:
+            break
+        v = rng.integers(0, 2, size=2 * n).astype(np.uint8)
+        if (symplectic_form(np.vstack([gens, v]).astype(np.int64), n)[-1]).any():
+            continue
+        if rank(MatrixGF(f, np.vstack([gens, v]))) > len(gens):
+            gens = np.vstack([gens, v])
+    return StabilizerCode(n=n, gens=MatrixGF(f, gens), k=n - len(gens))
+
+
+def assert_matches_gray(oracle, reference):
+    expect = reference()
+    if expect is None:
+        with pytest.raises(ValueError):
+            oracle()
+    else:
+        assert oracle() == expect
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_distance_css_matches_gray_walk(seed):
+    q = random_css(seed)
+    for side in "xz":
+        assert_matches_gray(lambda: distance_css(q, side), lambda: gray_distance_css(q, side))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_distance_stabilizer_matches_gray_walk(seed):
+    s = random_stabilizer(seed)
+    assert_matches_gray(lambda: distance_stabilizer(s), lambda: gray_distance_stabilizer(s))
+
+
+def test_five_qubit_code_matches_gray_walk():
+    # stabilizers XZZXI and its cyclic shifts (four independent ones)
+    n = 5
+    rows = []
+    for shift in range(4):
+        x = np.roll([1, 0, 0, 1, 0], shift)
+        z = np.roll([0, 1, 1, 0, 0], shift)
+        rows.append(np.concatenate([x, z]))
+    s = StabilizerCode(n=n, gens=MatrixGF(FieldSpec(2), np.array(rows)), k=1)
+    assert distance_stabilizer(s) == gray_distance_stabilizer(s) == 3
+
+
+def rep_concatenated(n0: int) -> CssCode:
+    return make_pccss(lift_block(make_repetition(n0), n0), make_repetition(n0))
+
+
+def test_rep_concatenated_49_x_side_beyond_default_cap():
+    q = rep_concatenated(7)
+    with pytest.raises(ValueError, match="exceeds cap 26"):
+        distance_css(q, "x")
+    assert distance_css(q, "x", cap=43) == 7
+    assert distance_css(q, "z") == 7
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_blocked_enumeration_matches_one_block(block, monkeypatch):
+    codes = [shor_code(), rep_concatenated(5)] + [random_css(seed) for seed in range(12)]
+    stabs = [make_enlarged(hamming_code(), dual(make_repetition(3)))]
+    stabs += [random_stabilizer(seed) for seed in range(8)]
+
+    def outcomes():
+        out = []
+        for q in codes:
+            for side in "xz":
+                try:
+                    out.append(distance_css(q, side))
+                except ValueError as exc:
+                    out.append(str(exc))
+        for s in stabs:
+            try:
+                out.append(distance_stabilizer(s))
+            except ValueError as exc:
+                out.append(str(exc))
+        return out
+
+    whole = outcomes()
+    monkeypatch.setattr(css_module, "_BLOCK", block)
+    assert outcomes() == whole
 
 
 # -------------------------------------------------------- counting checks
