@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True, help="trial count")
     p.add_argument("--decoder", choices=("flip", "exhaustive"), default="flip",
                    help="X-side decoding strategy")
-    p.add_argument("--workers", type=int, help="trial partitions")
+    p.add_argument("--workers", type=int, help="accepted; changes nothing")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="decode every error pattern of fixed weights")

@@ -124,6 +124,8 @@ def min_weight(G: MatrixGF, cap: int = 2**22) -> int:
         w = int(np.count_nonzero(cw))
         if w and w < best:
             best = w
+    if best > n:
+        raise ValueError("zero-dimensional code has no nonzero codeword")
     return best
 
 

@@ -105,6 +105,15 @@ def test_min_weight_skips_zero_from_dependent_rows():
     assert min_weight(MatrixGF(f3, np.vstack([G3.data, G3.data]))) == min_weight(G3)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_min_weight_refuses_all_zero_rows(q):
+    # every row combination is the zero word: no nonzero codeword to weigh
+    for rows in (1, 2):
+        G = MatrixGF(field_of_size(q), np.zeros((rows, 3), dtype=np.int64))
+        with pytest.raises(ValueError, match="no nonzero codeword"):
+            min_weight(G)
+
+
 # ------------------------------------------------------------------- GRS
 
 def oracle_grs_codewords(field, a, v, k) -> set[tuple[int, ...]]:

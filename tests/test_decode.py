@@ -13,6 +13,7 @@ import pytest
 from pccss.codes import make_alternant, make_expander, make_repetition
 from pccss.decode import (
     DecodeOutcome,
+    _flip_rows,
     bdd_alternant,
     exhaustive_decode,
     flip_decode,
@@ -287,6 +288,32 @@ def test_flip_matches_reference_search():
             assert out.status == ("detected-uncorrectable" if unsat.any() else "corrected")
             if unsat.any():
                 assert out.residual.tolist() == unsat.tolist()
+
+
+@pytest.mark.parametrize("n, c, d, seed", [(64, 3, 6, 1), (1000, 4, 5, 7)])
+def test_flip_rows_matches_reference_search_row_by_row(n, c, d, seed):
+    code, _ = make_expander(n, c, d, seed=seed)
+    rng = np.random.default_rng(9)
+    rows = []
+    for i in range(48):
+        if i % 4 == 0:
+            s = np.zeros(code.H.rows, dtype=np.uint8)
+        elif i % 4 == 1:
+            s = rng.integers(0, 2, size=code.H.rows).astype(np.uint8)
+        else:
+            e = np.zeros(n, dtype=np.uint8)
+            e[rng.choice(n, size=1 + i % 8, replace=False)] = 1
+            s = syndrome_of(code.H, e)
+        rows.append(s)
+    S = np.array(rows)
+    for max_rounds in (6400 / n, 1 / n, 3 / n):  # budgets of 6400, 1 and 3 flips
+        est, flips, unsat = _flip_rows(code.H.data.astype(np.float32), S, max_rounds * n)
+        assert est.shape == (len(S), n) and unsat.shape == S.shape
+        for i, s in enumerate(S):
+            ref_est, ref_flips, ref_unsat = reference_flip(code.H, s, max_rounds)
+            assert est[i].tolist() == ref_est.tolist()
+            assert flips[i] == ref_flips
+            assert unsat[i].tolist() == ref_unsat.tolist()
 
 
 def test_flip_counts_rounds_only_in_parallel_mode():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pccss import harness
 from pccss.channel import PauliError, make_channel, sample_error
 from pccss.codes import lift_block, make_alternant, make_repetition
 from pccss.css import fast_family, make_css, make_pccss
@@ -344,6 +345,29 @@ def test_sweep_matches_per_pattern_oracle(side):
     assert (row.trials, row.successes, row.exhaustive) == (150, good, False)
 
 
+@pytest.mark.parametrize("code_seed", [0, 1])
+def test_sweep_x_low_weights_match_per_pattern_oracle(code_seed):
+    # weight 1 is enumerated (1024 patterns), weights 2 and 3 are sampled
+    q = fast_family(1024, 16, 3, 6, code_seed, validate=False)
+    rows = adversarial_sweep(q, "x", [1, 2, 3], samples=200)
+    rng = np.random.default_rng(0)
+    zero = np.zeros(q.n, dtype=np.uint8)
+    patterns = {1: [[i] for i in range(q.n)]}
+    for w in (2, 3):
+        patterns[w] = [np.sort(rng.choice(q.n, size=w, replace=False)) for _ in range(200)]
+    for row, w in zip(rows, (1, 2, 3)):
+        good = 0
+        for pos in patterns[w]:
+            vec = zero.copy()
+            vec[pos] = 1
+            out = pccss_decode_x(q, syndrome_of(q.hx, vec))
+            failed = logical_check(q, PauliError(q.n, vec ^ out.estimate, zero))[0]
+            good += out.status == CORRECTED and not failed
+        assert (row.weight, row.trials, row.successes) == (w, len(patterns[w]), good)
+        assert row.exhaustive == (w == 1)
+    assert rows[0].rate < 1  # the shipped flip rule misses some weight-1 errors
+
+
 def test_sweep_z_side_ignores_x_decoder_choice():
     q = fast_family(1024, 16, 3, 6, 0, validate=False)
     rows = adversarial_sweep(q, "z", [9], samples=20, seed=2, decoder="exhaustive")
@@ -367,6 +391,22 @@ def test_timing_report_mechanics():
     text = report.csv_text()
     assert text.startswith("n,serial_seconds,partitioned_seconds,partitions")
     assert "# ok" in text
+
+
+def test_timing_gate_fails_a_quadratic_decoder(monkeypatch):
+    # a stand-in Z decoder whose CPU time grows as n^2: timing whole passes
+    # over sections of at least 50 ms must not hide it from the gate
+    real = harness.pccss_decode_z
+
+    def quadratic(q, s_z, partitions=1):
+        sum(range(8 * q.n * q.n))
+        return real(q, s_z, partitions=partitions)
+
+    monkeypatch.setattr(harness, "pccss_decode_z", quadratic)
+    codes = [fast_family(n, 4, 3, 6, 0, validate=False) for n in (64, 128, 256)]
+    report = timing_scaling(codes, trials=2, repeats=3)
+    assert len(report.ratios) == 2
+    assert not report.ok, report.ratios
 
 
 def test_timing_grid_must_be_sorted():
