@@ -106,8 +106,18 @@ def pccss_channel_rate(p: float, zeta: float) -> float:
     return 1.0 - entropy_q(4 * px, 2) - entropy_q(pz + py, 2)
 
 
+def _check_grid(pmax: float, step: float) -> None:
+    """Reject a p grid that never ends: a step that is not positive, or a
+    pmax above 1, the largest error probability (NaN fails both)."""
+    if not step > 0:
+        raise ValueError(f"grid step {step} must be > 0")
+    if not pmax <= 1:
+        raise ValueError(f"largest error probability {pmax} must be <= 1")
+
+
 def max_hashing_gap(zeta: float, pmax: float = 0.15, step: float = 1e-4) -> float:
     """Largest |hashing - achievable| where both rates are positive, p in (0, pmax]."""
+    _check_grid(pmax, step)
     gap = 0.0
     k = 1
     while True:
@@ -177,6 +187,7 @@ class RateCurve:
 
 def rate_curves(zetas, pmax: float = 0.5, step: float = 1e-3) -> list[RateCurve]:
     """Hashing bound plus one achievable-rate curve per asymmetry value."""
+    _check_grid(pmax, step)
     grid = []
     k = 1
     while True:

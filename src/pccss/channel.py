@@ -58,30 +58,62 @@ def check_key(name: str, value: int) -> None:
         raise ValueError(f"{name} {value} outside [0, 2^64)")
 
 
+def _raw_bound(a: float) -> int:
+    """The bound B in [0, 2^64] with u < a exactly when raw < B, for a
+    in [0, 1] and u the double numpy makes from the raw word."""
+    return math.ceil(a * 2.0**53) << 11
+
+
+def _below(raw: np.ndarray, bound: int) -> np.ndarray:
+    """raw < bound for a bound in [0, 2^64]; 2^64 itself fits no uint64."""
+    if bound >= 2**64:
+        return np.ones(raw.shape, dtype=bool)
+    return raw < np.uint64(bound)
+
+
 def sample_errors(ch: PauliChannel, n: int, seed: int, trials) -> PauliError:
     """Errors on n qubits for a sequence of trial indices, stacked one row
     per trial: row i is the error keyed (seed, trials[i]).
 
     One Philox bit generator is reused; for each trial its key is reset to
     (seed, trial) and its counter to zero, which yields exactly the stream
-    of a fresh ``Generator(Philox(key=(seed, trial)))``.
+    of a fresh ``Generator(Philox(key=(seed, trial)))``.  Qubit j of a trial
+    is X or Y when its uniform u_j < p_X + p_Y and Z or Y when
+    p_X <= u_j < p.
+
+    The thresholds are applied to the raw 64-bit words.  numpy's double is
+    u = (raw >> 11) * 2^-53, and a * 2^53 is exact for a in [0, 1], so
+    u < a holds exactly when raw < ceil(a * 2^53) * 2^11.  The bound is
+    2^64 for a = 1, which every word is below, and 0 for a = 0, which no
+    word is below.
     """
     trials = [int(t) for t in trials]
     check_key("seed", seed)
     for t in trials:
         check_key("trial index", t)
     bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    state = bits.state
-    rng = np.random.Generator(bits)
-    u = np.empty((len(trials), n))
-    for row, t in zip(u, trials):
-        state["state"]["key"][:] = (seed, t)
-        state["state"]["counter"][:] = 0
+    # plain ints: setting the state from them is several times faster than
+    # from the numpy arrays bits.state holds
+    key = [seed, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    raw = np.empty((len(trials), n), dtype=np.uint64)
+    for i, t in enumerate(trials):
+        key[1] = t
         bits.state = state
-        rng.random(n, out=row)
-    x = (u < ch.p_x + ch.p_y).astype(np.uint8)
-    z = ((u >= ch.p_x) & (u < ch.p)).astype(np.uint8)
-    return PauliError(n=n, x=x, z=z)
+        raw[i] = bits.random_raw(n)
+    x = _below(raw, _raw_bound(ch.p_x + ch.p_y))
+    z = _below(raw, _raw_bound(ch.p))
+    below_x = _raw_bound(ch.p_x)
+    if below_x:
+        z ^= _below(raw, below_x)  # p_X <= p, so this clears u < p_X
+    return PauliError(n=n, x=x.view(np.uint8), z=z.view(np.uint8))
 
 
 def sample_error(ch: PauliChannel, n: int, seed: int, trial: int = 0) -> PauliError:

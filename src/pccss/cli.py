@@ -7,7 +7,6 @@ scripting: 0 success, 1 validation failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -29,7 +28,7 @@ from .css import (
     stab_to_text,
 )
 from .decode import exhaustive_decode, pccss_decode_x, pccss_decode_z
-from .harness import ExperimentConfig, adversarial_sweep, run_trials
+from .harness import ExperimentConfig, _resolve_workers, adversarial_sweep, run_trials
 from .matgf import nullspace, rank
 from .stabcirc import build_encoder, circuit_to_text
 
@@ -40,16 +39,6 @@ def _at_least_one(name: str, value: int) -> int:
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
     return value
-
-
-def _resolve_workers(flag: int | None) -> int:
-    """Flag wins, then the PCCSS_WORKERS variable, then available parallelism."""
-    if flag is not None:
-        return _at_least_one("worker count", flag)
-    env = os.environ.get("PCCSS_WORKERS")
-    if env:
-        return _at_least_one("worker count", int(env))
-    return os.cpu_count() or 1
 
 
 def _read_text(path: str) -> str:

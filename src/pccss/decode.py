@@ -316,37 +316,54 @@ def bdd_alternant(code, s, t: int | None = None) -> DecodeOutcome:
 
 # ------------------------------------------------------------------- flip
 
-def _flip_rows(H: np.ndarray, S: np.ndarray, budget: float):
-    """The sequential flip rule on every row of a stack of syndromes at once.
+def _flip_kernel(H: np.ndarray):
+    """The sequential flip rule for a binary check matrix H (0/1 entries),
+    set up once: returns rows(S, budget), which runs the rule on every row
+    of a stack of syndromes S at once.
 
-    H is a binary check matrix as a float32 array of 0s and 1s.  Each step
-    flips, in every row still running, the lowest-index bit whose
+    Each step flips, in every row still running, the lowest-index bit whose
     unsatisfied incident checks form a strict majority.  A row stops when no
     such bit is left or once it has made budget flips.  Every flip lowers
     the row's unsatisfied count, so a row makes at most H.shape[0] flips.
-    Returns (estimates, flips, residual syndromes), one row per syndrome.
+    rows returns (estimates, flips, residual syndromes), one row per
+    syndrome.
     """
-    degree = H.sum(axis=0)
-    unsat = np.array(S, dtype=np.float32)
-    count = unsat @ H  # unsatisfied checks of each (row, bit)
-    est = np.zeros((len(unsat), H.shape[1]), dtype=np.uint8)
-    flips = np.zeros(len(unsat), dtype=np.int64)
-    active = np.flatnonzero(flips < budget)
-    while active.size:
-        majority = 2 * count[active] > degree
-        bit = majority.argmax(axis=1)
-        found = majority[np.arange(active.size), bit]
-        active, bit = active[found], bit[found]
-        est[active, bit] ^= 1
-        flips[active] += 1
-        # the flipped bits' checks toggle; only their rows of H move a count
-        toggled = H[:, bit].T
-        changed = np.flatnonzero(toggled.any(axis=0))
-        before = unsat[active][:, changed]
-        unsat[active] = np.abs(unsat[active] - toggled)
-        count[active] += (unsat[active][:, changed] - before) @ H[changed]
-        active = active[flips[active] < budget]
-    return est, flips, unsat.astype(np.uint8)
+    h = np.asarray(H, dtype=np.float32)
+    half = h.sum(axis=0) / 2  # a strict majority of a bit's checks exceeds it
+    ht = np.ascontiguousarray(h.T)  # a flipped bit's checks are one row of it
+
+    def rows(S: np.ndarray, budget: float):
+        unsat = np.array(S, dtype=np.float32)
+        # unsatisfied checks of each (row, bit), from the rows of H of the
+        # checks some syndrome leaves unsatisfied
+        lit = np.flatnonzero(unsat.any(axis=0))
+        count = unsat[:, lit] @ h[lit]
+        est = np.zeros((len(S), h.shape[1]), dtype=np.uint8)
+        flips = np.zeros(len(S), dtype=np.int64)
+        active = np.flatnonzero(flips < budget)
+        while active.size:
+            majority = count[active] > half
+            bit = majority.argmax(axis=1)
+            found = majority[np.arange(active.size), bit]
+            active, bit = active[found], bit[found]
+            est[active, bit] ^= 1
+            flips[active] += 1
+            # the flipped bits' checks toggle; only their rows of H move a count
+            toggled = ht[bit]
+            changed = np.flatnonzero(toggled.any(axis=0))
+            old = unsat[active]
+            new = np.abs(old - toggled)
+            unsat[active] = new
+            count[active] += (new - old)[:, changed] @ h[changed]
+            active = active[flips[active] < budget]
+        return est, flips, unsat.astype(np.uint8)
+
+    return rows
+
+
+def _flip_rows(H: np.ndarray, S: np.ndarray, budget: float):
+    """_flip_kernel(H)(S, budget): the rule set up for one stack only."""
+    return _flip_kernel(H)(S, budget)
 
 
 def flip_decode(code, s, max_rounds: int = 100, parallel: bool = False) -> DecodeOutcome:
@@ -360,7 +377,7 @@ def flip_decode(code, s, max_rounds: int = 100, parallel: bool = False) -> Decod
     detected-uncorrectable with the residual syndrome attached.
 
     code is a binary code or its check matrix.  Sequential mode is the
-    one-row case of _flip_rows, the block kernel the Monte Carlo harness
+    one-row case of _flip_kernel, the block kernel the Monte Carlo harness
     runs on every nonzero syndrome of a block of trials at once.
 
     What it does not guarantee: on graphs with 4-cycles (two bits sharing
@@ -397,7 +414,7 @@ def flip_decode(code, s, max_rounds: int = 100, parallel: bool = False) -> Decod
             rounds += 1
         counters = {"flips": flips, "rounds": rounds}
     else:
-        est, flips, unsat = _flip_rows(H.data.astype(np.float32), s[None, :], max_rounds * n)
+        est, flips, unsat = _flip_rows(H.data, s[None, :], max_rounds * n)
         est, unsat = est[0], unsat[0]
         counters = {"flips": int(flips[0])}
 

@@ -4,9 +4,13 @@ and serial-versus-partitioned decoder timing.
 
 Every trial is keyed by (seed, trial index), so record streams are identical
 however the trials are grouped.  run_trials and adversarial_sweep work in
-blocks of trials: one keyed sampler call, stacked syndromes, one majority
-decode over every Z block of the block, one outer decode over the stack of
-nonzero X syndromes, and vectorised logical checks.  The per-trial path
+blocks of trials: one keyed sampler call, X syndromes formed from the
+outer code's check-to-bit incidence, one outer decode over the stack of
+nonzero X syndromes, and vectorised logical checks.  The Z side is solved
+in closed form: the majority estimate of a repetition block has the
+block's syndrome, so its residual is all zeros or all ones (the block's
+last bit XORed with the majority flag), and only the outer word of those
+flags is checked against the outer row space.  The per-trial path
 (sample_error, pccss_decode_x/_z, logical_check) stays public and is the
 reference the block results are tested against.  A record's decode_seconds
 is its share of its block's decoding time, not a per-trial measurement.
@@ -27,8 +31,7 @@ from .decode import (
     CORRECTED,
     DETECTED,
     _check_exhaustive_size,
-    _flip_rows,
-    _osmlg_rows,
+    _flip_kernel,
     exhaustive_decode,
     pccss_decode_z,
 )
@@ -113,6 +116,18 @@ def logical_check(q, residual: PauliError) -> tuple[bool, bool]:
 
 # ------------------------------------------------------------- experiments
 
+def _resolve_workers(value: int | None) -> int:
+    """The one worker policy, for the CLI's --workers and for
+    ExperimentConfig.partitions: value if given, else the PCCSS_WORKERS
+    variable, else 1.  A count below 1 is refused.  No result depends on
+    the count."""
+    if value is None:
+        value = int(os.environ.get("PCCSS_WORKERS") or 1)
+    if value < 1:
+        raise ValueError(f"worker count must be >= 1, got {value}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     """One Monte Carlo run.  seed and every trial index must lie in
@@ -148,9 +163,7 @@ class ExperimentConfig:
             raise ValueError(f"bundle {self.bundle!r} does not exist")
 
     def resolved_partitions(self) -> int:
-        if self.partitions is not None:
-            return max(1, self.partitions)
-        return max(1, int(os.environ.get("PCCSS_WORKERS", "1")))
+        return _resolve_workers(self.partitions)
 
 
 @dataclass(frozen=True)
@@ -201,10 +214,10 @@ def _outer_decoder(q, decoder: str, max_rounds: int):
     marks the rows it corrected."""
     H = q.outer.H
     if decoder == "flip":
-        h = H.data.astype(np.float32)
+        flip_rows = _flip_kernel(H.data)
 
         def decode_flip(S):
-            est, flips, unsat = _flip_rows(h, S, max_rounds * H.cols)
+            est, flips, unsat = flip_rows(S, max_rounds * H.cols)
             return est, flips, ~unsat.any(axis=1)
 
         return decode_flip
@@ -229,24 +242,50 @@ class _BlockOutcome:
     decode_seconds: float
 
 
-def _decode_block(q, decode_outer, x: np.ndarray, z: np.ndarray) -> _BlockOutcome:
+def _incidence(A: np.ndarray) -> np.ndarray:
+    """The nonzero columns of each row of a 0/1 matrix A, as an array of
+    shape (rows, largest row weight).  Short rows are padded with
+    A.shape[1], the index of a zero column the caller appends."""
+    rows, cols = np.divmod(np.flatnonzero(A), A.shape[1])
+    weight = np.bincount(rows, minlength=A.shape[0])
+    out = np.full((A.shape[0], weight.max(initial=0)), A.shape[1], dtype=np.intp)
+    # rows come out sorted, so an entry's slot is its place within its row
+    out[rows, np.arange(rows.size) - (np.cumsum(weight) - weight)[rows]] = cols
+    return out
+
+
+def _syndromes(parity: np.ndarray, checks: np.ndarray) -> np.ndarray:
+    """Outer syndromes of a stack of 0/1 block parities whose last column
+    is the zero column the padding of the check-to-bit incidence checks
+    points at.  The uint8 sums wrap mod 256, which keeps their parity."""
+    return np.einsum("ijk->ij", parity[:, checks]) & 1
+
+
+def _decode_block(q, decode_outer, checks, x: np.ndarray, z: np.ndarray) -> _BlockOutcome:
     """Decode a stack of errors (one trial per row) on both sides and check
     the residuals: per row, the same outcome as pccss_decode_x (or the
     exhaustive outer decoder) and pccss_decode_z followed by logical_check.
+    checks is _incidence(q.outer.H.data), built once per run.
 
     Rows with a zero X syndrome skip the outer decoder: both decoders
-    return "corrected" with a zero estimate and no flips there.  The Z side
-    is one majority decode over every block of every row; like
-    pccss_decode_z it always reports "corrected".
+    return "corrected" with a zero estimate and no flips there.
+
+    The Z side needs no decoding pass.  A block's syndrome is its first
+    n0 - 1 bits XORed with its last bit, and the majority decoder's
+    estimate has that syndrome, so the block's residual is all zeros or all
+    ones: its last bit XORed with the majority flag.  The flag is set when
+    more than (n0 - 1) // 2 bits differ from the last one.  Like
+    pccss_decode_z, the Z side always reports "corrected".
     """
     t = x.shape[0]
     n0 = q.n0
     n2 = q.n // n0
-    h2t = q.outer.H.data.T
-    # block parities of the X error, then of the X residual once decoded
-    parity = np.bitwise_xor.reduce(x.reshape(t, n2, n0), axis=2)
-    s_x = parity @ h2t % 2
-    s_z = _z_syndromes(z, n0)
+    # block parities of the X error, then of the X residual once decoded,
+    # with the zero column n2 that _syndromes needs
+    parity = np.zeros((t, n2 + 1), dtype=np.uint8)
+    np.einsum("ijk->ij", x.reshape(t, n2, n0), out=parity[:, :n2])
+    parity &= 1
+    s_x = _syndromes(parity, checks)
 
     t0 = time.perf_counter()
     status_x = [CORRECTED] * t
@@ -254,18 +293,21 @@ def _decode_block(q, decode_outer, x: np.ndarray, z: np.ndarray) -> _BlockOutcom
     rows = np.flatnonzero(s_x.any(axis=1))
     if rows.size:
         est_x, flips[rows], ok = decode_outer(s_x[rows])
-        parity[rows] ^= est_x
+        parity[rows, :n2] ^= est_x
         for i in rows[~ok]:
             status_x[i] = DETECTED
-    est_z = _osmlg_rows(s_z.reshape(t * n2, n0 - 1), (n0 - 1) // 2)
+    blocks = z.reshape(t, n2, n0)
+    weight = np.einsum("ijk->ij", blocks, dtype=np.min_scalar_type(n0))
+    last = blocks[:, :, -1]
+    flag = np.where(last, n0 - weight, weight) > (n0 - 1) // 2
+    w = last ^ flag
     seconds = time.perf_counter() - t0
 
-    x_logical = parity.any(axis=1) & ~(parity @ h2t % 2).any(axis=1)
-    residual = z.reshape(t, n2, n0) ^ est_z.reshape(t, n2, n0)
-    uniform = ~(residual ^ residual[:, :, :1]).any(axis=(1, 2))
-    w = residual[:, :, 0]
+    # only decoded rows can have a nonzero residual syndrome
+    x_logical = parity.any(axis=1)
+    x_logical[rows] &= ~_syndromes(parity[rows], checks).any(axis=1)
     z_logical = np.zeros(t, dtype=bool)
-    for i in np.flatnonzero(uniform & w.any(axis=1)):
+    for i in np.flatnonzero(w.any(axis=1)):
         z_logical[i] = not in_rowspace(_cached_rref(q, "_h2_rref", q.outer.H), w[i])
     return _BlockOutcome(status_x, flips.tolist(), x_logical, z_logical, seconds)
 
@@ -303,16 +345,17 @@ def run_trials(cfg: ExperimentConfig, code=None):
         raise ValueError("run_trials needs a block-structured code with n0 and outer")
     ch = make_channel(cfg.p, cfg.zeta)
     decode_outer = _outer_decoder(q, cfg.decoder, cfg.max_rounds)
+    checks = _incidence(q.outer.H.data)
     block = _block_size(q.n)
     records = []
     for lo in range(0, cfg.trials, block):
         trials = range(lo, min(lo + block, cfg.trials))
         e = sample_errors(ch, q.n, cfg.seed, trials)
-        out = _decode_block(q, decode_outer, e.x, e.z)
+        out = _decode_block(q, decode_outer, checks, e.x, e.z)
         share = out.decode_seconds / len(trials)
-        for i, (t, wt_x, wt_z) in enumerate(
-            zip(trials, e.x.sum(axis=1).tolist(), e.z.sum(axis=1).tolist())
-        ):
+        for i, (t, wt_x, wt_z) in enumerate(zip(
+            trials, np.count_nonzero(e.x, axis=1).tolist(), np.count_nonzero(e.z, axis=1).tolist()
+        )):
             records.append(TrialRecord(
                 trial=t,
                 wt_x=wt_x,
@@ -414,6 +457,7 @@ def adversarial_sweep(q, side: str, weights, samples: int = 500, seed: int = 0,
         decoder = "exhaustive" if small else "flip"
     # a Z sweep has no X errors, so it never runs the outer decoder
     decode_outer = _outer_decoder(q, decoder, max_rounds) if side == "x" else None
+    checks = _incidence(q.outer.H.data)
     block = _block_size(q.n)
     rng = np.random.default_rng(seed)
     rows = []
@@ -427,13 +471,13 @@ def adversarial_sweep(q, side: str, weights, samples: int = 500, seed: int = 0,
                 row[pos] = 1
             zeros = np.zeros_like(errors)
             if side == "x":
-                out = _decode_block(q, decode_outer, errors, zeros)
+                out = _decode_block(q, decode_outer, checks, errors, zeros)
                 good += sum(
                     status == CORRECTED and not failed
                     for status, failed in zip(out.status_x, out.x_logical)
                 )
             else:
-                out = _decode_block(q, decode_outer, zeros, errors)
+                out = _decode_block(q, decode_outer, checks, zeros, errors)
                 good += int((~out.z_logical).sum())
         rows.append(SweepRow(weight=int(w), trials=len(patterns), successes=good,
                              exhaustive=exhaustive))

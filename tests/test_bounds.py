@@ -254,3 +254,12 @@ def test_rate_curves_structure():
     for c in curves:
         assert len(c.x) == len(c.y)
         assert all(b > a for a, b in zip(c.x, c.x[1:]))
+
+
+@pytest.mark.parametrize("pmax, step", [(0.1, 0.0), (0.1, -1e-3), (0.1, math.nan),
+                                        (math.inf, 1e-3), (math.nan, 1e-3), (1.5, 1e-3)])
+def test_grids_that_never_end_or_leave_the_domain_are_refused(pmax, step):
+    with pytest.raises(ValueError):
+        rate_curves([2.0], pmax=pmax, step=step)
+    with pytest.raises(ValueError):
+        max_hashing_gap(2.0, pmax=pmax, step=step)

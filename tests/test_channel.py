@@ -136,3 +136,36 @@ def test_lag_one_correlation_consistent_with_zero():
     a, b = err[:-1] - err.mean(), err[1:] - err.mean()
     corr = float((a * b).mean() / err.var())
     assert abs(corr) < 4 / math.sqrt(err.size)
+
+
+EDGE_PS = (0.0, 2.0**-53, 3 * 2.0**-52, 0.5, 1 - 2.0**-53, 1.0)
+
+
+@pytest.mark.parametrize("p", EDGE_PS)
+@pytest.mark.parametrize("zeta", [1.0, 10.0, math.inf])
+@pytest.mark.parametrize("n", [1, 3, 33, 1024])
+def test_sampling_at_edge_probabilities_matches_a_fresh_keyed_generator(p, zeta, n):
+    ch = make_channel(p, zeta)
+    trials = (0, 1, 7, 2**64 - 1)
+    block = sample_errors(ch, n, seed=5, trials=trials)
+    assert block.x.dtype == block.z.dtype == np.uint8
+    for row, t in enumerate(trials):
+        key = np.array([5, t], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).random(n)
+        assert block.x[row].tolist() == (u < ch.p_x + ch.p_y).astype(np.uint8).tolist()
+        assert block.z[row].tolist() == ((u >= ch.p_x) & (u < ch.p)).astype(np.uint8).tolist()
+
+
+@pytest.mark.parametrize("a", EDGE_PS + (0.05 / 21, 0.02))
+def test_raw_word_threshold_is_exact_at_its_bound(a):
+    # random draws almost never land next to a threshold, so check the words
+    # that do: u = (raw >> 11) * 2^-53 is numpy's double from a raw word
+    from pccss.channel import _below, _raw_bound
+
+    bound = _raw_bound(a)
+    near = {0, 2**11, 2**64 - 1} | {bound + k for k in (-2049, -2048, -1, 0, 1, 2047, 2048)}
+    raw = np.array(sorted(w for w in near if 0 <= w < 2**64), dtype=np.uint64)
+    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    assert _below(raw, bound).tolist() == (u < a).tolist()
+    assert _below(raw, _raw_bound(0.0)).sum() == 0
+    assert _below(raw, _raw_bound(1.0)).all()

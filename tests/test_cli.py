@@ -534,3 +534,97 @@ def test_mutated_bundles_only_exit_with_documented_codes(kind, data):
             assert rc in (0, 1, 2), (argv[0], rc, text)
             if rc == 2:
                 assert err.startswith("error:") and "Traceback" not in err, (argv[0], err)
+
+
+# ------------------------------------------------------------ fuzzed argv
+
+# one command per subcommand; each exits 0 as written ({d} is a scratch
+# directory holding the files argv_files writes)
+ARGV_BASES = {
+    "construct": ("construct", "fast", "--N", "9", "--n0", "3", "--outer", "rep",
+                  "--code1", "{d}/hamming.txt", "--code2", "{d}/spc.txt", "--out", "{d}/new.txt"),
+    "check": ("check", "{d}/css.txt"),
+    "distance": ("distance", "{d}/css.txt", "--side", "both"),
+    "decode": ("decode", "{d}/css.txt", "--side", "x", "--syndrome", "{d}/syn.txt"),
+    "encode-circuit": ("encode-circuit", "{d}/css.txt", "--out", "{d}/circuit.txt"),
+    "bounds": ("bounds", "--zeta", "2", "--pmax", "0.1", "--step", "0.05"),
+    "simulate": ("simulate", "--bundle", "{d}/css.txt", "--p", "0.1", "--zeta", "2",
+                 "--trials", "4"),
+    "sweep": ("sweep", "--bundle", "{d}/css.txt", "--side", "x", "--weights", "1,2"),
+}
+ARGV_FLAGS = ["--N", "--n0", "--c", "--d", "--seed", "--code-seed", "--outer", "--code1",
+              "--code2", "--attempts", "--out", "--side", "--cap", "--workers", "--syndrome",
+              "--max-rounds", "--zeta", "--fig1", "--pmax", "--step", "--p", "--trials",
+              "--decoder", "--bundle", "--weights", "--samples", "--help"]
+# small numbers only: a valid but large size would make a slow run, not a
+# wrong exit code
+ARGV_VALUES = ["0", "1", "2", "3", "4", "9", "16", "64", "-1", "0.5", "1.5", "inf", "nan",
+               "x", "", "1,2", "both", "z", "rep", "expander", "flip", "exhaustive", "auto",
+               "fast", "css", "pccss", "enlarged", "{d}/css.txt", "{d}/stab.txt",
+               "{d}/hamming.txt", "{d}/spc.txt", "{d}/lin.txt", "{d}/syn.txt", "{d}/new.txt",
+               "{d}/missing.txt", "{d}"]
+
+
+def argv_files(d: Path) -> None:
+    bundles = sample_bundles()
+    (d / "css.txt").write_text(bundles["csscode"])
+    (d / "stab.txt").write_text(bundles["stabcode"])
+    (d / "lin.txt").write_text(bundles["linearcode"])
+    f = FieldSpec(2, 1, 3)
+    alpha = [f.pow(2, i) for i in range(7)]
+    (d / "hamming.txt").write_text(code_to_text(make_alternant(f, a=alpha, y=alpha, r=1)))
+    (d / "spc.txt").write_text(code_to_text(dual(make_repetition(3))))
+    (d / "syn.txt").write_text("1 0\n")
+
+
+@st.composite
+def mutated_argv(draw) -> list[str]:
+    """A subcommand's base argv with zero to three token edits after the
+    subcommand name."""
+    argv = list(ARGV_BASES[draw(st.sampled_from(sorted(ARGV_BASES)))])
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("flag", "set", "delete") if len(argv) > 1 else ("flag",)))
+        if edit == "flag":
+            pos = draw(st.integers(1, len(argv)))
+            argv[pos:pos] = [draw(st.sampled_from(ARGV_FLAGS)), draw(st.sampled_from(ARGV_VALUES))]
+        elif edit == "set":
+            argv[draw(st.integers(1, len(argv) - 1))] = draw(st.sampled_from(ARGV_VALUES))
+        else:
+            del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv
+
+
+@given(argv=mutated_argv())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_argv_only_exits_with_documented_codes(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        argv_files(d)
+        argv = [a.replace("{d}", tmp) for a in argv]
+        # a value edit can turn an output path into a bare name such as "rep"
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            rc, err = quiet_main(*argv)
+        except SystemExit as exc:  # argparse: --help exits 0, a usage error 2
+            assert exc.code in (0, 2), argv
+            return
+        finally:
+            os.chdir(cwd)
+        assert rc in (0, 1, 2), argv
+        if rc == 2:
+            assert err.startswith("error:") and "Traceback" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--step", "0"), "grid step 0.0 must be > 0"),
+    (("--step", "-1"), "grid step -1.0 must be > 0"),
+    (("--step", "nan"), "grid step nan must be > 0"),
+    (("--pmax", "inf"), "largest error probability inf must be <= 1"),
+    (("--pmax", "nan"), "largest error probability nan must be <= 1"),
+])
+def test_bounds_grid_that_never_ends_exits_two(capsys, flags, message):
+    rc, out, err = run(capsys, "bounds", "--zeta", "2", *flags)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {message}\n"

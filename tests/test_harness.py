@@ -217,6 +217,16 @@ def test_run_trials_matches_per_trial_oracle(code_seed, p, zeta, seed):
         assert any(r.status_x != CORRECTED for r in records)
 
 
+# n0 = 256 puts up to 256 ones in a block, past a uint8 block weight (p = 1
+# at zeta = inf fills every block); n0 = 5 is an odd block length
+@pytest.mark.parametrize("n, n0", [(4096, 256), (320, 5)])
+@pytest.mark.parametrize("p, zeta", [(0.05, math.inf), (0.02, 10.0), (0.5, 1.0), (1.0, math.inf)])
+def test_run_trials_matches_oracle_on_long_and_odd_blocks(n, n0, p, zeta):
+    q = fast_family(n, n0, 3, 6, 0, validate=False)
+    cfg = ExperimentConfig(p=p, zeta=zeta, trials=34, n=n, n0=n0, seed=6)
+    assert _strip_seconds(run_trials(cfg, code=q)[0]) == oracle_records(q, cfg)
+
+
 def test_run_trials_matches_oracle_below_one_block():
     q = fast_family(64, 4, 3, 6, 1, validate=False)
     cfg = ExperimentConfig(p=0.08, zeta=3.0, trials=7, n=64, n0=4, seed=2**64 - 1)
