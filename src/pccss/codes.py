@@ -16,9 +16,10 @@ from .bounds import vol_q
 from .galois import FieldSpec, field_of_size
 from .matgf import (
     MatrixGF,
-    _field_ops,
+    _span_chunks,
     bundle_columns,
     bundle_header,
+    bundle_key,
     bundle_line,
     identity,
     kron,
@@ -103,27 +104,10 @@ def min_weight(G: MatrixGF, cap: int = 2**22) -> int:
         if best is None:
             raise ValueError("zero-dimensional code has no nonzero codeword")
         return best
-    add, mulf, _, _ = _field_ops(field)
-    q = field.size
-    digits = [0] * k
-    cw = np.zeros(n, dtype=G.data.dtype)
     best = n + 1
-    for _ in range(total - 1):
-        pos = 0
-        while True:
-            old = digits[pos]
-            new = old + 1
-            if new == q:
-                digits[pos] = 0
-                cw = add(cw, mulf(field.sub(0, old), G.data[pos]))
-                pos += 1
-            else:
-                digits[pos] = new
-                cw = add(cw, mulf(field.sub(new, old), G.data[pos]))
-                break
-        w = int(np.count_nonzero(cw))
-        if w and w < best:
-            best = w
+    for cw in _span_chunks(G):
+        weights = np.count_nonzero(cw, axis=1)
+        best = min(best, int(weights[weights > 0].min(initial=best)))
     if best > n:
         raise ValueError("zero-dimensional code has no nonzero codeword")
     return best
@@ -363,12 +347,6 @@ class ExpanderGraph:
     right: tuple[tuple[int, ...], ...]
     seed: int
 
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Parallel (bit, check) arrays, one entry per edge, bit-major order."""
-        bits = np.repeat(np.arange(self.n), self.c)
-        checks = np.concatenate([np.array(nb, dtype=np.int64) for nb in self.left])
-        return bits, checks
-
 
 def make_expander(n: int, c: int, d: int, seed: int) -> tuple[LinearCode, ExpanderGraph]:
     """Configuration-model (c, d)-biregular code; resamples until simple.
@@ -467,17 +445,16 @@ def code_from_text(text: str) -> tuple[LinearCode, ExpanderGraph | None]:
     d_method = None
     provenance: dict = {}
     if pos < len(lines) and lines[pos].startswith("d "):
-        _, dv, dm = lines[pos].split()
-        d_val, d_method = int(dv), dm
+        _, (d_val, d_method) = bundle_key(lines, pos, {"d": (int, str)})
         pos += 1
     if pos < len(lines) and lines[pos].startswith("alternant "):
-        _, p, m0, m, r = lines[pos].split()
-        ext = FieldSpec(int(p), int(m0), int(m))
+        _, (p, m0, m, r) = bundle_key(lines, pos, {"alternant": (int,) * 4})
+        ext = FieldSpec(p, m0, m)
         pts = tuple(int(v) for v in bundle_line(lines, pos + 1, "the points line").split()[1:])
         mults = tuple(int(v) for v in bundle_line(lines, pos + 2, "the mults line").split()[1:])
         provenance = {
             "origin": "alternant", "ext": ext, "a": pts, "y": mults,
-            "r": int(r), "d_lower": int(r) + 1,
+            "r": r, "d_lower": r + 1,
         }
         pos += 3
     G, pos = take_matrix(lines, pos, "G")
@@ -488,15 +465,14 @@ def code_from_text(text: str) -> tuple[LinearCode, ExpanderGraph | None]:
     bundle_columns(H, n, "H")
     graph = None
     if pos < len(lines) and lines[pos].startswith("expander "):
-        _, gn, gr, gc, gd, gseed = lines[pos].split()
-        gn, gr, gc, gd = int(gn), int(gr), int(gc), int(gd)
+        _, (gn, gr, gc, gd, gseed) = bundle_key(lines, pos, {"expander": (int,) * 5})
         adjacency = tuple(
             tuple(int(v) for v in bundle_line(lines, pos + 1 + i, f"adjacency row {i}").split())
             for i in range(gn + gr)
         )
-        graph = ExpanderGraph(gn, gr, gc, gd, adjacency[:gn], adjacency[gn:], int(gseed))
+        graph = ExpanderGraph(gn, gr, gc, gd, adjacency[:gn], adjacency[gn:], gseed)
         if not provenance:
-            provenance = {"origin": "expander", "c": gc, "d": gd, "seed": int(gseed)}
+            provenance = {"origin": "expander", "c": gc, "d": gd, "seed": gseed}
     field = field_of_size(q)
     code = LinearCode(field, n, k, G, H, d_val, d_method, provenance)
     return code, graph

@@ -21,6 +21,7 @@ from .matgf import (
     _pack_rows,
     bundle_columns,
     bundle_header,
+    bundle_key,
     bundle_line,
     hstack,
     identity,
@@ -558,6 +559,10 @@ def _outer_from_hx(hx: MatrixGF, n0: int) -> LinearCode:
     )
 
 
+# the key lines a csscode bundle may carry, with the types of their values
+_CSS_KEYS = {"n0": (int,), "construction": (str,), "dx": (int, str), "dz": (int, str)}
+
+
 def css_from_text(text: str, validate: bool = True) -> CssCode:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     _, n, k = bundle_header(lines, "csscode")
@@ -567,17 +572,15 @@ def css_from_text(text: str, validate: bool = True) -> CssCode:
     d_method = None
     at = 1
     while bundle_line(lines, at, "the hx section") != "hx":
-        key, val = lines[at].split(maxsplit=1)
+        key, values = bundle_key(lines, at, _CSS_KEYS)
         if key == "n0":
-            n0 = int(val)
+            (n0,) = values
         elif key == "construction":
-            construction = val
-        elif key in ("dx", "dz"):
-            dist, d_method = val.split()
-            if key == "dx":
-                d_x = int(dist)
-            else:
-                d_z = int(dist)
+            (construction,) = values
+        elif key == "dx":
+            d_x, d_method = values
+        else:
+            d_z, d_method = values
         at += 1
     hx, at = take_matrix(lines, at + 1, "hx")
     bundle_columns(hx, n, "hx")
@@ -620,12 +623,7 @@ def stab_from_text(text: str, validate: bool = True) -> StabilizerCode:
     d_method = None
     at = 1
     while bundle_line(lines, at, "the gens section") != "gens":
-        key, val = lines[at].split(maxsplit=1)
-        if key == "d":
-            dist, d_method = val.split()
-            d = int(dist)
-        else:
-            raise ValueError(f"unknown bundle key {key!r}")
+        _, (d, d_method) = bundle_key(lines, at, {"d": (int, str)})
         at += 1
     gens, _ = take_matrix(lines, at + 1, "gens")
     bundle_columns(gens, 2 * n, "gens")

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .galois import FieldSpec
-from .matgf import MatrixGF, _field_ops, mul, solve
+from .matgf import MatrixGF, _field_ops, _span_chunks, mul, solve
 
 __all__ = [
     "Syndrome",
@@ -96,13 +96,7 @@ def exhaustive_decode(code, s) -> DecodeOutcome:
     add = _field_ops(field)[0]
     best_w = None
     best = None
-    total = q ** code.k
-    pows = q ** np.arange(code.k, dtype=np.int64)
-    for lo in range(0, total, 4096):
-        hi = min(lo + 4096, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        msgs = ((idx[:, None] // pows[None, :]) % q).astype(code.G.data.dtype)
-        cw = mul(MatrixGF(field, msgs), code.G).data
+    for cw in _span_chunks(code.G):
         vecs = add(cw, x0[None, :])
         weights = (vecs != 0).sum(axis=1)
         wmin = int(weights.min())
@@ -112,7 +106,7 @@ def exhaustive_decode(code, s) -> DecodeOutcome:
                 best_w, best = wmin, cand
     est = np.array(best, dtype=x0.dtype)
     assert np.array_equal(syndrome_of(code.H, est), s)
-    return DecodeOutcome(CORRECTED, est, {"cosets": total})
+    return DecodeOutcome(CORRECTED, est, {"cosets": q ** code.k})
 
 
 # ------------------------------------------------- polynomial helpers (EEA)
@@ -433,10 +427,16 @@ def osmlg_block_decode(n0: int, s_block: np.ndarray) -> np.ndarray:
     s = np.asarray(s_block).reshape(-1).astype(np.uint8)
     if s.shape[0] != n0 - 1:
         raise ValueError(f"block syndrome must have length {n0 - 1}")
-    heavy = int(s.sum()) >= (n0 - 1) // 2 + 1
-    if heavy:
-        return np.concatenate([s ^ 1, [1]]).astype(np.uint8)
-    return np.concatenate([s, [0]]).astype(np.uint8)
+    return _osmlg_rows(s[None, :], (n0 - 1) // 2)[0]
+
+
+def _osmlg_rows(S: np.ndarray, d0: int) -> np.ndarray:
+    """One-step majority decoding of a stack of block syndromes (uint8, one
+    block per row): a row's block is flagged when more than d0 of its
+    checks fire, and its estimate is the syndrome XOR the flag, then the
+    flag as the last bit."""
+    flag = (S.sum(axis=1) >= d0 + 1).astype(np.uint8)
+    return np.concatenate([S ^ flag[:, None], flag[:, None]], axis=1)
 
 
 # ------------------------------------------------------- two-sided decoder
@@ -453,11 +453,6 @@ def pccss_decode_x(Q, s_x, max_rounds: int = 100) -> DecodeOutcome:
     if inner.status != CORRECTED:
         return DecodeOutcome(DETECTED, est, inner.counters, residual=inner.residual)
     return DecodeOutcome(CORRECTED, est, inner.counters)
-
-
-def _osmlg_rows(S: np.ndarray, d0: int) -> np.ndarray:
-    flag = (S.sum(axis=1) >= d0 + 1).astype(np.uint8)
-    return np.concatenate([S ^ flag[:, None], flag[:, None]], axis=1)
 
 
 def pccss_decode_z(Q, s_z, partitions: int = 1) -> DecodeOutcome:

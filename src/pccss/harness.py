@@ -12,8 +12,11 @@ block's syndrome, so its residual is all zeros or all ones (the block's
 last bit XORed with the majority flag), and only the outer word of those
 flags is checked against the outer row space.  The per-trial path
 (sample_error, pccss_decode_x/_z, logical_check) stays public and is the
-reference the block results are tested against.  A record's decode_seconds
-is its share of its block's decoding time, not a per-trial measurement.
+reference the block results are tested against.  A block's outcome stays
+a set of numpy columns (X decode ok, flips, logical failures) through the
+summary counts and the sweep; run_trials turns them into TrialRecords and
+status strings only once, at the end.  A record's decode_seconds is its
+share of its block's decoding time, not a per-trial measurement.
 """
 from __future__ import annotations
 
@@ -233,15 +236,6 @@ def _outer_decoder(q, decoder: str, max_rounds: int):
     return decode_exhaustive
 
 
-@dataclass(frozen=True)
-class _BlockOutcome:
-    status_x: list
-    flips: list
-    x_logical: np.ndarray
-    z_logical: np.ndarray
-    decode_seconds: float
-
-
 def _incidence(A: np.ndarray) -> np.ndarray:
     """The nonzero columns of each row of a 0/1 matrix A, as an array of
     shape (rows, largest row weight).  Short rows are padded with
@@ -261,11 +255,16 @@ def _syndromes(parity: np.ndarray, checks: np.ndarray) -> np.ndarray:
     return np.einsum("ijk->ij", parity[:, checks]) & 1
 
 
-def _decode_block(q, decode_outer, checks, x: np.ndarray, z: np.ndarray) -> _BlockOutcome:
+def _decode_block(q, decode_outer, checks, x: np.ndarray, z: np.ndarray):
     """Decode a stack of errors (one trial per row) on both sides and check
     the residuals: per row, the same outcome as pccss_decode_x (or the
     exhaustive outer decoder) and pccss_decode_z followed by logical_check.
     checks is _incidence(q.outer.H.data), built once per run.
+
+    Returns (ok_x, flips, x_logical, z_logical, seconds): per row, whether
+    the X decoder reports "corrected" (bool), its flip count (int64) and
+    the logical_check flags of the residual (bool), then the block's
+    decoding time in seconds.
 
     Rows with a zero X syndrome skip the outer decoder: both decoders
     return "corrected" with a zero estimate and no flips there.
@@ -288,14 +287,12 @@ def _decode_block(q, decode_outer, checks, x: np.ndarray, z: np.ndarray) -> _Blo
     s_x = _syndromes(parity, checks)
 
     t0 = time.perf_counter()
-    status_x = [CORRECTED] * t
+    ok_x = np.ones(t, dtype=bool)
     flips = np.zeros(t, dtype=np.int64)
     rows = np.flatnonzero(s_x.any(axis=1))
     if rows.size:
-        est_x, flips[rows], ok = decode_outer(s_x[rows])
+        est_x, flips[rows], ok_x[rows] = decode_outer(s_x[rows])
         parity[rows, :n2] ^= est_x
-        for i in rows[~ok]:
-            status_x[i] = DETECTED
     blocks = z.reshape(t, n2, n0)
     weight = np.einsum("ijk->ij", blocks, dtype=np.min_scalar_type(n0))
     last = blocks[:, :, -1]
@@ -309,25 +306,7 @@ def _decode_block(q, decode_outer, checks, x: np.ndarray, z: np.ndarray) -> _Blo
     z_logical = np.zeros(t, dtype=bool)
     for i in np.flatnonzero(w.any(axis=1)):
         z_logical[i] = not in_rowspace(_cached_rref(q, "_h2_rref", q.outer.H), w[i])
-    return _BlockOutcome(status_x, flips.tolist(), x_logical, z_logical, seconds)
-
-
-def _status_counts(side: str, statuses, failed) -> dict:
-    """Per-side split of the trials: corrected, detected-uncorrectable, and
-    silent miscorrections (reported corrected, yet a logical failure)."""
-    corrected = detected = silent = 0
-    for status, fail in zip(statuses, failed):
-        if status != CORRECTED:
-            detected += 1
-        elif fail:
-            silent += 1
-        else:
-            corrected += 1
-    return {
-        f"{side}_corrected": corrected,
-        f"{side}_detected_uncorrectable": detected,
-        f"{side}_silent_miscorrections": silent,
-    }
+    return ok_x, flips, x_logical, z_logical, seconds
 
 
 def run_trials(cfg: ExperimentConfig, code=None):
@@ -336,9 +315,12 @@ def run_trials(cfg: ExperimentConfig, code=None):
 
     Trials run in blocks of consecutive indices; every record depends only
     on (cfg.seed, trial), so the output is the same for any block size and
-    any cfg.partitions.  A record's decode_seconds is its block's decoding
-    time (X and Z decoders, not sampling, syndromes or the logical check)
-    divided by the block's trial count.
+    any cfg.partitions.  Each block yields one numpy column per record
+    field; the columns of all blocks are joined once, the summary counts
+    come from them, and the records are built in one pass at the end, the
+    only place statuses become strings.  A record's decode_seconds is its
+    block's decoding time (X and Z decoders, not sampling, syndromes or the
+    logical check) divided by the block's trial count.
     """
     q = code if code is not None else _build_code(cfg)
     if getattr(q, "n0", None) is None or getattr(q, "outer", None) is None:
@@ -347,44 +329,56 @@ def run_trials(cfg: ExperimentConfig, code=None):
     decode_outer = _outer_decoder(q, cfg.decoder, cfg.max_rounds)
     checks = _incidence(q.outer.H.data)
     block = _block_size(q.n)
-    records = []
+    columns = []
     for lo in range(0, cfg.trials, block):
         trials = range(lo, min(lo + block, cfg.trials))
         e = sample_errors(ch, q.n, cfg.seed, trials)
-        out = _decode_block(q, decode_outer, checks, e.x, e.z)
-        share = out.decode_seconds / len(trials)
-        for i, (t, wt_x, wt_z) in enumerate(zip(
-            trials, np.count_nonzero(e.x, axis=1).tolist(), np.count_nonzero(e.z, axis=1).tolist()
-        )):
-            records.append(TrialRecord(
-                trial=t,
-                wt_x=wt_x,
-                wt_z=wt_z,
-                status_x=out.status_x[i],
-                status_z=CORRECTED,
-                x_failed=bool(out.x_logical[i] or out.status_x[i] != CORRECTED),
-                z_failed=bool(out.z_logical[i]),
-                flips=out.flips[i],
-                block_decodes=q.n // q.n0,
-                decode_seconds=share,
-            ))
+        ok_x, flips, x_logical, z_logical, seconds = _decode_block(q, decode_outer, checks,
+                                                                   e.x, e.z)
+        share = np.full(len(trials), seconds / len(trials))
+        columns.append((np.count_nonzero(e.x, axis=1), np.count_nonzero(e.z, axis=1),
+                        ok_x, flips, x_logical, z_logical, share))
+    wt_x, wt_z, ok_x, flips, x_logical, z_failed, share = map(np.concatenate, zip(*columns))
+    # the X decoder giving up counts as a failure; the Z decoder never does
+    x_failed = x_logical | ~ok_x
+    total = cfg.trials
+    records = list(map(
+        TrialRecord,
+        range(total),
+        wt_x.tolist(),
+        wt_z.tolist(),
+        np.where(ok_x, CORRECTED, DETECTED).tolist(),
+        [CORRECTED] * total,
+        x_failed.tolist(),
+        z_failed.tolist(),
+        flips.tolist(),
+        [q.n // q.n0] * total,
+        share.tolist(),
+    ))
 
-    x_fail = sum(r.x_failed for r in records)
-    z_fail = sum(r.z_failed for r in records)
+    # a failed trial is either detected-uncorrectable or, reported
+    # corrected, a silent miscorrection
+    x_fail = int(np.count_nonzero(x_failed))
+    z_fail = int(np.count_nonzero(z_failed))
+    x_detected = int(np.count_nonzero(~ok_x))
     summary = {
         "n": q.n,
         "n0": q.n0,
         "p": cfg.p,
         "zeta": cfg.zeta,
-        "trials": cfg.trials,
+        "trials": total,
         "x_failures": x_fail,
         "z_failures": z_fail,
-        **_status_counts("x", (r.status_x for r in records), (r.x_failed for r in records)),
-        **_status_counts("z", (r.status_z for r in records), (r.z_failed for r in records)),
-        "x_rate": x_fail / cfg.trials,
-        "z_rate": z_fail / cfg.trials,
-        "x_wilson_upper95": wilson_upper(x_fail, cfg.trials),
-        "z_wilson_upper95": wilson_upper(z_fail, cfg.trials),
+        "x_corrected": total - x_fail,
+        "x_detected_uncorrectable": x_detected,
+        "x_silent_miscorrections": x_fail - x_detected,
+        "z_corrected": total - z_fail,
+        "z_detected_uncorrectable": 0,
+        "z_silent_miscorrections": z_fail,
+        "x_rate": x_fail / total,
+        "z_rate": z_fail / total,
+        "x_wilson_upper95": wilson_upper(x_fail, total),
+        "z_wilson_upper95": wilson_upper(z_fail, total),
         "pz_bound": pz_upper_bound(q.n, q.n0, ch.p_z),
         "pz_bound_tight": pz_upper_bound(q.n, q.n0, ch.p_z, tight=True),
     }
@@ -434,12 +428,12 @@ class SweepRow:
 
 
 def _weight_patterns(n: int, w: int, samples: int, rng):
-    if w == 0:
-        return [np.zeros(0, dtype=np.int64)], True
+    """The supports of one sweep weight as an index array of shape
+    (patterns, w), and whether it holds every pattern of that weight."""
     if math.comb(n, w) <= 10_000:
-        return [np.array(t, dtype=np.int64) for t in combinations(range(n), w)], True
+        return np.array(list(combinations(range(n), w)), dtype=np.int64), True
     picks = [np.sort(rng.choice(n, size=w, replace=False)) for _ in range(samples)]
-    return picks, False
+    return np.array(picks, dtype=np.int64).reshape(samples, w), False
 
 
 def adversarial_sweep(q, side: str, weights, samples: int = 500, seed: int = 0,
@@ -467,18 +461,14 @@ def adversarial_sweep(q, side: str, weights, samples: int = 500, seed: int = 0,
         for lo in range(0, len(patterns), block):
             chunk = patterns[lo : lo + block]
             errors = np.zeros((len(chunk), q.n), dtype=np.uint8)
-            for row, pos in zip(errors, chunk):
-                row[pos] = 1
+            errors[np.arange(len(chunk))[:, None], chunk] = 1
             zeros = np.zeros_like(errors)
             if side == "x":
-                out = _decode_block(q, decode_outer, checks, errors, zeros)
-                good += sum(
-                    status == CORRECTED and not failed
-                    for status, failed in zip(out.status_x, out.x_logical)
-                )
+                ok_x, _, x_logical, _, _ = _decode_block(q, decode_outer, checks, errors, zeros)
+                good += int(np.count_nonzero(ok_x & ~x_logical))
             else:
-                out = _decode_block(q, decode_outer, checks, zeros, errors)
-                good += int((~out.z_logical).sum())
+                _, _, _, z_logical, _ = _decode_block(q, decode_outer, checks, zeros, errors)
+                good += int(np.count_nonzero(~z_logical))
         rows.append(SweepRow(weight=int(w), trials=len(patterns), successes=good,
                              exhaustive=exhaustive))
     return tuple(rows)

@@ -31,6 +31,7 @@ __all__ = [
     "RrefResult",
     "bundle_columns",
     "bundle_header",
+    "bundle_key",
     "bundle_line",
     "identity",
     "in_rowspace",
@@ -300,6 +301,20 @@ def mul(A: MatrixGF, B: MatrixGF) -> MatrixGF:
     return MatrixGF(field, C)
 
 
+def _span_chunks(G: MatrixGF):
+    """Every vector of G's row space, as arrays of up to 4096 rows: row i
+    of the whole sequence is the combination of G's rows whose coefficients
+    are the base-q digits of i, least significant first, so the zero vector
+    comes first.  The caller bounds q^G.rows, the number of rows."""
+    q = G.field.size
+    total = q**G.rows
+    pows = q ** np.arange(G.rows, dtype=np.int64)
+    for lo in range(0, total, 4096):
+        idx = np.arange(lo, min(lo + 4096, total), dtype=np.int64)
+        msgs = ((idx[:, None] // pows[None, :]) % q).astype(G.data.dtype)
+        yield mul(MatrixGF(G.field, msgs), G).data
+
+
 def transpose(A: MatrixGF) -> MatrixGF:
     return MatrixGF(A.field, A.data.T)
 
@@ -403,6 +418,25 @@ def bundle_line(lines: list[str], at: int, section: str) -> str:
     if at >= len(lines):
         raise ValueError(f"text ends before {section} (line {at + 1})")
     return lines[at]
+
+
+def bundle_key(lines: list[str], at: int, keys: dict) -> tuple[str, list]:
+    """The key line lines[at], "key v1 ... vm", as (key, [v1, ..., vm]).
+
+    keys maps each key the bundle allows to the types of its values; any
+    other key, value count or value is a ValueError naming the line.
+    """
+    key, *values = lines[at].split()
+    types = keys.get(key)
+    if types is None:
+        raise ValueError(f"line {at + 1}: unknown bundle key {key!r}")
+    if len(values) != len(types):
+        raise ValueError(f"line {at + 1}: expected {len(types)} value(s) after {key}, "
+                         f"got {len(values)}")
+    try:
+        return key, [kind(v) for kind, v in zip(types, values)]
+    except ValueError:
+        raise ValueError(f"line {at + 1}: bad {key} line {lines[at]!r}") from None
 
 
 def bundle_header(lines: list[str], tag: str) -> tuple[int, int, int]:

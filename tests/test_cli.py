@@ -403,6 +403,23 @@ def test_huge_field_size_exits_two_quickly(shor_bundle, tmp_path, capsys):
     assert err.startswith(f"error: line {at + 1}: hx:") and "1000000000000000003" in err
 
 
+@pytest.mark.parametrize("kind, line, message", [
+    ("csscode", "bogus 7", "unknown bundle key 'bogus'"),
+    ("stabcode", "bogus 7", "unknown bundle key 'bogus'"),
+    ("csscode", "n0", "expected 1 value(s) after n0, got 0"),
+    ("csscode", "dx 3", "expected 2 value(s) after dx, got 1"),
+    ("linearcode", "d 3", "expected 2 value(s) after d, got 1"),
+])
+def test_bad_bundle_key_line_exits_two_naming_it(tmp_path, capsys, kind, line, message):
+    lines = sample_bundles()[kind].splitlines()
+    lines.insert(1, line)
+    bundle = tmp_path / "bad.txt"
+    bundle.write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, *fuzz_commands(kind, bundle, tmp_path)[0])
+    assert (rc, out) == (2, "")
+    assert err == f"error: line 2: {message}\n"
+
+
 # ------------------------------------------------------- out-of-range flags
 
 @pytest.mark.parametrize("zeta", ["0", "-5"])

@@ -268,6 +268,33 @@ def test_run_trials_status_split_matches_records():
     assert summary["x_detected_uncorrectable"] > 0
 
 
+# run_trials' summary keys in order, with the type of each value
+SUMMARY_TYPES = {
+    "n": int, "n0": int, "p": float, "zeta": float, "trials": int,
+    "x_failures": int, "z_failures": int,
+    "x_corrected": int, "x_detected_uncorrectable": int, "x_silent_miscorrections": int,
+    "z_corrected": int, "z_detected_uncorrectable": int, "z_silent_miscorrections": int,
+    "x_rate": float, "z_rate": float, "x_wilson_upper95": float, "z_wilson_upper95": float,
+    "pz_bound": float, "pz_bound_tight": float,
+}
+
+
+def test_run_trials_outputs_are_python_scalars_in_fixed_order():
+    # callers print the summary in order and hash the records' repr, so
+    # numpy scalars or a new key order would change their output
+    cfg = ExperimentConfig(p=0.05, zeta=10.0, trials=200, n=1024, n0=16, seed=1)
+    records, summary = run_trials(cfg, code=fast_family(1024, 16, 3, 6, 0, validate=False))
+    field_types = {"status_x": str, "status_z": str, "x_failed": bool, "z_failed": bool,
+                   "decode_seconds": float}
+    for r in records:
+        for f in dataclasses.fields(r):
+            assert type(getattr(r, f.name)) is field_types.get(f.name, int), (f.name, r)
+    assert any(r.x_failed for r in records) and any(r.status_x != CORRECTED for r in records)
+    assert list(summary) == list(SUMMARY_TYPES)
+    for key, value in summary.items():
+        assert type(value) is SUMMARY_TYPES[key], key
+
+
 def test_run_trials_decode_seconds_share_their_block():
     cfg = ExperimentConfig(p=0.05, zeta=10.0, trials=20, n=64, n0=4, seed=6)
     records, _ = run_trials(cfg)
@@ -337,22 +364,26 @@ def test_sweep_sampled_above_enumeration_cap():
 
 @pytest.mark.parametrize("side", ["x", "z"])
 def test_sweep_matches_per_pattern_oracle(side):
+    # weight 0 is its one empty pattern; weight 9 is sampled
     q = fast_family(1024, 16, 3, 6, 0, validate=False)
-    (row,) = adversarial_sweep(q, side, [9], samples=150, seed=2)
+    rows = adversarial_sweep(q, side, [0, 9], samples=150, seed=2)
     rng = np.random.default_rng(2)
     zero = np.zeros(q.n, dtype=np.uint8)
-    good = 0
-    for _ in range(150):
-        vec = zero.copy()
-        vec[np.sort(rng.choice(q.n, size=9, replace=False))] = 1
-        if side == "x":
-            out = pccss_decode_x(q, syndrome_of(q.hx, vec))
-            failed = logical_check(q, PauliError(q.n, vec ^ out.estimate, zero))[0]
-        else:
-            out = pccss_decode_z(q, syndrome_of(q.hz, vec))
-            failed = logical_check(q, PauliError(q.n, zero, vec ^ out.estimate))[1]
-        good += out.status == CORRECTED and not failed
-    assert (row.trials, row.successes, row.exhaustive) == (150, good, False)
+    patterns = {0: [[]], 9: [np.sort(rng.choice(q.n, size=9, replace=False)) for _ in range(150)]}
+    for row, w in zip(rows, (0, 9)):
+        good = 0
+        for pos in patterns[w]:
+            vec = zero.copy()
+            vec[pos] = 1
+            if side == "x":
+                out = pccss_decode_x(q, syndrome_of(q.hx, vec))
+                failed = logical_check(q, PauliError(q.n, vec ^ out.estimate, zero))[0]
+            else:
+                out = pccss_decode_z(q, syndrome_of(q.hz, vec))
+                failed = logical_check(q, PauliError(q.n, zero, vec ^ out.estimate))[1]
+            good += out.status == CORRECTED and not failed
+        assert (row.weight, row.trials, row.successes, row.exhaustive) == (
+            w, len(patterns[w]), good, w == 0)
 
 
 @pytest.mark.parametrize("code_seed", [0, 1])
