@@ -8,6 +8,7 @@ stored as d_certified.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -348,12 +349,27 @@ class ExpanderGraph:
     seed: int
 
 
+# Matchings per expander graph before make_expander gives up, and the most
+# stubs one block of matchings may hold; the cap bounds a block's memory.
+_MATCHINGS = 1000
+_BLOCK_STUBS = 1 << 16
+
+
 def make_expander(n: int, c: int, d: int, seed: int) -> tuple[LinearCode, ExpanderGraph]:
     """Configuration-model (c, d)-biregular code; resamples until simple.
 
-    The whole stub matching is resampled whenever a repeated edge appears,
-    capped at 1000 attempts, so dense degree pairs with vanishing
-    simple-graph probability are rejected rather than silently repaired.
+    Matchings are drawn in blocks: one rng.permuted call shuffles each row
+    of a block of m copies of the n*c check stubs, drawing from the
+    generator exactly as m successive rng.permutation(n*c) calls do, so
+    row i is the stubs taken in the order of the i-th such permutation.
+    A matching is simple when no bit holds two stubs of one check, tested
+    for the whole block at once over the c(c-1)/2 stub pairs of each bit;
+    the first simple one is kept. Blocks start at 16 matchings and double,
+    capped at _BLOCK_STUBS stubs, and never draw past the budget of
+    _MATCHINGS matchings, so a seed yields the graph, or the RuntimeError,
+    that resampling one matching at a time would. Dense degree pairs with
+    vanishing simple-graph probability are rejected rather than silently
+    repaired.
     """
     if n * c % d != 0:
         raise ValueError(f"degree accounting fails: {n}*{c} not divisible by {d}")
@@ -363,14 +379,28 @@ def make_expander(n: int, c: int, d: int, seed: int) -> tuple[LinearCode, Expand
     rng = np.random.default_rng(seed)
     left_nodes = np.repeat(np.arange(n), c)
     right_stubs = np.repeat(np.arange(r), d)
-    for _ in range(1000):
-        assign = right_stubs[rng.permutation(n * c)]
-        # row i lists the checks of bit i in order; simple iff none repeats
-        bit_checks = np.sort(assign.reshape(n, c), axis=1)
-        if not (bit_checks[:, 1:] == bit_checks[:, :-1]).any():
+    drawn, m = 0, 16
+    while drawn < _MATCHINGS:
+        m = min(m, max(1, _BLOCK_STUBS // (n * c)), _MATCHINGS - drawn)
+        block = np.tile(right_stubs, (m, 1))
+        rng.permuted(block, axis=1, out=block)
+        # block[i, b] lists the checks of bit b in the i-th matching
+        block = block.reshape(m, n, c)
+        clash = np.zeros((m, n), dtype=bool)
+        for i, j in itertools.combinations(range(c), 2):
+            clash |= block[:, :, i] == block[:, :, j]
+        simple = np.flatnonzero(~clash.any(axis=1))
+        if simple.size:
+            # a copy, so that the block is freed before the dense work below
+            assign = block[simple[0]].reshape(-1).copy()
+            del block
             break
+        drawn += m
+        m *= 2
     else:
-        raise RuntimeError(f"no simple ({c},{d}) graph on {n} bits in 1000 matchings")
+        raise RuntimeError(f"no simple ({c},{d}) graph on {n} bits in {_MATCHINGS} matchings")
+    # row i lists the checks of bit i in order
+    bit_checks = np.sort(assign.reshape(n, c), axis=1)
     f2 = field_of_size(2)
     Hd = np.zeros((r, n), dtype=np.uint8)
     Hd[assign, left_nodes] = 1
@@ -450,10 +480,10 @@ def code_from_text(text: str) -> tuple[LinearCode, ExpanderGraph | None]:
     if pos < len(lines) and lines[pos].startswith("alternant "):
         _, (p, m0, m, r) = bundle_key(lines, pos, {"alternant": (int,) * 4})
         ext = FieldSpec(p, m0, m)
-        pts = tuple(int(v) for v in bundle_line(lines, pos + 1, "the points line").split()[1:])
-        mults = tuple(int(v) for v in bundle_line(lines, pos + 2, "the mults line").split()[1:])
+        _, pts = bundle_key(lines, pos + 1, {"points": (int,) * n})
+        _, mults = bundle_key(lines, pos + 2, {"mults": (int,) * n})
         provenance = {
-            "origin": "alternant", "ext": ext, "a": pts, "y": mults,
+            "origin": "alternant", "ext": ext, "a": tuple(pts), "y": tuple(mults),
             "r": r, "d_lower": r + 1,
         }
         pos += 3

@@ -157,11 +157,9 @@ def _field_ops(field: FieldSpec):
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
     r, c = bits.shape
     words = max(1, (c + 63) // 64)
-    by = np.packbits(bits, axis=1, bitorder="little")
-    pad = words * 8 - by.shape[1]
-    if pad:
-        by = np.pad(by, ((0, 0), (0, pad)))
-    return np.ascontiguousarray(by).view(np.uint64).reshape(r, words)
+    by = np.zeros((r, words * 8), dtype=np.uint8)
+    by[:, : (c + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return by.view(np.uint64)
 
 
 def _unpack_rows(packed: np.ndarray, cols: int) -> np.ndarray:
@@ -426,7 +424,7 @@ def bundle_key(lines: list[str], at: int, keys: dict) -> tuple[str, list]:
     keys maps each key the bundle allows to the types of its values; any
     other key, value count or value is a ValueError naming the line.
     """
-    key, *values = lines[at].split()
+    key, *values = bundle_line(lines, at, f"the {' or '.join(keys)} line").split()
     types = keys.get(key)
     if types is None:
         raise ValueError(f"line {at + 1}: unknown bundle key {key!r}")
@@ -441,10 +439,9 @@ def bundle_key(lines: list[str], at: int, keys: dict) -> tuple[str, list]:
 
 def bundle_header(lines: list[str], tag: str) -> tuple[int, int, int]:
     """(q, n, k) from a bundle's first line, which must read "tag q n k"."""
-    head = bundle_line(lines, 0, f"the {tag} header").split()
-    if len(head) != 4 or head[0] != tag:
+    if bundle_line(lines, 0, f"the {tag} header").split()[0] != tag:
         raise ValueError(f"not a {tag} bundle: {lines[0]!r}")
-    q, n, k = map(int, head[1:])
+    _, (q, n, k) = bundle_key(lines, 0, {tag: (int,) * 3})
     return q, n, k
 
 
@@ -460,9 +457,11 @@ def take_matrix(lines: list[str], at: int, section: str) -> tuple[MatrixGF, int]
     then one line of entries per row. Returns the matrix and the index of
     the line after the block."""
     head = bundle_line(lines, at, f"the {section} header").split()
-    if len(head) != 3:
-        raise ValueError(f"line {at + 1}: {section} header must read 'q rows cols'")
-    q, rows, cols = map(int, head)
+    try:
+        q, rows, cols = map(int, head)
+    except ValueError:
+        raise ValueError(f"line {at + 1}: {section} header must read 'q rows cols', "
+                         f"got {lines[at]!r}") from None
     if rows < 0 or cols < 0:
         raise ValueError(f"line {at + 1}: {section} has negative shape {rows} x {cols}")
     try:

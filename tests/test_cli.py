@@ -420,6 +420,48 @@ def test_bad_bundle_key_line_exits_two_naming_it(tmp_path, capsys, kind, line, m
     assert err == f"error: line 2: {message}\n"
 
 
+@pytest.mark.parametrize("kind, old, new, message", [
+    ("linearcode", "linearcode 2 12 6\n", "linearcode 2 12 6\nbogus 7 8\n",
+     "line 2: G header must read 'q rows cols', got 'bogus 7 8'"),
+    ("linearcode", "linearcode 2 12 6", "linearcode 2 x 6",
+     "line 1: bad linearcode line 'linearcode 2 x 6'"),
+    ("csscode", "csscode 2 9 1", "csscode 2 9 x", "line 1: bad csscode line 'csscode 2 9 x'"),
+    ("stabcode", "stabcode 2 7 3", "stabcode 2 x 3", "line 1: bad stabcode line 'stabcode 2 x 3'"),
+    ("csscode", "hx\n2 2 9", "hx\n2 x 9", "line 5: hx header must read 'q rows cols', got '2 x 9'"),
+])
+def test_bad_bundle_header_field_exits_two_naming_it(tmp_path, capsys, kind, old, new, message):
+    """A non-integer field in a bundle or matrix header names its line."""
+    text = sample_bundles()[kind]
+    assert old in text
+    bundle = tmp_path / "bad.txt"
+    bundle.write_text(text.replace(old, new, 1))
+    for argv in fuzz_commands(kind, bundle, tmp_path):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (2, "", f"error: {message}\n"), argv[0]
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("points", "bogus", "line 3: unknown bundle key 'bogus'"),
+    ("mults", "points", "line 4: unknown bundle key 'points'"),
+    ("points 1 2 4 3 6 7 5", "points 1 2 4", "line 3: expected 7 value(s) after points, got 3"),
+    ("mults 1 2 4 3 6 7 5", "mults 1 2 4 3 6 7 5 1",
+     "line 4: expected 7 value(s) after mults, got 8"),
+    ("mults 1 2 4 3 6 7 5", "mults 1 2 4 3 6 7 x", "line 4: bad mults line 'mults 1 2 4 3 6 7 x'"),
+])
+def test_bad_alternant_key_line_exits_two_naming_it(tmp_path, capsys, old, new, message):
+    f = FieldSpec(2, 1, 3)
+    alpha = [f.pow(2, i) for i in range(7)]
+    text = code_to_text(make_alternant(f, a=alpha, y=alpha, r=1))
+    assert old in text
+    bad = tmp_path / "hamming.txt"
+    bad.write_text(text.replace(old, new, 1))
+    spc = tmp_path / "spc.txt"
+    spc.write_text(code_to_text(dual(make_repetition(3))))
+    rc, out, err = run(capsys, "construct", "enlarged", "--code1", str(bad), "--code2", str(spc),
+                       "--out", str(tmp_path / "out.txt"))
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 # ------------------------------------------------------- out-of-range flags
 
 @pytest.mark.parametrize("zeta", ["0", "-5"])

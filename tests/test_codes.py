@@ -404,6 +404,20 @@ def test_bundle_round_trip_expander():
     assert code_to_text(code2, graph2) == text
 
 
+def test_bundle_round_trip_alternant():
+    """The points and mults key lines read back as the recipe they record."""
+    f = FieldSpec(2, 1, 3)
+    alpha = [f.pow(2, i) for i in range(7)]
+    g = FieldSpec(2, 2, 4)
+    for code in (make_alternant(f, a=alpha, y=alpha, r=1),
+                 make_alternant(g, a=list(range(1, 16)), y=[1] * 15, r=2)):
+        text = code_to_text(code)
+        code2, graph2 = code_from_text(text)
+        assert graph2 is None
+        assert code2.provenance == code.provenance
+        assert code_to_text(code2) == text
+
+
 def test_bundle_without_distance_line():
     code, _ = make_expander(12, 2, 4, seed=3)
     text = code_to_text(code)
