@@ -160,7 +160,7 @@ def _cmd_decode(args) -> int:
     text = _read_text(args.bundle)
     if _bundle_kind(args.bundle, text) != "csscode":
         raise ValueError("decode needs a csscode bundle")
-    q = css_from_text(text, validate=False)
+    q = css_from_text(text)
     max_rounds = _at_least_one("round cap", args.max_rounds)
     decoder = _side_decoder(q, args.side, max_rounds, _resolve_workers(args.workers))
     check_rows = (q.hx if args.side == "x" else q.hz).rows if q.n0 is None else None
@@ -194,7 +194,7 @@ def _cmd_encode_circuit(args) -> int:
     text = _read_text(args.bundle)
     if _bundle_kind(args.bundle, text) != "csscode":
         raise ValueError("encode-circuit needs a csscode bundle")
-    q = css_from_text(text, validate=False)
+    q = css_from_text(text)
     circuit = build_encoder(q)
     _write_text(args.out, circuit_to_text(circuit))
     meta = circuit.meta
@@ -227,7 +227,7 @@ def _experiment_code(args):
         text = _read_text(args.bundle)
         if _bundle_kind(args.bundle, text) != "csscode":
             raise ValueError("experiments need a csscode bundle")
-        return css_from_text(text, validate=False)
+        return css_from_text(text)
     if args.N is None or args.n0 is None:
         raise ValueError("need either --bundle or both --N and --n0")
     return fast_family(args.N, args.n0, args.c, args.d, args.code_seed, validate=False)

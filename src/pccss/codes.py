@@ -162,7 +162,7 @@ def make_repetition(n0: int) -> LinearCode:
     )
 
 
-def lift_block(inner: LinearCode, copies: int, validate: bool = True) -> LinearCode:
+def lift_block(inner: LinearCode, copies: int) -> LinearCode:
     """Direct sum of `copies` disjoint copies: H = I (x) H0, G = I (x) G0."""
     if copies < 1:
         raise ValueError("need at least one copy")
@@ -178,7 +178,6 @@ def lift_block(inner: LinearCode, copies: int, validate: bool = True) -> LinearC
         d=inner.d_certified,
         method=inner.d_method,
         provenance={"origin": "lift", "copies": copies, "inner": inner.provenance},
-        validate=validate,
     )
 
 

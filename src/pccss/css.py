@@ -5,6 +5,16 @@ distance oracles.
 Check-matrix convention throughout: hx multiplies X-error vectors and hz
 multiplies Z-error vectors, so commutation is hx · hzᵀ = 0 and the degenerate
 X distance is the minimum weight over null(hx) \\ rowspace(hz).
+
+A code that carries a block length n0 has hz exactly I ⊗ [I | 1], the checks
+of n/n0 repetition blocks: block b's row i has ones at columns b·n0 + i and
+b·n0 + n0 - 1.  CssCode enforces this whenever hz is given as a matrix
+(fast_family builds it in that form), and the block decoders rely on it.
+Then, for any matrix a, a · hzᵀ adds the last column of each block of a to
+the block's other columns (_hz_products), so check_valid reads the
+commutator off hx without forming hz.  When it is zero, every column of a
+block of hx is minus the block's last column (over GF(2), hx is constant on
+each block), so rank(hx) = rank(hx[:, ::n0]) and k = n/n0 - rank(hx[:, ::n0]).
 """
 from __future__ import annotations
 
@@ -18,6 +28,7 @@ from .codes import LinearCode, lift_block, make_expander, make_repetition
 from .galois import GF2, FieldSpec, is_irreducible
 from .matgf import (
     MatrixGF,
+    _field_ops,
     _pack_rows,
     bundle_columns,
     bundle_header,
@@ -94,11 +105,19 @@ class CssCode:
         self.d_z = d_z
         self.d_method = d_method
         self.provenance = provenance or {}
+        if n0 is not None and self._hz is not None:
+            _check_block_hz(self._hz, n0)
         if k is None:
             k = n - rank(self.hx) - rank(self.hz)
         self.k = k
         if validate:
-            self._validate()
+            report = check_valid(self)
+            if not report.ok:
+                raise ValueError(report.messages[0])
+            if n <= 26:
+                for side, claimed in (("x", d_x), ("z", d_z)):
+                    if claimed is not None and distance_css(self, side) != claimed:
+                        raise ValueError(f"claimed d_{side} = {claimed} fails re-verification")
 
     @property
     def hx(self) -> MatrixGF:
@@ -111,21 +130,6 @@ class CssCode:
         if self._hz is None:
             self._hz = self._hz_builder()
         return self._hz
-
-    def _validate(self) -> None:
-        prod = mul(self.hx, self.hz.T)
-        if prod.data.any():
-            i, j = map(int, np.argwhere(prod.data)[0])
-            raise ValueError(f"check matrices do not commute: entry ({i},{j}) nonzero")
-        k_rank = self.n - rank(self.hx) - rank(self.hz)
-        if self.k != k_rank:
-            raise ValueError(f"k = {self.k} disagrees with rank bookkeeping {k_rank}")
-        if self.k < 0:
-            raise ValueError("negative logical dimension")
-        if self.n <= 26:
-            for side, claimed in (("x", self.d_x), ("z", self.d_z)):
-                if claimed is not None and distance_css(self, side) != claimed:
-                    raise ValueError(f"claimed d_{side} = {claimed} fails re-verification")
 
     def __repr__(self):
         return f"CssCode([[{self.n}, {self.k}]], q={self.field.size})"
@@ -144,14 +148,10 @@ class StabilizerCode:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool = True):
-        if not validate:
-            return
-        x = MatrixGF(self.gens.field, self.gens.data[:, : self.n])
-        z = MatrixGF(self.gens.field, self.gens.data[:, self.n :])
-        if mul(x, z.T) != mul(z, x.T):
-            raise ValueError("generators do not commute under the symplectic form")
-        if self.k != self.n - rank(self.gens):
-            raise ValueError(f"k = {self.k} disagrees with generator rank")
+        if validate:
+            report = check_valid_stabilizer(self)
+            if not report.ok:
+                raise ValueError(report.messages[0])
 
 
 # ----------------------------------------------------------- constructions
@@ -359,14 +359,52 @@ class ValidityReport:
     messages: tuple[str, ...] = ()
 
 
+def _hz_products(a: np.ndarray, n0: int, add=np.bitwise_xor) -> np.ndarray:
+    """a · hzᵀ for hz = I ⊗ [I | 1], without forming hz: the last column of
+    each block of n0 columns added to the block's other n0 - 1 columns, in
+    hz's row order.  For a stack of Z errors these are their syndromes; for
+    hx it is the commutator.  add is the field's addition (XOR over GF(2))."""
+    rows, blocks = a.shape[0], a.shape[1] // n0
+    b = a.reshape(rows, blocks, n0)
+    return add(b[:, :, : n0 - 1], b[:, :, n0 - 1 :]).reshape(rows, blocks * (n0 - 1))
+
+
+def _check_block_hz(hz: MatrixGF, n0: int) -> None:
+    """Raise unless hz is exactly I ⊗ [I | 1] with blocks of n0 columns,
+    naming its first wrong row."""
+    rows = hz.cols // n0 * (n0 - 1)
+    j = np.arange(min(hz.rows, rows))
+    first = j // (n0 - 1) * n0  # first column of each row's block
+    d = hz.data[: j.size]
+    ok = (np.count_nonzero(d, axis=1) == 2) & (d[j, first + j % (n0 - 1)] == 1)
+    ok &= d[j, first + n0 - 1] == 1
+    wrong = np.flatnonzero(~ok)
+    if wrong.size:
+        raise ValueError(f"hz row {wrong[0]} is not row {wrong[0]} of I (x) [I | 1] "
+                         f"for n0 = {n0}")
+    if hz.rows != rows:
+        raise ValueError(f"hz has {hz.rows} rows; I (x) [I | 1] for n0 = {n0} has {rows}")
+
+
 def check_valid(q: CssCode) -> ValidityReport:
+    """Commutation, rank bookkeeping of k and its sign.  A code with n0 has
+    hz = I ⊗ [I | 1] (CssCode enforces it), so hz is never formed: the
+    commutator comes from _hz_products and rank(hz) is n/n0 · (n0 - 1)."""
     msgs = []
-    prod = mul(q.hx, q.hz.T)
-    bad = np.argwhere(prod.data)
-    if len(bad):
-        i, j = map(int, bad[0])
-        msgs.append(f"commutator has {len(bad)} nonzero entries, first at ({i},{j})")
-    k_rank = q.n - rank(q.hx) - rank(q.hz)
+    if q.n0 is None:
+        comm, rank_hz = mul(q.hx, q.hz.T).data, rank(q.hz)
+    else:
+        add = np.bitwise_xor if q.field.size == 2 else _field_ops(q.field)[0]
+        comm, rank_hz = _hz_products(q.hx.data, q.n0, add), q.n // q.n0 * (q.n0 - 1)
+    bad = np.count_nonzero(comm)
+    if bad:
+        i, j = map(int, np.argwhere(comm)[0])
+        msgs.append(f"commutator has {bad} nonzero entries, first at ({i},{j})")
+    if q.n0 is not None and not bad:
+        # every column of a block of hx is minus the block's last column
+        k_rank = q.n // q.n0 - rank(MatrixGF(q.field, q.hx.data[:, :: q.n0]))
+    else:
+        k_rank = q.n - rank(q.hx) - rank_hz
     if q.k != k_rank:
         msgs.append(f"k = {q.k} but rank bookkeeping gives {k_rank}")
     if q.k < 0:
@@ -548,12 +586,12 @@ def css_to_text(q: CssCode) -> str:
 
 def _outer_from_hx(hx: MatrixGF, n0: int) -> LinearCode:
     h2 = MatrixGF(hx.field, hx.data[:, ::n0])
-    k = h2.cols - rank(h2)
+    G = nullspace(h2)
     return LinearCode(
         field=h2.field,
         n=h2.cols,
-        k=k,
-        G=nullspace(h2),
+        k=G.rows,
+        G=G,
         H=h2,
         provenance={"origin": "bundle"},
     )

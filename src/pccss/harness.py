@@ -30,6 +30,7 @@ import numpy as np
 
 from .bounds import pz_upper_bound
 from .channel import PauliError, check_key, make_channel, sample_errors
+from .css import _hz_products, css_from_text, fast_family
 from .decode import (
     CORRECTED,
     DETECTED,
@@ -185,12 +186,8 @@ class TrialRecord:
 
 def _build_code(cfg: ExperimentConfig):
     if cfg.bundle is not None:
-        from .css import css_from_text
-
         with open(cfg.bundle) as fh:
             return css_from_text(fh.read())
-    from .css import fast_family
-
     return fast_family(cfg.n, cfg.n0, c=cfg.c, d=cfg.d, seed=cfg.code_seed, validate=False)
 
 
@@ -202,13 +199,6 @@ _BLOCK_BITS = _BLOCK_TRIALS * 1024
 
 def _block_size(n: int) -> int:
     return max(1, min(_BLOCK_TRIALS, _BLOCK_BITS // n))
-
-
-def _z_syndromes(z: np.ndarray, n0: int) -> np.ndarray:
-    """Z syndromes of a stack of errors, shape (rows, blocks, n0 - 1): each
-    block's first n0 - 1 bits XORed with its last bit."""
-    blocks = z.reshape(z.shape[0], -1, n0)
-    return blocks[:, :, : n0 - 1] ^ blocks[:, :, n0 - 1 :]
 
 
 def _outer_decoder(q, decoder: str, max_rounds: int):
@@ -515,8 +505,8 @@ def timing_scaling(codes, trials: int = 32, partitions: int = 2, p: float = 0.05
     if sizes != sorted(sizes):
         raise ValueError("code grid must be sorted by n")
     ch = make_channel(p, math.inf)
-    batches = [list(_z_syndromes(sample_errors(ch, q.n, seed, range(trials)).z, q.n0)
-                    .reshape(trials, -1)) for q in codes]
+    batches = [list(_hz_products(sample_errors(ch, q.n, seed, range(trials)).z, q.n0))
+               for q in codes]
     serial = [math.inf] * len(codes)
     parted = [math.inf] * len(codes)
     # rounds over the whole grid: a slow spell of the machine then lands on

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from pccss.cli import build_parser, main
 from pccss.codes import code_to_text, dual, make_alternant, make_expander, make_repetition
-from pccss.css import css_from_text, stab_from_text
+from pccss.css import css_from_text, css_to_text, stab_from_text, stab_to_text
 from pccss.galois import FieldSpec
 from pccss.stabcirc import circuit_from_text
 
@@ -307,6 +307,79 @@ def test_truncated_expander_code_bundles_exit_cleanly(tmp_path, capsys):
     # the only valid prefix stops right after H, before the adjacency block
     h_end = text.splitlines().index("expander 12 6 3 6 0")
     assert codes == [2] * h_end + [0] + [2] * (len(codes) - h_end - 1)
+
+
+def edit_matrix_row(bundle: Path, dest: Path, section: str, row: int, edit) -> Path:
+    """Copy bundle to dest with row `row` of one matrix section replaced by
+    edit(rows), where rows are that section's rows as lists of ints."""
+    lines = bundle.read_text().splitlines()
+    at = lines.index(section) + 2
+    count = int(lines[at - 1].split()[1])
+    rows = [[int(v) for v in line.split()] for line in lines[at : at + count]]
+    lines[at + row] = " ".join(map(str, edit(rows)))
+    dest.write_text("\n".join(lines) + "\n")
+    return dest
+
+
+def test_reordered_block_hz_exits_two_naming_the_row(shor_bundle, tmp_path, capsys):
+    """hz row 1 replaced by rows 0 + 1: the row space is unchanged, but the
+    block decoders need hz to be exactly I (x) [I | 1]."""
+    bad = edit_matrix_row(shor_bundle, tmp_path / "bad.txt", "hz", 1,
+                          lambda rows: [a ^ b for a, b in zip(rows[0], rows[1])])
+    syn = tmp_path / "zsyn.txt"
+    syn.write_text("1 0 0 0 0 0\n")
+    for argv in (["check", str(bad)],
+                 ["decode", str(bad), "--side", "z", "--syndrome", str(syn)],
+                 ["simulate", "--bundle", str(bad), "--p", "0.1", "--zeta", "2",
+                  "--trials", "4"]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv[0]
+        assert err == "error: hz row 1 is not row 1 of I (x) [I | 1] for n0 = 3\n", argv[0]
+
+
+def test_commands_relying_on_blocks_refuse_a_non_block_hx(shor_bundle, tmp_path, capsys):
+    bad = edit_matrix_row(shor_bundle, tmp_path / "bad.txt", "hx", 0,
+                          lambda rows: [1 - rows[0][0]] + rows[0][1:])
+    syn = tmp_path / "syn.txt"
+    syn.write_text("1 0\n")
+    for argv in (["decode", str(bad), "--side", "x", "--syndrome", str(syn)],
+                 ["encode-circuit", str(bad), "--out", str(tmp_path / "circuit.txt")],
+                 ["sweep", "--bundle", str(bad), "--side", "x", "--weights", "1"]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv[0]
+        assert err.startswith("error: commutator has"), argv[0]
+    assert not (tmp_path / "circuit.txt").exists()
+
+
+def test_constructed_bundles_reload_validated_byte_identically(tmp_path, capsys):
+    f = FieldSpec(2, 1, 3)
+    alpha = [f.pow(2, i) for i in range(7)]
+    code, graph = make_expander(12, 3, 6, 0)
+    components = {
+        "hamming": code_to_text(make_alternant(f, a=alpha, y=alpha, r=1)),
+        "spc": code_to_text(dual(make_repetition(3))),
+        "expander": code_to_text(code, graph),
+        "outer": code_to_text(make_repetition(code.k)),
+    }
+    for name, text in components.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    builds = {
+        "fast-rep": ["fast", "--N", "9", "--n0", "3", "--outer", "rep"],
+        "fast-expander": ["fast", "--N", "64", "--n0", "4"],
+        "css": ["css", "--code1", "hamming", "--code2", "hamming"],
+        "pccss": ["pccss", "--code1", "expander", "--code2", "outer"],
+        "enlarged": ["enlarged", "--code1", "hamming", "--code2", "spc"],
+    }
+    for name, args in builds.items():
+        args = [str(tmp_path / f"{a}.txt") if a in components else a for a in args]
+        path = tmp_path / f"{name}-bundle.txt"
+        rc, _, err = run(capsys, "construct", *args, "--out", str(path))
+        assert rc == 0, (name, err)
+        text = path.read_text()
+        if name == "enlarged":
+            assert stab_to_text(stab_from_text(text)) == text
+        else:
+            assert css_to_text(css_from_text(text)) == text, name
 
 
 def test_negative_entry_exits_two(shor_bundle, tmp_path, capsys):

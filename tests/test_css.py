@@ -38,8 +38,8 @@ from pccss.css import (
     stab_from_text,
     stab_to_text,
 )
-from pccss.galois import FieldSpec
-from pccss.matgf import MatrixGF, mul, nullspace, rank, rref, zeros
+from pccss.galois import FieldSpec, field_of_size
+from pccss.matgf import MatrixGF, _field_ops, mul, nullspace, rank, rref, zeros
 
 
 def hamming_code():
@@ -216,6 +216,54 @@ def test_check_valid_rank_bookkeeping():
     for seed in range(5):
         q = fast_family(48, 4, c=3, d=6, seed=seed)
         assert check_valid(q).ok
+
+
+@given(
+    q=st.sampled_from([2, 3, 4]),
+    n0=st.sampled_from([2, 3, 4, 5, 8]),
+    blocks=st.integers(1, 6),
+    rows=st.integers(0, 4),
+    corruptions=st.integers(0, 3),
+    k_offset=st.integers(-2, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_block_check_valid_matches_dense(q, n0, blocks, rows, corruptions, k_offset, seed):
+    """check_valid on a code with n0 reads hx block by block; its report is
+    byte-equal to the dense one on the same matrices without n0."""
+    f = field_of_size(q)
+    rng = np.random.default_rng(seed)
+    h2 = rng.integers(0, q, size=(rows, blocks)).astype(np.uint8)
+    hx = np.repeat(h2, n0, axis=1)
+    hx[:, n0 - 1 :: n0] = _field_ops(f)[2](h2)  # each column plus the last is 0
+    for _ in range(corruptions if rows else 0):
+        hx[rng.integers(rows), rng.integers(blocks * n0)] = rng.integers(q)
+    hx = MatrixGF(f, hx)
+    hz = MatrixGF(f, lift_block(make_repetition(n0), blocks).H.data)
+    k = blocks - rank(MatrixGF(f, h2)) + k_offset
+    block = check_valid(CssCode(n=blocks * n0, hx=hx, hz=hz, k=k, n0=n0, validate=False))
+    dense = check_valid(CssCode(n=blocks * n0, hx=hx, hz=hz, k=k, validate=False))
+    assert block == dense
+
+
+def test_validated_fast_family_never_forms_hz():
+    q = fast_family(2**14, 16, 3, 6, 0)
+    assert q._hz is None
+    assert q.k == fast_family(2**14, 16, 3, 6, 0, validate=False).k
+
+
+@pytest.mark.parametrize("row, xor_with", [(1, 0), (5, 2), (0, None)])
+def test_block_hz_must_be_lifted_repetition_checks(row, xor_with):
+    """A code with n0 refuses any hz but I (x) [I | 1], validated or not,
+    even one with the same row space, naming the first wrong row."""
+    q = shor_code()
+    hz = q.hz.data.copy()
+    hz[row] = hz[row] ^ hz[xor_with] if xor_with is not None else 0
+    for validate in (True, False):
+        with pytest.raises(ValueError, match=f"hz row {row} is not row {row}"):
+            CssCode(n=9, hx=q.hx, hz=MatrixGF(q.hz.field, hz), k=1, n0=3, validate=validate)
+    with pytest.raises(ValueError, match="hz has 5 rows"):
+        CssCode(n=9, hx=q.hx, hz=MatrixGF(q.hz.field, q.hz.data[:5]), k=1, n0=3)
 
 
 # ------------------------------------------------------------ distance_css
