@@ -118,6 +118,12 @@ class CssCode:
                 for side, claimed in (("x", d_x), ("z", d_z)):
                     if claimed is not None and distance_css(self, side) != claimed:
                         raise ValueError(f"claimed d_{side} = {claimed} fails re-verification")
+        # drop what k or validation built from a builder: a large code keeps
+        # only the matrices its users touch (a dense 2^16 hx is 128 MB)
+        if self._hx_builder is not None:
+            self._hx = None
+        if self._hz_builder is not None:
+            self._hz = None
 
     @property
     def hx(self) -> MatrixGF:

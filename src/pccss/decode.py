@@ -11,13 +11,14 @@ miscorrection after the fact.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
 
 from .galois import FieldSpec
-from .matgf import MatrixGF, _field_ops, _span_chunks, mul, solve
+from .matgf import _SPAN_CHUNK, MatrixGF, _field_ops, _span_chunks, mul, solver
 
 __all__ = [
     "Syndrome",
@@ -78,16 +79,37 @@ def _check_exhaustive_size(code) -> None:
         raise ValueError(f"coset of {q}^{code.k} codewords is too large to enumerate")
 
 
+# Per code: its factored check matrix, and its codewords when they fit in
+# one _span_chunks chunk.  Keyed by the code object, which is frozen over
+# write-protected matrices, so an entry lives exactly as long as its code.
+_EXHAUSTIVE_CACHE = weakref.WeakKeyDictionary()
+
+
+def _exhaustive_setup(code):
+    setup = _EXHAUSTIVE_CACHE.get(code)
+    if setup is None:
+        table = None
+        if code.field.size ** code.G.rows <= _SPAN_CHUNK:
+            (table,) = _span_chunks(code.G)
+        setup = _EXHAUSTIVE_CACHE[code] = (solver(code.H), table)
+    return setup
+
+
 def exhaustive_decode(code, s) -> DecodeOutcome:
     """Minimum-weight coset leader by full enumeration, lexicographic ties.
 
     Only intended for small codes; refuses n > 24 or more than 2^18 codewords.
+    The check matrix is factored once per code (matgf.solver), and a code
+    whose codewords fit in one _span_chunks chunk keeps them in a table, so
+    repeated syndromes of one code pay only a product and a scan; larger
+    codes enumerate their codewords on every call.
     """
     s = _as_vector(s)
     field = code.field
     q = field.size
     _check_exhaustive_size(code)
-    x0 = solve(code.H, s)
+    factored, table = _exhaustive_setup(code)
+    x0 = factored.solve(s)
     if x0 is None:
         return DecodeOutcome(DETECTED, np.zeros(code.n, dtype=np.uint8), {"cosets": 0})
     if code.k == 0:
@@ -96,7 +118,7 @@ def exhaustive_decode(code, s) -> DecodeOutcome:
     add = _field_ops(field)[0]
     best_w = None
     best = None
-    for cw in _span_chunks(code.G):
+    for cw in _span_chunks(code.G) if table is None else (table,):
         vecs = add(cw, x0[None, :])
         weights = (vecs != 0).sum(axis=1)
         wmin = int(weights.min())

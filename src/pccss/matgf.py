@@ -44,6 +44,8 @@ __all__ = [
     "reduce_vector",
     "rref",
     "solve",
+    "Solver",
+    "solver",
     "standard_form",
     "take_matrix",
     "transpose",
@@ -299,16 +301,19 @@ def mul(A: MatrixGF, B: MatrixGF) -> MatrixGF:
     return MatrixGF(field, C)
 
 
+_SPAN_CHUNK = 4096
+
+
 def _span_chunks(G: MatrixGF):
-    """Every vector of G's row space, as arrays of up to 4096 rows: row i
-    of the whole sequence is the combination of G's rows whose coefficients
-    are the base-q digits of i, least significant first, so the zero vector
-    comes first.  The caller bounds q^G.rows, the number of rows."""
+    """Every vector of G's row space, as arrays of up to _SPAN_CHUNK rows:
+    row i of the whole sequence is the combination of G's rows whose
+    coefficients are the base-q digits of i, least significant first, so the
+    zero vector comes first.  The caller bounds q^G.rows, the number of rows."""
     q = G.field.size
     total = q**G.rows
     pows = q ** np.arange(G.rows, dtype=np.int64)
-    for lo in range(0, total, 4096):
-        idx = np.arange(lo, min(lo + 4096, total), dtype=np.int64)
+    for lo in range(0, total, _SPAN_CHUNK):
+        idx = np.arange(lo, min(lo + _SPAN_CHUNK, total), dtype=np.int64)
         msgs = ((idx[:, None] // pows[None, :]) % q).astype(G.data.dtype)
         yield mul(MatrixGF(G.field, msgs), G).data
 
@@ -381,21 +386,46 @@ def in_rowspace(rr: RrefResult, v: np.ndarray) -> bool:
     return not reduce_vector(rr, v).any()
 
 
+@dataclass(frozen=True)
+class Solver:
+    """A factored once for repeated solves of A x = b.
+
+    transform is the invertible T from one rref of [A | I]: the left block
+    of that rref is T·A = rref(A), so for b in A's column space the first
+    rank entries of T·b are the pivot values of a solution, and b lies there
+    exactly when the other entries are zero.
+    """
+
+    transform: MatrixGF
+    pivots: tuple[int, ...]
+    cols: int
+
+    def solve(self, b: np.ndarray):
+        """One solution x of A x = b, or None if the system is inconsistent."""
+        T = self.transform
+        b = np.asarray(b).reshape(-1)
+        if b.shape[0] != T.cols:
+            raise ValueError("right-hand side length mismatch")
+        tb = mul(T, MatrixGF(T.field, b.reshape(-1, 1).astype(T.data.dtype))).data[:, 0]
+        rk = len(self.pivots)
+        if tb[rk:].any():
+            return None
+        x = np.zeros(self.cols, dtype=T.data.dtype)
+        x[list(self.pivots)] = tb[:rk]
+        return x
+
+
+def solver(A: MatrixGF) -> Solver:
+    """Factor A once (see Solver)."""
+    rr = rref(hstack([A, identity(A.field, A.rows)]))
+    pivots = tuple(p for p in rr.pivots if p < A.cols)
+    return Solver(MatrixGF(A.field, rr.matrix.data[:, A.cols :]), pivots, A.cols)
+
+
 def solve(A: MatrixGF, b: np.ndarray):
-    """One solution x of A x = b, or None if the system is inconsistent."""
-    field = A.field
-    b = np.asarray(b).reshape(-1)
-    if b.shape[0] != A.rows:
-        raise ValueError("right-hand side length mismatch")
-    aug = MatrixGF(field, np.hstack([A.data, b.reshape(-1, 1).astype(A.data.dtype)]))
-    rr = rref(aug)
-    if any(p == A.cols for p in rr.pivots):
-        return None
-    x = np.zeros(A.cols, dtype=A.data.dtype)
-    R = rr.matrix.data
-    for i, p in enumerate(rr.pivots):
-        x[p] = R[i, A.cols]
-    return x
+    """One solution x of A x = b, or None if the system is inconsistent:
+    solver(A).solve(b), for a single right-hand side."""
+    return solver(A).solve(b)
 
 
 # ----------------------------------------------------------- text format

@@ -760,3 +760,44 @@ def test_bounds_grid_that_never_ends_exits_two(capsys, flags, message):
     assert rc == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+STEANE_REDUNDANT_HX = """csscode 2 7 1
+hx
+2 4 7
+1 0 1 0 1 0 1
+0 1 1 0 0 1 1
+0 0 0 1 1 1 1
+1 1 0 0 1 1 0
+hz
+2 3 7
+1 0 1 0 1 0 1
+0 1 1 0 0 1 1
+0 0 0 1 1 1 1
+"""
+
+
+@pytest.mark.parametrize("side, syndromes, expected", [
+    ("x", "0 0 0 0\n1 0 0 1\n# a comment\n1 1 0 0\n0 1 1 1\n1 0 1 0\n1 1 1 0\n",
+     "corrected 0 0 0 0 0 0 0\n"
+     "corrected 1 0 0 0 0 0 0\n"
+     "corrected 0 0 1 0 0 0 0\n"
+     "corrected 0 0 0 0 0 1 0\n"
+     "detected-uncorrectable 0 0 0 0 0 0 0\n"
+     "corrected 0 0 0 0 0 0 1\n"),
+    ("z", "0 0 0\n1 0 0\n1 1 0\n1 1 1\n",
+     "corrected 0 0 0 0 0 0 0\n"
+     "corrected 1 0 0 0 0 0 0\n"
+     "corrected 0 0 1 0 0 0 0\n"
+     "corrected 0 0 0 0 0 0 1\n"),
+])
+def test_decode_without_blocks_prints_coset_leaders(tmp_path, capsys, side, syndromes, expected):
+    """A bundle without n0 is decoded by exhaustive coset-leader search, one
+    line per syndrome; hx's fourth row is the sum of the first two, so the
+    x syndrome 1 0 1 0 has no solution."""
+    bundle = tmp_path / "steane.txt"
+    bundle.write_text(STEANE_REDUNDANT_HX)
+    path = tmp_path / "syndromes.txt"
+    path.write_text(syndromes)
+    rc, out, err = run(capsys, "decode", str(bundle), "--side", side, "--syndrome", str(path))
+    assert (rc, out, err) == (0, expected, "")

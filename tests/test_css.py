@@ -578,3 +578,11 @@ def test_stab_bundle_round_trip():
     assert (s2.n, s2.k) == (s.n, s.k)
     assert np.array_equal(s2.gens.data, s.gens.data)
     assert stab_to_text(s2) == text
+
+
+def test_validated_fast_family_drops_the_hx_validation_built():
+    """Validation reads a dense hx; the code does not keep it, and builds
+    it again on demand."""
+    q = fast_family(2**10, 16, 3, 6, 0)
+    assert q._hx is None and q._hz is None
+    assert np.array_equal(q.hx.data, np.repeat(q.outer.H.data, 16, axis=1))

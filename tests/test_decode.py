@@ -3,14 +3,17 @@ inject-and-recover trials.
 """
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pccss.codes import make_alternant, make_expander, make_repetition
+from pccss import decode
+from pccss.codes import LinearCode, make_alternant, make_expander, make_repetition
 from pccss.decode import (
     DecodeOutcome,
     _flip_rows,
@@ -23,8 +26,8 @@ from pccss.decode import (
     pccss_decode_z,
     syndrome_of,
 )
-from pccss.galois import FieldSpec
-from pccss.matgf import MatrixGF
+from pccss.galois import FieldSpec, field_of_size
+from pccss.matgf import MatrixGF, _field_ops, _span_chunks, nullspace, solve
 
 
 def brute_leader(H: MatrixGF, s: np.ndarray) -> np.ndarray | None:
@@ -83,6 +86,84 @@ def test_exhaustive_size_cap():
     big = make_repetition(25)
     with pytest.raises(ValueError):
         exhaustive_decode(big, np.zeros(24, dtype=np.uint8))
+
+
+def reference_exhaustive(code, s) -> DecodeOutcome:
+    """One solve, then every codeword of G added to its solution: the
+    lightest, lexicographically smallest vector of the coset."""
+    s = np.asarray(s).reshape(-1)
+    x0 = solve(code.H, s)
+    if x0 is None:
+        return DecodeOutcome("detected-uncorrectable", np.zeros(code.n, dtype=np.uint8),
+                             {"cosets": 0})
+    if code.k == 0:
+        return DecodeOutcome("corrected", x0, {"cosets": 1})
+    coset = _field_ops(code.field)[0](np.vstack(list(_span_chunks(code.G))), x0[None, :])
+    _, leader = min((int(np.count_nonzero(v)), tuple(v)) for v in coset)
+    return DecodeOutcome("corrected", np.array(leader, dtype=x0.dtype),
+                         {"cosets": code.field.size ** code.k})
+
+
+def code_from_checks(q: int, H: np.ndarray) -> LinearCode:
+    f = field_of_size(q)
+    H = MatrixGF(f, H)
+    G = nullspace(H)
+    return LinearCode(field=f, n=H.cols, k=G.rows, G=G, H=H)
+
+
+def exhaustive_cases():
+    """(code, syndromes): random checks over GF(2), GF(3) and GF(4) with a
+    redundant row (so some syndromes are inconsistent), k = 0, and codes
+    with more than 4096 codewords, which are enumerated chunk by chunk."""
+    rng = np.random.default_rng(4)
+    for q, rows, n in ((2, 4, 9), (2, 5, 12), (3, 3, 6), (3, 4, 7), (4, 3, 5), (4, 2, 6)):
+        H = rng.integers(0, q, size=(rows, n))
+        H = np.vstack([H, _field_ops(field_of_size(q))[0](H[0], H[1])])
+        yield code_from_checks(q, H)
+    yield code_from_checks(2, np.eye(5, dtype=np.uint8))  # k = 0
+    yield code_from_checks(3, np.vstack([np.eye(3, dtype=np.uint8)] * 2))  # k = 0, redundant
+    yield code_from_checks(2, rng.integers(0, 2, size=(3, 17)))  # 2^14 codewords
+    yield code_from_checks(3, rng.integers(0, 3, size=(2, 10)))  # 3^8 codewords
+
+
+def test_exhaustive_matches_full_enumeration_reference():
+    rng = np.random.default_rng(5)
+    inconsistent = streamed = 0
+    for code in exhaustive_cases():
+        q = code.field.size
+        streamed += q ** code.k > 4096
+        syndromes = [rng.integers(0, q, size=code.H.rows) for _ in range(12)]
+        for s in syndromes:
+            got, want = exhaustive_decode(code, s), reference_exhaustive(code, s)
+            assert (got.status, got.counters, got.residual) == (want.status, want.counters, None)
+            assert got.estimate.dtype == want.estimate.dtype
+            assert np.array_equal(got.estimate, want.estimate)
+            inconsistent += got.status == "detected-uncorrectable"
+    assert inconsistent and streamed == 2
+
+
+def test_exhaustive_factors_each_code_once(monkeypatch):
+    calls = []
+    real = decode.solver
+    monkeypatch.setattr(decode, "solver", lambda H: calls.append(H) or real(H))
+    code = hamming_code()
+    for i in range(7):
+        e = np.zeros(7, dtype=np.uint8)
+        e[i] = 1
+        assert exhaustive_decode(code, syndrome_of(code.H, e)).estimate.tolist() == e.tolist()
+    assert len(calls) == 1
+
+
+def test_exhaustive_cache_does_not_outlive_its_code():
+    code = code_from_checks(2, np.array([[1, 1, 0, 0], [0, 1, 1, 1]], dtype=np.uint8))
+    exhaustive_decode(code, np.array([1, 0], dtype=np.uint8))
+    assert code in decode._EXHAUSTIVE_CACHE
+    alive = weakref.ref(code)
+    before = len(decode._EXHAUSTIVE_CACHE)
+    del code
+    gc.collect()
+    assert alive() is None
+    assert len(decode._EXHAUSTIVE_CACHE) == before - 1
 
 
 # ----------------------------------------------------------- bdd alternant

@@ -23,6 +23,7 @@ from pccss.matgf import (
     reduce_vector,
     rref,
     solve,
+    solver,
     standard_form,
     transpose,
     zeros,
@@ -342,6 +343,51 @@ def test_solve_over_large_fields(field):
     rhs = loop_product(field, D.data, rng.integers(0, field.size, size=(4, 1)))[:, 0]
     rhs[-1] = field.add(int(rhs[-1]), 1)
     assert solve(D, rhs) is None
+
+
+def augmented_solve(A: MatrixGF, b: np.ndarray):
+    """A x = b by one rref of [A | b]: None when b becomes a pivot column,
+    else the pivot values read from the last column."""
+    aug = MatrixGF(A.field, np.hstack([A.data, b.reshape(-1, 1).astype(A.data.dtype)]))
+    rr = rref(aug)
+    if A.cols in rr.pivots:
+        return None
+    x = np.zeros(A.cols, dtype=A.data.dtype)
+    for i, p in enumerate(rr.pivots):
+        x[p] = rr.matrix.data[i, A.cols]
+    return x
+
+
+@given(
+    q=st.sampled_from([2, 3, 4, 5, 8, 625]),
+    rows=st.integers(0, 5),
+    cols=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_solver_matches_augmented_elimination(q, rows, cols, seed):
+    """One factorisation of A gives, for every right-hand side, the solution
+    (or None) that eliminating [A | b] gives; half the right-hand sides are
+    in A's column space, and A gets a dependent row when it has two."""
+    f = field_of_size(q)
+    rng = np.random.default_rng(seed)
+    data = with_dependent_row(f, rng, rows, cols) if rows > 1 else rng.integers(0, q, (rows, cols))
+    A = MatrixGF(f, data)
+    factored = solver(A)
+    for t in range(6):
+        if t % 2:
+            b = rng.integers(0, q, size=rows)
+        else:
+            b = loop_product(f, A.data, rng.integers(0, q, size=(cols, 1)))[:, 0]
+        b = b.astype(A.data.dtype)
+        want = augmented_solve(A, b)
+        for got in (factored.solve(b), solve(A, b)):
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+    with pytest.raises(ValueError):
+        factored.solve(np.zeros(rows + 1, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("field", LARGE, ids=lambda f: f"q{f.size}")

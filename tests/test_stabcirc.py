@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pccss.codes import lift_block, make_repetition, LinearCode
 from pccss.css import CssCode, fast_family, make_pccss
 from pccss.galois import GF2
-from pccss.matgf import MatrixGF, identity, zeros
+from pccss.matgf import MatrixGF, identity, in_rowspace, rref, zeros
 from pccss.stabcirc import (
     Circuit,
     Gate,
@@ -12,6 +14,7 @@ from pccss.stabcirc import (
     circuit_depth,
     circuit_from_text,
     circuit_to_text,
+    VerifyReport,
     tableau_new,
     tableau_run,
     verify_encoder,
@@ -176,3 +179,88 @@ def test_circuit_text_without_header_infers_width():
     c = circuit_from_text("CX 0 2\nH 1\n")
     assert c.n == 3
     assert c.gates[0] == Gate("CX", (0, 2), "I")
+
+
+# --------------------------------------------- references for the simulator
+
+def reference_tableau_run(c):
+    """Gate by gate on the Tableau arrays (Aaronson and Gottesman's rules)."""
+    t = tableau_new(c.n)
+    for g in c.gates:
+        if g.name == "H":
+            (a,) = g.qubits
+            t.r ^= t.x[:, a] & t.z[:, a]
+            t.x[:, a], t.z[:, a] = t.z[:, a].copy(), t.x[:, a].copy()
+        else:
+            ctl, a = g.qubits
+            t.r ^= t.x[:, ctl] & t.z[:, a] & (t.x[:, a] ^ t.z[:, ctl] ^ 1)
+            t.x[:, a] ^= t.x[:, ctl]
+            t.z[:, ctl] ^= t.z[:, a]
+    return t
+
+
+def reference_verify(q, c):
+    """Every check row tested for membership in the row space of the
+    stabilizer generators."""
+    t = reference_tableau_run(c)
+    rr = rref(MatrixGF(GF2, t.stabilizer_rows()))
+    pad = np.zeros(c.n, dtype=np.uint8)
+    msgs = []
+    for label, rows, x_side in (("x", q.hx, True), ("z", q.hz, False)):
+        for i, h in enumerate(rows.data):
+            vec = np.concatenate([h, pad] if x_side else [pad, h])
+            if not in_rowspace(rr, vec):
+                msgs.append(f"{label}-check row {i} missing from encoded group")
+    return VerifyReport(ok=not msgs, messages=tuple(msgs))
+
+
+@st.composite
+def random_circuits(draw):
+    n = draw(st.integers(1, 12))
+    gate = st.one_of(
+        st.builds(lambda a: Gate("H", (a,)), st.integers(0, n - 1)),
+        st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(
+            lambda qs: Gate("CX", tuple(qs))) if n > 1 else st.nothing(),
+    )
+    return Circuit(n, tuple(draw(st.lists(gate, max_size=60))))
+
+
+@given(random_circuits())
+@example(Circuit(1, ()))
+@example(Circuit(12, ()))
+@settings(max_examples=300, deadline=None)
+def test_tableau_run_matches_per_gate_reference(c):
+    got, want = tableau_run(c), reference_tableau_run(c)
+    for name in ("x", "z", "r"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b), name
+
+
+def criterion_8_codes():
+    for big_n, n0 in ((24, 4), (48, 8), (32, 2), (64, 4)):
+        for seed in range(20):
+            yield fast_family(big_n, n0, 3, 6, seed)
+
+
+def test_verify_matches_rowspace_reference_on_encoders_and_mutants():
+    """Encoders of the criterion-8 set verify as the row-space test says,
+    and so do copies with a gate dropped, duplicated or moved."""
+    rng = np.random.default_rng(8)
+    rejected = 0
+    for q in criterion_8_codes():
+        c = build_encoder(q)
+        gates = list(c.gates)
+        variants = [c]
+        for _ in range(2):
+            i, j = map(int, rng.integers(len(gates), size=2))
+            moved = gates[:i] + gates[i + 1 :]
+            moved.insert(j, gates[i])
+            variants += [Circuit(c.n, tuple(gates[:i] + gates[i + 1 :])),
+                         Circuit(c.n, tuple(gates[:i] + [gates[i]] + gates[i:])),
+                         Circuit(c.n, tuple(moved))]
+        for v in variants:
+            got = verify_encoder(q, v)
+            assert got == reference_verify(q, v)
+            rejected += not got.ok
+    assert rejected > 100  # the mutants exercise the failing branch
