@@ -10,7 +10,7 @@ import sys
 from pccss.bounds import (
     curves_to_csv,
     gap_curves,
-    max_hashing_gap,
+    max_gap,
     pccss_channel_rate,
     rate_curves,
     solve_threshold,
@@ -28,7 +28,8 @@ def main() -> int:
     zetas = args.zeta or [10.0, 100.0, 1000.0]
 
     curves = rate_curves(zetas, pmax=args.pmax, step=args.step)
-    csv = curves_to_csv(curves + gap_curves(curves, zetas))
+    gaps = gap_curves(curves, zetas)
+    csv = curves_to_csv(curves + gaps)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -36,8 +37,8 @@ def main() -> int:
     else:
         sys.stdout.write(csv)
 
-    for zeta in zetas:
-        gap = max_hashing_gap(zeta, pmax=args.pmax, step=args.step)
+    for zeta, gap_curve in zip(zetas, gaps):
+        gap = max_gap(gap_curve)
         crossover = solve_threshold(
             lambda p: pccss_channel_rate(p, zeta), 1e-6, 0.5, tol=1e-8
         )

@@ -21,6 +21,7 @@ __all__ = [
     "gv_css_rate",
     "gv_enlarged_rate",
     "hashing_rate",
+    "max_gap",
     "max_hashing_gap",
     "pccss_channel_rate",
     "pz_upper_bound",
@@ -115,23 +116,6 @@ def _check_grid(pmax: float, step: float) -> None:
         raise ValueError(f"largest error probability {pmax} must be <= 1")
 
 
-def max_hashing_gap(zeta: float, pmax: float = 0.15, step: float = 1e-4) -> float:
-    """Largest |hashing - achievable| where both rates are positive, p in (0, pmax]."""
-    _check_grid(pmax, step)
-    gap = 0.0
-    k = 1
-    while True:
-        p = k * step
-        if p > pmax + _FUZZ:
-            break
-        r1 = hashing_rate(p)
-        r2 = pccss_channel_rate(p, zeta)
-        if r1 > 0 and r2 > 0:
-            gap = max(gap, abs(r1 - r2))
-        k += 1
-    return gap
-
-
 # ------------------------------------------------------------ failure bound
 
 def pz_upper_bound(N: int, n0: int, pz, tight: bool = False):
@@ -221,6 +205,17 @@ def gap_curves(curves: list[RateCurve], zetas) -> list[RateCurve]:
         )
         out.append(RateCurve(f"gap zeta={zeta:g}", hashing.x, gaps))
     return out
+
+
+def max_gap(curve: RateCurve) -> float:
+    """Largest value of one gap_curves curve, skipping NaN; 0 if all are NaN."""
+    return max((g for g in curve.y if not math.isnan(g)), default=0.0)
+
+
+def max_hashing_gap(zeta: float, pmax: float = 0.15, step: float = 1e-4) -> float:
+    """Largest |hashing - achievable| where both rates are positive, p in
+    (0, pmax]: max_gap of the gap curve on rate_curves' grid."""
+    return max_gap(gap_curves(rate_curves([zeta], pmax=pmax, step=step), [zeta])[0])
 
 
 def curves_to_csv(curves: list[RateCurve]) -> str:

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .bounds import curves_to_csv, gap_curves, max_hashing_gap, rate_curves
+from .bounds import curves_to_csv, gap_curves, max_gap, rate_curves
 from .codes import LinearCode, code_from_text, lift_block, make_repetition
 from .css import (
     check_valid,
@@ -212,11 +212,12 @@ def _cmd_bounds(args) -> int:
     step = args.step if args.step is not None else (1e-4 if args.fig1 else 1e-3)
     zetas = args.zeta
     curves = rate_curves(zetas, pmax=pmax, step=step)
-    csv = curves_to_csv(curves + gap_curves(curves, zetas))
+    gaps = gap_curves(curves, zetas)
+    csv = curves_to_csv(curves + gaps)
     if args.out:
         _write_text(args.out, csv)
-        for zeta in zetas:
-            print(f"zeta={zeta:g} max_gap {max_hashing_gap(zeta, pmax, step):.6g}")
+        for zeta, gap in zip(zetas, gaps):
+            print(f"zeta={zeta:g} max_gap {max_gap(gap):.6g}")
     else:
         sys.stdout.write(csv)
     return 0

@@ -25,7 +25,7 @@ from dataclasses import InitVar, dataclass, field as dc_field
 import numpy as np
 
 from .codes import LinearCode, lift_block, make_expander, make_repetition
-from .galois import GF2, FieldSpec, is_irreducible
+from .galois import GF2, FieldSpec, _prime_factors, is_irreducible
 from .matgf import (
     MatrixGF,
     _field_ops,
@@ -237,20 +237,6 @@ def fast_family(N: int, n0: int, c: int, d: int, seed: int, validate: bool = Tru
 
 
 # ------------------------------------------------------------- enlargement
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
 
 def _primitive_poly(deg: int) -> list[int]:
     order = (1 << deg) - 1

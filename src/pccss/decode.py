@@ -17,11 +17,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .galois import FieldSpec
+from .galois import (
+    GF2,
+    FieldSpec,
+    _padd,
+    _pderiv,
+    _pdeg,
+    _pdivmod,
+    _peval,
+    _pmul,
+    _pscale,
+    _ptrim,
+)
 from .matgf import _SPAN_CHUNK, MatrixGF, _field_ops, _span_chunks, mul, solver
 
 __all__ = [
-    "Syndrome",
     "DecodeOutcome",
     "syndrome_of",
     "grs_syndrome",
@@ -38,14 +48,6 @@ DETECTED = "detected-uncorrectable"
 FAILURE = "failure"
 
 
-@dataclass(frozen=True)
-class Syndrome:
-    """A syndrome vector together with the field it lives in."""
-
-    q: int
-    values: np.ndarray
-
-
 @dataclass
 class DecodeOutcome:
     status: str
@@ -55,8 +57,16 @@ class DecodeOutcome:
 
 
 def _as_vector(s) -> np.ndarray:
-    values = getattr(s, "values", s)
-    return np.asarray(values).reshape(-1)
+    return np.asarray(s).reshape(-1)
+
+
+def _require_gf2(q, what: str) -> None:
+    """Refuse a code over a field other than GF(2): what runs a qubit-only
+    rule (XOR majority, Pauli sampling, a CNOT encoder).  A code that names
+    no field is taken as binary."""
+    size = getattr(q, "field", GF2).size
+    if size != 2:
+        raise ValueError(f"{what} handles GF(2) codes only, not GF({size})")
 
 
 def syndrome_of(M: MatrixGF, e: np.ndarray) -> np.ndarray:
@@ -71,12 +81,20 @@ def syndrome_of(M: MatrixGF, e: np.ndarray) -> np.ndarray:
 _EXHAUSTIVE_CAP = 2 ** 18
 
 
-def _check_exhaustive_size(code) -> None:
+def _exhaustive_refusal(code) -> str | None:
+    """Why exhaustive decoding refuses code, or None when it fits."""
     q = code.field.size
     if code.n > 24:
-        raise ValueError(f"exhaustive decoding capped at n = 24, got {code.n}")
+        return f"exhaustive decoding capped at n = 24, got {code.n}"
     if q ** code.k > _EXHAUSTIVE_CAP:
-        raise ValueError(f"coset of {q}^{code.k} codewords is too large to enumerate")
+        return f"coset of {q}^{code.k} codewords is too large to enumerate"
+    return None
+
+
+def _check_exhaustive_size(code) -> None:
+    reason = _exhaustive_refusal(code)
+    if reason is not None:
+        raise ValueError(reason)
 
 
 # Per code: its factored check matrix, and its codewords when they fit in
@@ -129,70 +147,6 @@ def exhaustive_decode(code, s) -> DecodeOutcome:
     est = np.array(best, dtype=x0.dtype)
     assert np.array_equal(syndrome_of(code.H, est), s)
     return DecodeOutcome(CORRECTED, est, {"cosets": q ** code.k})
-
-
-# ------------------------------------------------- polynomial helpers (EEA)
-
-def _pdeg(p: list[int]) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _ptrim(p: list[int]) -> list[int]:
-    d = _pdeg(p)
-    return p[: d + 1] if d >= 0 else [0]
-
-def _padd(f: FieldSpec, u: list[int], v: list[int]) -> list[int]:
-    n = max(len(u), len(v))
-    return _ptrim([f.add(u[i] if i < len(u) else 0, v[i] if i < len(v) else 0) for i in range(n)])
-
-
-def _pscale(f: FieldSpec, u: list[int], c: int) -> list[int]:
-    return _ptrim([f.mul(c, a) for a in u])
-
-
-def _pmul(f: FieldSpec, u: list[int], v: list[int]) -> list[int]:
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        for j, b in enumerate(v):
-            if b:
-                out[i + j] = f.add(out[i + j], f.mul(a, b))
-    return _ptrim(out)
-
-
-def _pdivmod(f: FieldSpec, u: list[int], v: list[int]) -> tuple[list[int], list[int]]:
-    du, dv = _pdeg(u), _pdeg(v)
-    if dv < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(u[: du + 1]) if du >= 0 else [0]
-    quo = [0] * max(du - dv + 1, 1)
-    inv_lead = f.inv(v[dv])
-    for i in range(du - dv, -1, -1):
-        c = f.mul(rem[i + dv], inv_lead)
-        if not c:
-            continue
-        quo[i] = c
-        for j in range(dv + 1):
-            rem[i + j] = f.sub(rem[i + j], f.mul(c, v[j]))
-    return _ptrim(quo), _ptrim(rem)
-
-
-def _peval(f: FieldSpec, p: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = f.add(f.mul(acc, x), c)
-    return acc
-
-
-def _pderiv(f: FieldSpec, p: list[int]) -> list[int]:
-    out = []
-    for i in range(1, len(p)):
-        out.append(f.mul(p[i], i % f.p))
-    return _ptrim(out) if out else [0]
 
 
 # ------------------------------------------------------------ bdd alternant
@@ -377,11 +331,6 @@ def _flip_kernel(H: np.ndarray):
     return rows
 
 
-def _flip_rows(H: np.ndarray, S: np.ndarray, budget: float):
-    """_flip_kernel(H)(S, budget): the rule set up for one stack only."""
-    return _flip_kernel(H)(S, budget)
-
-
 def flip_decode(code, s, max_rounds: int = 100, parallel: bool = False) -> DecodeOutcome:
     """Bit-flip decoding over a binary sparse check matrix.
 
@@ -430,7 +379,7 @@ def flip_decode(code, s, max_rounds: int = 100, parallel: bool = False) -> Decod
             rounds += 1
         counters = {"flips": flips, "rounds": rounds}
     else:
-        est, flips, unsat = _flip_rows(H.data, s[None, :], max_rounds * n)
+        est, flips, unsat = _flip_kernel(H.data)(s[None, :], max_rounds * n)
         est, unsat = est[0], unsat[0]
         counters = {"flips": int(flips[0])}
 
@@ -484,6 +433,7 @@ def pccss_decode_z(Q, s_z, partitions: int = 1) -> DecodeOutcome:
     chunks, one after another; the output is bitwise identical to the
     single-chunk order.
     """
+    _require_gf2(Q, "Z-side majority decoding")
     n0 = Q.n0
     n2 = Q.n // n0
     d0 = (n0 - 1) // 2

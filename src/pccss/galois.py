@@ -5,17 +5,17 @@ the polynomial-basis coefficients, lowest power first. FieldSpec(p, m0, m)
 builds the extension of degree m0*m and knows how to view it as a degree-m
 extension of GF(p^m0): embeddings, projections, traces, and coordinates over
 the base field all come from a root of the subfield's modulus found inside
-the big field. Fields of size <= 256 carry log/exp tables.
+the big field. Fields of size <= 256 carry log/exp tables. Polynomials
+over a field (division, evaluation, derivative) live here too, shared by
+the irreducibility test, the subfield embeddings and the alternant decoder.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "DEFAULT_MODULI",
     "GF2",
-    "FieldElement",
     "FieldSpec",
     "default_modulus",
     "field_of_size",
@@ -62,28 +62,89 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
+# ------------------------------------------------------------ polynomials
+# A polynomial over a field f is a list of f's element indices, lowest power
+# first.  Helpers that return a polynomial return it trimmed of high zero
+# coefficients, [0] for the zero polynomial.
+
+def _pdeg(p: list[int]) -> int:
+    for i in range(len(p) - 1, -1, -1):
+        if p[i]:
+            return i
+    return -1
 
 
-def _poly_divmod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a by b over GF(p); b need not be monic."""
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    _poly_trim(a)
-    while len(a) - 1 >= db and any(a):
-        if a[-1] == 0:
-            a.pop()
+def _ptrim(p: list[int]) -> list[int]:
+    d = _pdeg(p)
+    return p[: d + 1] if d >= 0 else [0]
+
+
+def _padd(f: FieldSpec, u: list[int], v: list[int]) -> list[int]:
+    n = max(len(u), len(v))
+    return _ptrim([f.add(u[i] if i < len(u) else 0, v[i] if i < len(v) else 0) for i in range(n)])
+
+
+def _pscale(f: FieldSpec, u: list[int], c: int) -> list[int]:
+    return _ptrim([f.mul(c, a) for a in u])
+
+
+def _pmul(f: FieldSpec, u: list[int], v: list[int]) -> list[int]:
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        if not a:
             continue
-        c = a[-1] * inv_lead % p
-        shift = len(a) - 1 - db
-        for k in range(db + 1):
-            a[shift + k] = (a[shift + k] - c * b[k]) % p
-        _poly_trim(a)
-    return a
+        for j, b in enumerate(v):
+            if b:
+                out[i + j] = f.add(out[i + j], f.mul(a, b))
+    return _ptrim(out)
+
+
+def _pdivmod(f: FieldSpec, u: list[int], v: list[int]) -> tuple[list[int], list[int]]:
+    du, dv = _pdeg(u), _pdeg(v)
+    if dv < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(u[: du + 1]) if du >= 0 else [0]
+    quo = [0] * max(du - dv + 1, 1)
+    inv_lead = f.inv(v[dv])
+    for i in range(du - dv, -1, -1):
+        c = f.mul(rem[i + dv], inv_lead)
+        if not c:
+            continue
+        quo[i] = c
+        for j in range(dv + 1):
+            rem[i + j] = f.sub(rem[i + j], f.mul(c, v[j]))
+    return _ptrim(quo), _ptrim(rem)
+
+
+def _peval(f: FieldSpec, p: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = f.add(f.mul(acc, x), c)
+    return acc
+
+
+def _pderiv(f: FieldSpec, p: list[int]) -> list[int]:
+    out = []
+    for i in range(1, len(p)):
+        out.append(f.mul(p[i], i % f.p))
+    return _ptrim(out) if out else [0]
+
+
+# ------------------------------------------------------ factors and moduli
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, smallest first."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def is_irreducible(poly, p: int) -> bool:
@@ -92,6 +153,10 @@ def is_irreducible(poly, p: int) -> bool:
     deg = len(poly) - 1
     if deg < 1 or poly[-1] == 0:
         return False
+    if deg == 1:
+        # also ends the recursion: the prime field below checks its modulus
+        return True
+    prime = FieldSpec(p, 1, 1, modulus=(0, 1))
     for d in range(1, deg // 2 + 1):
         for idx in range(p**d):
             div = []
@@ -100,7 +165,7 @@ def is_irreducible(poly, p: int) -> bool:
                 div.append(i % p)
                 i //= p
             div.append(1)
-            if not any(_poly_divmod(poly, div, p)):
+            if not any(_pdivmod(prime, poly, div)[1]):
                 return False
     return True
 
@@ -283,27 +348,7 @@ class FieldSpec:
                     prod[top - deg + k] = (prod[top - deg + k] - c * mod[k]) % p
         return self.from_digits(prod[:deg])
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Multiplication that never consults the log tables (used to build them)."""
-        if self.p == 2:
-            return self._reduce2(self._clmul(a, b))
-        return self._mul_poly(a, b)
-
     # ------------------------------------------------------------ tables
-
-    def _order_factors(self) -> list[int]:
-        n = self.size - 1
-        out = []
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            out.append(n)
-        return out
 
     @property
     def generator(self) -> int:
@@ -313,24 +358,16 @@ class FieldSpec:
             if n == 1:
                 self._generator = 1
                 return 1
-            factors = self._order_factors()
-
-            def raw_pow(a, e):
-                r = 1
-                while e:
-                    if e & 1:
-                        r = self._mul_raw(r, a)
-                    a = self._mul_raw(a, a)
-                    e >>= 1
-                return r
-
+            factors = _prime_factors(n)
             for g in range(2, self.size):
-                if all(raw_pow(g, n // q) != 1 for q in factors):
+                if all(self.pow(g, n // q) != 1 for q in factors):
                     self._generator = g
                     break
         return self._generator
 
     def _build_tables(self) -> None:
+        # _exp stays None until the end, so mul and pow (and the generator
+        # search) work without the tables they are building
         n = self.size - 1
         g = self.generator
         exp = [1] * (2 * n)
@@ -339,7 +376,7 @@ class FieldSpec:
         for i in range(n):
             exp[i] = x
             log[x] = i
-            x = self._mul_raw(x, g)
+            x = self.mul(x, g)
         for i in range(n, 2 * n):
             exp[i] = exp[i - n]
         self._exp = exp
@@ -368,14 +405,7 @@ class FieldSpec:
             maps = (ident, {a: a for a in ident})
             self._sub_cache[key] = maps
             return maps
-        root = None
-        for z in range(self.size):
-            acc = 0
-            for c in reversed(sub.modulus):
-                acc = self.add(self.mul(acc, z), c % self.p)
-            if acc == 0:
-                root = z
-                break
+        root = next((z for z in range(self.size) if _peval(self, sub.modulus, z) == 0), None)
         if root is None:
             raise ValueError(f"no root of the modulus of {sub} inside {self}")
         powers = [1]
@@ -472,46 +502,6 @@ class FieldSpec:
         for c, xp in zip(coords, x_pows):
             acc = self.add(acc, self.mul(self.embed(base, base._check(int(c))), xp))
         return acc
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Convenience wrapper tying an index to its field, with operator syntax."""
-
-    field: FieldSpec
-    value: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.size:
-            raise ValueError(f"{self.value} out of range for {self.field}")
-
-    def _peer(self, other) -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.field != self.field:
-            raise ValueError("elements belong to different fields")
-        return other.value
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.value, self._peer(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.value, self._peer(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.value, self._peer(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.value, self._peer(other)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
 
 
 _FIELDS_BY_SIZE: dict[int, FieldSpec] = {}

@@ -35,7 +35,9 @@ from .decode import (
     CORRECTED,
     DETECTED,
     _check_exhaustive_size,
+    _exhaustive_refusal,
     _flip_kernel,
+    _require_gf2,
     exhaustive_decode,
     pccss_decode_z,
 )
@@ -315,6 +317,7 @@ def run_trials(cfg: ExperimentConfig, code=None):
     q = code if code is not None else _build_code(cfg)
     if getattr(q, "n0", None) is None or getattr(q, "outer", None) is None:
         raise ValueError("run_trials needs a block-structured code with n0 and outer")
+    _require_gf2(q, "run_trials")
     ch = make_channel(cfg.p, cfg.zeta)
     decode_outer = _outer_decoder(q, cfg.decoder, cfg.max_rounds)
     checks = _incidence(q.outer.H.data)
@@ -433,12 +436,11 @@ def adversarial_sweep(q, side: str, weights, samples: int = 500, seed: int = 0,
     side = side.lower()
     if side not in ("x", "z"):
         raise ValueError(f"side must be x or z, got {side!r}")
+    _require_gf2(q, "adversarial_sweep")
     if any(w > q.n or w < 0 for w in weights):
         raise ValueError("weights must lie in [0, n]")
     if decoder == "auto":
-        outer = q.outer
-        small = outer.n <= 24 and outer.field.size**outer.k <= 1 << 18
-        decoder = "exhaustive" if small else "flip"
+        decoder = "flip" if _exhaustive_refusal(q.outer) else "exhaustive"
     # a Z sweep has no X errors, so it never runs the outer decoder
     decode_outer = _outer_decoder(q, decoder, max_rounds) if side == "x" else None
     checks = _incidence(q.outer.H.data)

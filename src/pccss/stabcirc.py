@@ -15,6 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .decode import _require_gf2
 from .galois import GF2
 from .matgf import MatrixGF, mul, standard_form
 
@@ -134,6 +135,7 @@ def build_encoder(q) -> Circuit:
     outer = getattr(q, "outer", None)
     if n0 is None or outer is None:
         raise ValueError("encoder needs a block-structured code with n0 and outer set")
+    _require_gf2(q, "the CNOT encoder")
     copies = q.n // n0
     gstd, perm = standard_form(outer.G)
     k2 = gstd.rows

@@ -174,6 +174,50 @@ def test_bounds_without_out_prints_csv(capsys):
     assert len(lines) == 6
 
 
+def test_bounds_out_and_stdout_agree_where_a_rate_is_undefined(tmp_path, capsys):
+    # at zeta = 1, 4 p_X exceeds 1 for p > 0.75: NaN columns, not an error
+    argv = ("bounds", "--zeta", "1", "--pmax", "0.9")
+    rc, csv, _ = run(capsys, *argv)
+    assert rc == 0 and ",nan," in csv
+    dest = tmp_path / "rates.csv"
+    rc, out, _ = run(capsys, *argv, "--out", str(dest))
+    assert rc == 0
+    assert out.startswith("zeta=1 max_gap ")
+    assert dest.read_text() == csv
+
+
+# block structure n0 = 2 over GF(3): hx·hzᵀ = 0, so `check` accepts it
+GF3_BUNDLE = """csscode 3 8 2
+n0 2
+hx
+3 2 8
+2 1 1 2 2 1 0 0
+0 0 2 1 2 1 2 1
+hz
+3 4 8
+1 1 0 0 0 0 0 0
+0 0 1 1 0 0 0 0
+0 0 0 0 1 1 0 0
+0 0 0 0 0 0 1 1
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--bundle", "{d}/gf3.txt", "--p", "0.1", "--zeta", "2", "--trials", "50"),
+    ("sweep", "--bundle", "{d}/gf3.txt", "--side", "x", "--weights", "1,2"),
+    ("sweep", "--bundle", "{d}/gf3.txt", "--side", "z", "--weights", "1,2"),
+    ("encode-circuit", "{d}/gf3.txt", "--out", "{d}/circuit.txt"),
+    ("decode", "{d}/gf3.txt", "--side", "z", "--syndrome", "{d}/syn.txt"),
+], ids=["simulate", "sweep-x", "sweep-z", "encode-circuit", "decode-z"])
+def test_qubit_only_commands_refuse_a_gf3_bundle(tmp_path, capsys, argv):
+    (tmp_path / "gf3.txt").write_text(GF3_BUNDLE)
+    (tmp_path / "syn.txt").write_text("1 0 0 0\n")
+    assert run(capsys, "check", str(tmp_path / "gf3.txt"))[:2] == (0, "ok\n")
+    rc, out, err = run(capsys, *(a.format(d=tmp_path) for a in argv))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "handles GF(2) codes only, not GF(3)" in err
+
+
 def test_simulate_prints_summary(shor_bundle, capsys):
     rc, out, _ = run(capsys, "simulate", "--bundle", str(shor_bundle),
                      "--p", "0.01", "--zeta", "inf", "--trials", "20",

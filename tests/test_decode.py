@@ -16,7 +16,7 @@ from pccss import decode
 from pccss.codes import LinearCode, make_alternant, make_expander, make_repetition
 from pccss.decode import (
     DecodeOutcome,
-    _flip_rows,
+    _flip_kernel,
     bdd_alternant,
     exhaustive_decode,
     flip_decode,
@@ -388,7 +388,7 @@ def test_flip_rows_matches_reference_search_row_by_row(n, c, d, seed):
         rows.append(s)
     S = np.array(rows)
     for max_rounds in (6400 / n, 1 / n, 3 / n):  # budgets of 6400, 1 and 3 flips
-        est, flips, unsat = _flip_rows(code.H.data.astype(np.float32), S, max_rounds * n)
+        est, flips, unsat = _flip_kernel(code.H.data.astype(np.float32))(S, max_rounds * n)
         assert est.shape == (len(S), n) and unsat.shape == S.shape
         for i, s in enumerate(S):
             ref_est, ref_flips, ref_unsat = reference_flip(code.H, s, max_rounds)

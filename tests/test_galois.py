@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from pccss.galois import (
     DEFAULT_MODULI,
     GF2,
-    FieldElement,
     FieldSpec,
     default_modulus,
     field_of_size,
@@ -64,24 +63,39 @@ def oracle_add(field: FieldSpec, a: int, b: int) -> int:
     return poly_to_idx(tuple((x + y) % p for x, y in zip(pa, pb)), p)
 
 
+def oracle_pow(field: FieldSpec, x: int, e: int) -> int:
+    r = 1
+    while e:
+        if e & 1:
+            r = oracle_mul(field, r, x)
+        x = oracle_mul(field, x, x)
+        e >>= 1
+    return r
+
+
 def oracle_trace(field: FieldSpec, a: int, sub_degree: int) -> int:
     # Tr(a) = sum of a^(q0^i), q0 = p^sub_degree, computed with the oracle mul
     q0 = field.p ** sub_degree
     steps = field.degree // sub_degree
-
-    def opow(x, e):
-        r = 1
-        while e:
-            if e & 1:
-                r = oracle_mul(field, r, x)
-            x = oracle_mul(field, x, x)
-            e >>= 1
-        return r
-
     acc = 0
     for i in range(steps):
-        acc = oracle_add(field, acc, opow(a, q0**i))
+        acc = oracle_add(field, acc, oracle_pow(field, a, q0**i))
     return acc
+
+
+def oracle_order(field: FieldSpec, a: int) -> int:
+    """Multiplicative order of a nonzero a: the least divisor d of
+    size - 1 with a^d = 1."""
+    n = field.size - 1
+    return next(d for d in range(1, n + 1) if n % d == 0 and oracle_pow(field, a, d) == 1)
+
+
+def oracle_polymul(u, v, p: int) -> tuple[int, ...]:
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
 
 
 SMALL_FIELDS = [
@@ -251,6 +265,45 @@ def test_default_moduli_table_is_irreducible():
         assert is_irreducible(poly, p), (p, deg)
 
 
+@pytest.mark.parametrize("p, max_deg", [(2, 6), (3, 3), (5, 3)])
+def test_is_irreducible_matches_factor_enumeration(p, max_deg):
+    def monic(d):
+        return [c + (1,) for c in itertools.product(range(p), repeat=d)]
+
+    reducible = {
+        oracle_polymul(u, v, p)
+        for d in range(2, max_deg + 1)
+        for d1 in range(1, d // 2 + 1)
+        for u in monic(d1)
+        for v in monic(d - d1)
+    }
+    for d in range(1, max_deg + 1):
+        for poly in monic(d):
+            for lead in range(1, p):
+                scaled = tuple(c * lead % p for c in poly)
+                assert is_irreducible(scaled, p) == (poly not in reducible), scaled
+    assert not is_irreducible((1,), p)
+    assert not is_irreducible((1, 1, 0), p)
+
+
+@pytest.mark.parametrize("p, deg", sorted(DEFAULT_MODULI))
+def test_generator_and_tables_match_oracle_orders(p, deg):
+    f = FieldSpec(p, 1, deg)
+    n = f.size - 1
+    g = f.generator
+    # the smallest index of order size - 1
+    assert oracle_order(f, g) == n
+    assert all(oracle_order(f, h) < n for h in range(2, g))
+    assert (f._exp is not None) == (2 < f.size <= 256)
+    if f._exp is not None:
+        x = 1
+        for i in range(n):
+            assert f._exp[i] == f._exp[i + n] == x
+            assert f._log[x] == i
+            x = oracle_mul(f, x, g)
+        assert x == 1
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
         FieldSpec(2, 1, 2, modulus=(1, 0, 1))  # x^2+1 = (x+1)^2
@@ -277,28 +330,6 @@ def test_field_of_size():
     with pytest.raises(ValueError):
         field_of_size(12)
     assert default_modulus(2, 3) == (1, 1, 0, 1)
-
-
-# ---------------------------------------------------------------- elements
-
-def test_element_wrapper_ops():
-    f = FieldSpec(2, 1, 3)
-    a = FieldElement(f, 5)
-    b = FieldElement(f, 6)
-    assert (a + b).value == f.add(5, 6)
-    assert (a * b).value == f.mul(5, 6)
-    assert (a / b).value == f.div(5, 6)
-    assert (a**3).value == f.pow(5, 3)
-    assert (-a).value == f.neg(5)
-
-
-def test_element_cross_field_mixing_rejected():
-    a = FieldElement(FieldSpec(2, 1, 3), 1)
-    b = FieldElement(FieldSpec(2, 1, 4), 1)
-    with pytest.raises(ValueError):
-        _ = a + b
-    with pytest.raises(ValueError):
-        _ = FieldElement(FieldSpec(2, 1, 3), 9)
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
