@@ -27,9 +27,14 @@ from .css import (
     stab_from_text,
     stab_to_text,
 )
-from .decode import exhaustive_decode, pccss_decode_x, pccss_decode_z
+from .decode import (
+    _check_flip_syndrome,
+    exhaustive_decode,
+    pccss_decode_x_rows,
+    pccss_decode_z,
+)
 from .harness import ExperimentConfig, _resolve_workers, adversarial_sweep, run_trials
-from .matgf import nullspace, rank
+from .matgf import nullspace, rank, rows_to_text
 from .stabcirc import build_encoder, circuit_to_text
 
 __all__ = ["build_parser", "main"]
@@ -139,10 +144,11 @@ def _cmd_distance(args) -> int:
     return 0
 
 
-def _side_decoder(q, side: str, max_rounds: int, partitions: int):
+def _side_decoder(q, side: str, partitions: int):
+    """The decoder, one syndrome per call, of a side that is not decoded as
+    a stack: the Z side of a code with blocks, or either side of one
+    without."""
     if q.n0 is not None:
-        if side == "x":
-            return lambda s: pccss_decode_x(q, s, max_rounds=max_rounds)
         return lambda s: pccss_decode_z(q, s, partitions=partitions)
     check = q.hx if side == "x" else q.hz
     side_code = LinearCode(
@@ -156,35 +162,55 @@ def _side_decoder(q, side: str, max_rounds: int, partitions: int):
     return lambda s: exhaustive_decode(side_code, s)
 
 
+def _syndrome_entries(tokens: list[str], q: int, where: str) -> np.ndarray:
+    """The entries of one syndrome line: element indices of GF(q) written
+    in plain decimal, as the bundle writer writes them."""
+    values = [int(t) if t.isascii() and t.isdigit() else q for t in tokens]
+    if any(v >= q or str(v) != t for v, t in zip(values, tokens)):
+        allowed = "0/1" if q == 2 else f"0..{q - 1}"
+        raise ValueError(f"{where}: syndromes must be {allowed} entries")
+    return np.array(values, dtype=np.int64)
+
+
 def _cmd_decode(args) -> int:
     text = _read_text(args.bundle)
     if _bundle_kind(args.bundle, text) != "csscode":
         raise ValueError("decode needs a csscode bundle")
     q = css_from_text(text)
     max_rounds = _at_least_one("round cap", args.max_rounds)
-    decoder = _side_decoder(q, args.side, max_rounds, _resolve_workers(args.workers))
+    partitions = _resolve_workers(args.workers)
+    # the X side of a code with blocks decodes all syndromes as one stack
+    # after the last line, but checks each line as it is read, so errors
+    # come in line order; every other side decodes each line as it is read
+    stacked = q.n0 is not None and args.side == "x"
+    decoder = None if stacked else _side_decoder(q, args.side, partitions)
     check_rows = (q.hx if args.side == "x" else q.hz).rows if q.n0 is None else None
 
-    out_lines = []
+    outcomes, stack = [], []
     for lineno, line in enumerate(_read_text(args.syndrome).splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        bits = stripped.split()
-        if any(b not in ("0", "1") for b in bits):
-            raise ValueError(f"{args.syndrome}:{lineno}: syndromes must be 0/1 entries")
-        s = np.array([int(b) for b in bits], dtype=np.uint8)
+        s = _syndrome_entries(stripped.split(), q.field.size, f"{args.syndrome}:{lineno}")
         if check_rows is not None and len(s) != check_rows:
             raise ValueError(
                 f"{args.syndrome}:{lineno}: expected {check_rows} bits, got {len(s)}"
             )
-        outcome = decoder(s)
-        est = " ".join(str(int(v)) for v in outcome.estimate)
-        out_lines.append(f"{outcome.status} {est}")
-    payload = "\n".join(out_lines) + ("\n" if out_lines else "")
+        if stacked:
+            _check_flip_syndrome(q.outer.H, len(s))
+            stack.append(s)
+        else:
+            outcomes.append(decoder(s))
+    if stack:
+        outcomes = pccss_decode_x_rows(q, np.array(stack), max_rounds=max_rounds)
+    estimates = np.array([out.estimate for out in outcomes]).reshape(len(outcomes), q.n)
+    payload = "".join(
+        f"{out.status} {est}\n"
+        for out, est in zip(outcomes, rows_to_text(estimates, q.field.size).splitlines())
+    )
     if args.out:
         _write_text(args.out, payload)
-        print(f"decoded {len(out_lines)} syndromes to {args.out}")
+        print(f"decoded {len(outcomes)} syndromes to {args.out}")
     else:
         sys.stdout.write(payload)
     return 0

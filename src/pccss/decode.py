@@ -40,6 +40,7 @@ __all__ = [
     "flip_decode",
     "osmlg_block_decode",
     "pccss_decode_x",
+    "pccss_decode_x_rows",
     "pccss_decode_z",
 ]
 
@@ -353,11 +354,8 @@ def flip_decode(code, s, max_rounds: int = 100, parallel: bool = False) -> Decod
     are.
     """
     H = getattr(code, "H", code)
-    if H.q != 2:
-        raise ValueError("flip decoding is defined over GF(2)")
     s = _as_vector(s).astype(np.uint8)
-    if s.shape[0] != H.rows:
-        raise ValueError(f"syndrome length {s.shape[0]} does not match {H.rows} checks")
+    _check_flip_syndrome(H, s.shape[0])
     n = H.cols
 
     if parallel:
@@ -382,7 +380,19 @@ def flip_decode(code, s, max_rounds: int = 100, parallel: bool = False) -> Decod
         est, flips, unsat = _flip_kernel(H.data)(s[None, :], max_rounds * n)
         est, unsat = est[0], unsat[0]
         counters = {"flips": int(flips[0])}
+    return _flip_outcome(est, counters, unsat)
 
+
+def _check_flip_syndrome(H: MatrixGF, length: int) -> None:
+    """Raise the ValueError with which the flip decoder over check matrix H
+    refuses a syndrome of the given length, if it does."""
+    if H.q != 2:
+        raise ValueError("flip decoding is defined over GF(2)")
+    if length != H.rows:
+        raise ValueError(f"syndrome length {length} does not match {H.rows} checks")
+
+
+def _flip_outcome(est: np.ndarray, counters: dict, unsat: np.ndarray) -> DecodeOutcome:
     if unsat.any():
         return DecodeOutcome(DETECTED, est, counters, residual=unsat)
     return DecodeOutcome(CORRECTED, est, counters)
@@ -414,16 +424,28 @@ def _osmlg_rows(S: np.ndarray, d0: int) -> np.ndarray:
 
 def pccss_decode_x(Q, s_x, max_rounds: int = 100) -> DecodeOutcome:
     """X-side decoding: flip-decode the outer code, then place each recovered
-    block parity on that block's representative (first) coordinate.
+    block parity on that block's representative (first) coordinate.  The
+    one-row case of pccss_decode_x_rows.
     """
-    n0 = Q.n0
-    inner = flip_decode(Q.outer, s_x, max_rounds=max_rounds)
-    est = np.zeros(Q.n, dtype=np.uint8)
-    blocks = np.flatnonzero(inner.estimate)
-    est[blocks * n0] = 1
-    if inner.status != CORRECTED:
-        return DecodeOutcome(DETECTED, est, inner.counters, residual=inner.residual)
-    return DecodeOutcome(CORRECTED, est, inner.counters)
+    return pccss_decode_x_rows(Q, _as_vector(s_x)[None, :], max_rounds=max_rounds)[0]
+
+
+def pccss_decode_x_rows(Q, S, max_rounds: int = 100) -> list[DecodeOutcome]:
+    """X-side decoding of a stack of syndromes, one per row: the outer code's
+    sequential flip rule runs on every row at once (_flip_kernel), each
+    within max_rounds * (outer length) flips, and each row's block parities
+    are placed on the blocks' representative (first) coordinates.  Returns
+    one outcome per row, as flip_decode words it.
+    """
+    H = Q.outer.H
+    S = np.asarray(S, dtype=np.uint8)
+    _check_flip_syndrome(H, S.shape[1])
+    est, flips, unsat = _flip_kernel(H.data)(S, max_rounds * H.cols)
+    lifted = np.zeros((len(S), Q.n), dtype=np.uint8)
+    lifted[:, :: Q.n0] = est
+    return [
+        _flip_outcome(lifted[i], {"flips": int(flips[i])}, unsat[i]) for i in range(len(S))
+    ]
 
 
 def pccss_decode_z(Q, s_z, partitions: int = 1) -> DecodeOutcome:

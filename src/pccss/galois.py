@@ -148,7 +148,9 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def is_irreducible(poly, p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
+    """Rabin's test: f of degree n over GF(p) is irreducible exactly when
+    x^(p^n) = x mod f and gcd(x^(p^(n/r)) - x, f) = 1 for every prime r
+    dividing n."""
     poly = list(poly)
     deg = len(poly) - 1
     if deg < 1 or poly[-1] == 0:
@@ -157,17 +159,30 @@ def is_irreducible(poly, p: int) -> bool:
         # also ends the recursion: the prime field below checks its modulus
         return True
     prime = FieldSpec(p, 1, 1, modulus=(0, 1))
-    for d in range(1, deg // 2 + 1):
-        for idx in range(p**d):
-            div = []
-            i = idx
-            for _ in range(d):
-                div.append(i % p)
-                i //= p
-            div.append(1)
-            if not any(_pdivmod(prime, poly, div)[1]):
+
+    def mulmod(u, v):
+        return _pdivmod(prime, _pmul(prime, u, v), poly)[1]
+
+    x = [0, 1]
+    minus_x = [0, prime.neg(1)]
+    gcd_at = {deg // r for r in _prime_factors(deg)}
+    power = x  # x^(p^i) mod f after step i
+    for i in range(1, deg + 1):
+        base, e, power = power, p, [1]
+        while True:
+            if e & 1:
+                power = mulmod(power, base)
+            e >>= 1
+            if not e:
+                break
+            base = mulmod(base, base)
+        if i in gcd_at:
+            a, b = poly, _padd(prime, power, minus_x)
+            while _pdeg(b) >= 0:
+                a, b = b, _pdivmod(prime, a, b)[1]
+            if _pdeg(a) > 0:
                 return False
-    return True
+    return power == x
 
 
 def default_modulus(p: int, degree: int) -> tuple[int, ...]:

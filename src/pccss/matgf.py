@@ -16,6 +16,8 @@ forms are canonical and golden-file comparable.
 
 The text format is a "q rows cols" header line followed by one line of
 entries per row; the bundle readers share its block reader, take_matrix.
+The writer emits one canonical layout (rows_to_text), which the reader
+converts a chunk of rows at a time; any other spacing is read row by row.
 """
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ __all__ = [
     "nullspace",
     "rank",
     "reduce_vector",
+    "rows_to_text",
     "rref",
     "solve",
     "Solver",
@@ -430,12 +433,28 @@ def solve(A: MatrixGF, b: np.ndarray):
 
 # ----------------------------------------------------------- text format
 
+def rows_to_text(data: np.ndarray, q: int) -> str:
+    """The canonical text of a stack of rows of GF(q) element indices: each
+    row on its own line, entries in decimal one space apart, every line
+    ending in a newline.
+
+    With single-digit entries (q <= 10) the text is built as one byte array,
+    entry + '0' in the even positions and a space or newline in the odd
+    ones, and decoded once; wider entries are joined row by row.
+    """
+    rows, cols = data.shape
+    if q > 10 or cols == 0:
+        digits = [str(v) for v in range(q)]
+        return "".join(" ".join(map(digits.__getitem__, row)) + "\n" for row in data.tolist())
+    buf = np.empty((rows, 2 * cols), dtype=np.uint8)
+    np.add(data, ord("0"), out=buf[:, ::2], casting="unsafe")
+    buf[:, 1::2] = ord(" ")
+    buf[:, -1] = ord("\n")
+    return str(buf.data, "ascii")
+
+
 def mat_to_text(M: MatrixGF) -> str:
-    lines = [f"{M.q} {M.rows} {M.cols}"]
-    digits = [str(v) for v in range(M.q)]
-    for row in M.data:
-        lines.append(" ".join(map(digits.__getitem__, row.tolist())))
-    return "\n".join(lines) + "\n"
+    return f"{M.q} {M.rows} {M.cols}\n" + rows_to_text(M.data, M.q)
 
 
 def bundle_line(lines: list[str], at: int, section: str) -> str:
@@ -482,6 +501,11 @@ def bundle_columns(M: MatrixGF, width: int, section: str) -> None:
         raise ValueError(f"{section} has {M.cols} columns, expected {width} from the header")
 
 
+# bytes of row text converted at once by take_matrix's canonical path, which
+# bounds its transient memory
+_TEXT_CHUNK_BYTES = 1 << 17
+
+
 def take_matrix(lines: list[str], at: int, section: str) -> tuple[MatrixGF, int]:
     """Read the matrix block starting at lines[at]: a "q rows cols" header,
     then one line of entries per row. Returns the matrix and the index of
@@ -502,7 +526,46 @@ def take_matrix(lines: list[str], at: int, section: str) -> tuple[MatrixGF, int]
         data = np.empty((rows, cols), dtype=_dtype_for(q))
     except (MemoryError, ValueError):
         raise ValueError(f"line {at + 1}: {section} shape {rows} x {cols} is too large") from None
-    for i in range(rows):
+    # canonical rows (see rows_to_text) convert a chunk at a time; any other
+    # chunk goes through the row-by-row reader, which also words every error
+    canonical = q <= 10 and cols > 0
+    step = max(1, _TEXT_CHUNK_BYTES // (2 * cols)) if canonical else max(1, rows)
+    for lo in range(0, rows, step):
+        hi = min(rows, lo + step)
+        block = lines[at + 1 + lo : at + 1 + hi]
+        if not (canonical and _take_canonical(block, data[lo:hi], q)):
+            _take_rows(lines, at, section, field, data, lo, hi)
+    return MatrixGF(field, data), at + 1 + rows
+
+
+def _take_canonical(block: list[str], out: np.ndarray, q: int) -> bool:
+    """Convert block, one line per row of out, into out when every line is
+    canonical: exactly 2 * cols - 1 characters, a space at each odd
+    position and a digit below q at each even one.  Returns False, leaving
+    out in an unspecified state, when any line is not."""
+    rows, cols = out.shape
+    width = 2 * cols - 1
+    if len(block) != rows or any(len(line) != width for line in block):
+        return False
+    try:
+        raw = "".join(block).encode("ascii")
+    except UnicodeEncodeError:
+        return False
+    chars = np.frombuffer(raw, dtype=np.uint8).reshape(rows, width)
+    if (chars[:, 1::2] != ord(" ")).any():
+        return False
+    # uint8 wraps below '0', so one bound test rejects every non-digit
+    np.subtract(chars[:, ::2], ord("0"), out=out)
+    return not (out >= q).any()
+
+
+def _take_rows(lines: list[str], at: int, section: str, field: FieldSpec,
+               data: np.ndarray, lo: int, hi: int) -> None:
+    """Parse rows lo..hi of the block whose header is lines[at] into data,
+    one line at a time, accepting any whitespace between entries."""
+    q = field.size
+    cols = data.shape[1]
+    for i in range(lo, hi):
         text = bundle_line(lines, at + 1 + i, f"{section} row {i}")
         where = f"line {at + 2 + i}: {section} row {i}"
         # parse as int64 and range-check before narrowing to the storage dtype
@@ -516,7 +579,6 @@ def take_matrix(lines: list[str], at: int, section: str) -> tuple[MatrixGF, int]
         if bad.size:
             raise ValueError(f"{where}: entry {bad[0]} out of range for {field}")
         data[i] = row
-    return MatrixGF(field, data), at + 1 + rows
 
 
 def mat_from_text(text: str) -> MatrixGF:

@@ -8,13 +8,15 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pccss.cli import build_parser, main
 from pccss.codes import code_to_text, dual, make_alternant, make_expander, make_repetition
-from pccss.css import css_from_text, css_to_text, stab_from_text, stab_to_text
+from pccss.css import css_from_text, css_to_text, fast_family, stab_from_text, stab_to_text
+from pccss.decode import flip_decode, syndrome_of
 from pccss.galois import FieldSpec
 from pccss.stabcirc import circuit_from_text
 
@@ -845,3 +847,56 @@ def test_decode_without_blocks_prints_coset_leaders(tmp_path, capsys, side, synd
     path.write_text(syndromes)
     rc, out, err = run(capsys, "decode", str(bundle), "--side", side, "--syndrome", str(path))
     assert (rc, out, err) == (0, expected, "")
+
+
+GF3_NO_BLOCKS = "csscode 3 4 2\nhx\n3 1 4\n1 1 1 0\nhz\n3 1 4\n1 2 0 0\n"
+
+
+@pytest.mark.parametrize("syndromes, rc, expected", [
+    ("2\n0\n1\n", 0, "corrected 0 0 2 0\ncorrected 0 0 0 0\ncorrected 0 0 1 0\n"),
+    ("3\n", 2, "syndromes must be 0..2 entries"),
+    ("-1\n", 2, "syndromes must be 0..2 entries"),
+    ("02\n", 2, "syndromes must be 0..2 entries"),
+])
+def test_decode_reads_syndromes_over_the_bundle_field(tmp_path, capsys, syndromes, rc, expected):
+    """A GF(3) bundle without blocks takes syndrome entries 0, 1 and 2 and
+    prints the coset leader; any other entry exits 2."""
+    bundle = tmp_path / "gf3.txt"
+    bundle.write_text(GF3_NO_BLOCKS)
+    path = tmp_path / "syndromes.txt"
+    path.write_text(syndromes)
+    got_rc, out, err = run(capsys, "decode", str(bundle), "--side", "x", "--syndrome", str(path))
+    if rc == 0:
+        assert (got_rc, out, err) == (0, expected, "")
+    else:
+        assert (got_rc, out) == (2, "") and expected in err
+
+
+def test_decode_x_stack_matches_one_syndrome_at_a_time(tmp_path, capsys):
+    """The X side of a block code decodes all syndromes as one stack; its
+    output is the flip decoder's, one syndrome at a time, lifted to the
+    blocks' first coordinates."""
+    q = fast_family(128, 4, 3, 6, 2)
+    bundle = tmp_path / "fast.txt"
+    bundle.write_text(css_to_text(q))
+    rng = np.random.default_rng(8)
+    parities = (rng.random((30, q.outer.n)) < 0.08).astype(np.uint8)
+    syndromes = [syndrome_of(q.outer.H, b) for b in parities]
+    syndromes[3] = rng.integers(0, 2, size=q.outer.H.rows)
+    path = tmp_path / "syndromes.txt"
+    path.write_text("".join(" ".join(map(str, s)) + "\n" for s in syndromes))
+    expected = ""
+    for s in syndromes:
+        ref = flip_decode(q.outer, s, max_rounds=7)
+        est = np.zeros(q.n, dtype=np.uint8)
+        est[np.flatnonzero(ref.estimate) * q.n0] = 1
+        expected += f"{ref.status} {' '.join(map(str, est))}\n"
+    rc, out, err = run(capsys, "decode", str(bundle), "--side", "x", "--max-rounds", "7",
+                       "--syndrome", str(path))
+    assert (rc, out, err) == (0, expected, "")
+
+    # a refused syndrome is reported at its own line, before a later bad entry
+    path.write_text("0 1\n2\n")
+    rc, out, err = run(capsys, "decode", str(bundle), "--side", "x", "--syndrome", str(path))
+    assert (rc, out) == (2, "")
+    assert err == f"error: syndrome length 2 does not match {q.outer.H.rows} checks\n"

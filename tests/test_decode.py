@@ -23,6 +23,7 @@ from pccss.decode import (
     grs_syndrome,
     osmlg_block_decode,
     pccss_decode_x,
+    pccss_decode_x_rows,
     pccss_decode_z,
     syndrome_of,
 )
@@ -503,6 +504,34 @@ def test_pccss_x_thousand_qubit_family_certificate():
         e[rng.choice(1000, size=1 + rng.integers(0, 3), replace=False)] = 1
         bad += not certificate_holds(e)
     assert bad / trials <= 0.03
+
+
+def test_pccss_x_rows_match_flip_decode_row_by_row():
+    """The stacked X decoder gives every row flip_decode's outcome on the
+    outer code, with the block parities lifted to the representatives."""
+    outer, _ = make_expander(64, 3, 6, seed=5)
+    q = SimpleNamespace(n=256, n0=4, outer=outer)
+    rng = np.random.default_rng(17)
+    parities = (rng.random((40, 64)) < 0.05).astype(np.uint8)
+    S = np.array([syndrome_of(outer.H, b) for b in parities])
+    S[::5] = rng.integers(0, 2, size=S[::5].shape)  # mostly not correctable
+    outs = pccss_decode_x_rows(q, S, max_rounds=3)
+    assert len(outs) == len(S)
+    statuses = set()
+    for s, out in zip(S, outs):
+        ref = flip_decode(outer, s, max_rounds=3)
+        lifted = np.zeros(256, dtype=np.uint8)
+        lifted[np.flatnonzero(ref.estimate) * 4] = 1
+        assert (out.status, out.counters) == (ref.status, ref.counters)
+        assert out.estimate.tolist() == lifted.tolist()
+        if ref.residual is None:
+            assert out.residual is None
+        else:
+            assert out.residual.tolist() == ref.residual.tolist()
+        statuses.add(out.status)
+    assert statuses == {"corrected", "detected-uncorrectable"}
+    single = pccss_decode_x(q, S[0], max_rounds=3)
+    assert single.estimate.tolist() == outs[0].estimate.tolist()
 
 
 def test_pccss_z_weight_one_per_block_exhaustive():

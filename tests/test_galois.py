@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -284,6 +285,34 @@ def test_is_irreducible_matches_factor_enumeration(p, max_deg):
                 assert is_irreducible(scaled, p) == (poly not in reducible), scaled
     assert not is_irreducible((1,), p)
     assert not is_irreducible((1, 1, 0), p)
+
+
+def oracle_trial_division(polys: np.ndarray, p: int) -> np.ndarray:
+    """Irreducibility of each row of polys (monic, of one degree, integer
+    coefficients lowest power first) over GF(p): long division by every
+    monic polynomial of degree at most deg/2, all rows at once."""
+    deg = polys.shape[1] - 1
+    irreducible = np.ones(len(polys), dtype=bool)
+    for d in range(1, deg // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            div = np.array(low + (1,))
+            rem = polys.copy()
+            for top in range(deg, d - 1, -1):
+                c = rem[:, top, None].copy()
+                rem[:, top - d : top + 1] = (rem[:, top - d : top + 1] - c * div) % p
+            irreducible &= rem[:, :d].any(axis=1)
+    return irreducible
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_irreducible_matches_trial_division(p):
+    """Rabin's test against trial division, on every monic polynomial of
+    degree 1 to 6."""
+    for deg in range(1, 7):
+        polys = np.array([c + (1,) for c in itertools.product(range(p), repeat=deg)])
+        expected = oracle_trial_division(polys, p)
+        got = [is_irreducible(tuple(poly), p) for poly in polys.tolist()]
+        assert got == expected.tolist(), deg
 
 
 @pytest.mark.parametrize("p, deg", sorted(DEFAULT_MODULI))

@@ -438,6 +438,139 @@ def test_text_round_trip_bit_exact():
         assert mat_to_text(M2) == text
 
 
+def reference_mat_to_text(M: MatrixGF) -> str:
+    """The writer before its byte-array path: one join per row."""
+    lines = [f"{M.q} {M.rows} {M.cols}"]
+    digits = [str(v) for v in range(M.q)]
+    for row in M.data:
+        lines.append(" ".join(map(digits.__getitem__, row.tolist())))
+    return "\n".join(lines) + "\n"
+
+
+def reference_take_matrix(lines: list[str], at: int, section: str):
+    """The block reader before its canonical path: one parse per row."""
+    head = matgf.bundle_line(lines, at, f"the {section} header").split()
+    try:
+        q, rows, cols = map(int, head)
+    except ValueError:
+        raise ValueError(f"line {at + 1}: {section} header must read 'q rows cols', "
+                         f"got {lines[at]!r}") from None
+    if rows < 0 or cols < 0:
+        raise ValueError(f"line {at + 1}: {section} has negative shape {rows} x {cols}")
+    try:
+        field = field_of_size(q)
+    except ValueError as exc:
+        raise ValueError(f"line {at + 1}: {section}: {exc}") from None
+    try:
+        data = np.empty((rows, cols), dtype=np.uint8 if q <= 256 else np.int64)
+    except (MemoryError, ValueError):
+        raise ValueError(f"line {at + 1}: {section} shape {rows} x {cols} is too large") from None
+    for i in range(rows):
+        text = matgf.bundle_line(lines, at + 1 + i, f"{section} row {i}")
+        where = f"line {at + 2 + i}: {section} row {i}"
+        try:
+            row = np.fromstring(text, dtype=np.int64, sep=" ")
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if row.size != cols:
+            raise ValueError(f"{where} has {row.size} entries, expected {cols}")
+        bad = row[(row < 0) | (row >= q)]
+        if bad.size:
+            raise ValueError(f"{where}: entry {bad[0]} out of range for {field}")
+        data[i] = row
+    return MatrixGF(field, data), at + 1 + rows
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16, 625])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0), (1, 1), (4, 7), (17, 33)])
+def test_writer_matches_reference_join(q, shape):
+    # GF(7) and GF(11) have no built-in modulus; x + 1 serves
+    field = FieldSpec(q, 1, 1, modulus=(1, 1)) if q in (7, 11) else field_of_size(q)
+    rng = np.random.default_rng(q * 100 + shape[0])
+    M = MatrixGF(field, rng.integers(0, q, size=shape))
+    assert mat_to_text(M) == reference_mat_to_text(M)
+
+
+# Row layouts for the reader: the canonical one, other spacings the reader
+# accepts, and broken rows.  Canonical rows are listed more than once so
+# that most blocks have whole canonical chunks.
+ROW_LAYOUTS = ["canonical"] * 4 + [
+    "double spaces", "tabs", "trailing spaces", "leading spaces", "leading zero",
+    "short", "extra entry", "entry q", "negative", "word", "digit separator",
+]
+
+
+def layout_row(entries: list[str], layout: str, q: int) -> str:
+    if layout == "double spaces":
+        return "  ".join(entries)
+    if layout == "tabs":
+        return "\t".join(entries)
+    if layout == "trailing spaces":
+        return " ".join(entries) + "  "
+    if layout == "leading spaces":
+        return "  " + " ".join(entries)
+    if layout == "short":
+        return " ".join(entries[:-1])
+    if layout == "extra entry":
+        return " ".join(entries + ["0"])
+    if layout == "digit separator":
+        # canonical width, but the first two entries run together
+        return " ".join(entries)[:1] + "0" + " ".join(entries)[2:]
+    if entries and layout != "canonical":
+        swap = {"leading zero": "0" + entries[0], "entry q": str(q), "negative": "-1",
+                "word": "x"}[layout]
+        entries = [swap] + entries[1:]
+    return " ".join(entries)
+
+
+@st.composite
+def matrix_blocks(draw):
+    """(lines, chunk bytes): a matrix block, perhaps truncated and perhaps
+    followed by another line, as the bundle readers pass it, and a chunk
+    size for the canonical path."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 8, 9, 16]))
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 5))
+    body = []
+    for _ in range(rows):
+        entries = [str(draw(st.integers(0, q - 1))) for _ in range(cols)]
+        body.append(layout_row(entries, draw(st.sampled_from(ROW_LAYOUTS)), q))
+    body = body[: draw(st.integers(0, rows))] if draw(st.booleans()) else body
+    tail = ["hz"] if draw(st.booleans()) else []
+    lines = [ln for ln in [f"{q} {rows} {cols}"] + body + tail if ln.strip()]
+    return lines, draw(st.sampled_from([1, 2, 5, 12, 1 << 17]))
+
+
+def read_or_message(reader, lines):
+    try:
+        M, end = reader(lines, 0, "hx")
+    except ValueError as exc:
+        return str(exc)
+    return M.field, M.data.tolist(), end
+
+
+@given(matrix_blocks())
+@settings(max_examples=400, deadline=None)
+def test_reader_matches_reference_loop(block):
+    lines, chunk = block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matgf, "_TEXT_CHUNK_BYTES", chunk)
+        got = read_or_message(matgf.take_matrix, lines)
+    assert got == read_or_message(reference_take_matrix, lines)
+
+
+def test_canonical_text_skips_the_row_reader(monkeypatch):
+    rng = np.random.default_rng(5)
+    M = MatrixGF(GF5, rng.integers(0, 5, size=(40, 9)))
+    text = mat_to_text(M)
+
+    def refuse(*args):
+        raise AssertionError("canonical rows reached the row-by-row reader")
+
+    monkeypatch.setattr(matgf, "_take_rows", refuse)
+    monkeypatch.setattr(matgf, "_TEXT_CHUNK_BYTES", 40)
+    assert mat_from_text(text) == M
+
+
 # ------------------------------------------------------------ properties
 
 @given(st.integers(0, 2**30 - 1), st.integers(1, 5), st.integers(1, 6))
