@@ -1,7 +1,8 @@
 """Decode-time scaling scan over a geometric ladder of code sizes.
 
-Prints the timing CSV from the harness: serial and partitioned seconds per
-size plus the serial ratio for each exact doubling.
+Prints the timing CSV from the harness: Z-decode seconds per pass at each
+size, plus the ratio for each exact doubling.  Exits 1 when a ratio
+exceeds the threshold.
 """
 import argparse
 import sys
@@ -16,7 +17,6 @@ def main() -> int:
     ap.add_argument("--max-exp", type=int, default=16, help="largest N = 2^e")
     ap.add_argument("--n0", type=int, default=16)
     ap.add_argument("--trials", type=int, default=32)
-    ap.add_argument("--partitions", type=int, default=2)
     ap.add_argument("--p", type=float, default=0.05)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--repeats", type=int, default=3)
@@ -30,7 +30,6 @@ def main() -> int:
     scan = timing_scaling(
         codes,
         trials=args.trials,
-        partitions=args.partitions,
         p=args.p,
         seed=args.seed,
         repeats=args.repeats,

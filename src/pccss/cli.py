@@ -1,8 +1,8 @@
 """Command-line front end over the plain-text bundle formats.
 
-Every subcommand is a thin shell around one library call; parallelism and
-file formats live behind the module contracts. Exit codes are stable for
-scripting: 0 success, 1 validation failure, 2 usage or input error.
+Every subcommand is a thin shell around one library call; file formats
+live behind the module contracts. Exit codes are stable for scripting:
+0 success, 1 validation failure, 2 usage or input error.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .decode import (
     pccss_decode_x_rows,
     pccss_decode_z,
 )
-from .harness import ExperimentConfig, _resolve_workers, adversarial_sweep, run_trials
+from .harness import ExperimentConfig, adversarial_sweep, run_trials
 from .matgf import nullspace, rank, rows_to_text
 from .stabcirc import build_encoder, circuit_to_text
 
@@ -118,13 +118,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_distance(args) -> int:
     text = _read_text(args.bundle)
-    workers = _resolve_workers(args.workers)
     if _bundle_kind(args.bundle, text) == "csscode":
         q = css_from_text(text, validate=False)
         cap = args.cap if args.cap is not None else 26
         sides = ("x", "z") if args.side == "both" else (args.side,)
         for side in sides:
-            dist = distance_css(q, side, cap=cap, workers=workers)
+            dist = distance_css(q, side, cap=cap)
             if side == "x":
                 q.d_x = dist
             else:
@@ -144,12 +143,12 @@ def _cmd_distance(args) -> int:
     return 0
 
 
-def _side_decoder(q, side: str, partitions: int):
+def _side_decoder(q, side: str):
     """The decoder, one syndrome per call, of a side that is not decoded as
     a stack: the Z side of a code with blocks, or either side of one
     without."""
     if q.n0 is not None:
-        return lambda s: pccss_decode_z(q, s, partitions=partitions)
+        return lambda s: pccss_decode_z(q, s)
     check = q.hx if side == "x" else q.hz
     side_code = LinearCode(
         field=q.field,
@@ -178,12 +177,11 @@ def _cmd_decode(args) -> int:
         raise ValueError("decode needs a csscode bundle")
     q = css_from_text(text)
     max_rounds = _at_least_one("round cap", args.max_rounds)
-    partitions = _resolve_workers(args.workers)
     # the X side of a code with blocks decodes all syndromes as one stack
     # after the last line, but checks each line as it is read, so errors
     # come in line order; every other side decodes each line as it is read
     stacked = q.n0 is not None and args.side == "x"
-    decoder = None if stacked else _side_decoder(q, args.side, partitions)
+    decoder = None if stacked else _side_decoder(q, args.side)
     check_rows = (q.hx if args.side == "x" else q.hz).rows if q.n0 is None else None
 
     outcomes, stack = [], []
@@ -272,7 +270,6 @@ def _cmd_simulate(args) -> int:
         code_seed=args.code_seed,
         bundle=args.bundle,
         seed=args.seed,
-        partitions=_resolve_workers(args.workers),
         decoder=args.decoder,
         max_rounds=_at_least_one("round cap", args.max_rounds),
         out=args.out,
@@ -368,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="file with one whitespace-separated syndrome per line")
     p.add_argument("--max-rounds", type=int, default=100,
                    help="flip-decoder round cap")
-    p.add_argument("--workers", type=int, help="block-decode partitions (z side)")
+    p.add_argument("--workers", type=int, help="accepted; changes nothing")
     p.add_argument("--out", help="write outcomes here instead of stdout")
     p.set_defaults(func=_cmd_decode)
 
@@ -416,6 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # --workers changes nothing; kept and range-checked so command lines keep exit codes
+        if getattr(args, "workers", None) is not None:
+            _at_least_one("worker count", args.workers)
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

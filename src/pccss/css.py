@@ -482,14 +482,14 @@ def _min_weight_outside(basis: MatrixGF, exclude: MatrixGF, halves: int = 1) -> 
     return best
 
 
-def distance_css(q: CssCode, side: str, cap: int = 26, workers: int = 1) -> int:
+def distance_css(q: CssCode, side: str, cap: int = 26) -> int:
     """Exact degenerate distance on one side: the minimum weight over
     null(a) minus rowspace(b), with (a, b) = (hx, hz) for side x.
 
     Combinations of t kernel basis rows are enumerated for t = 1, 2, ...,
     stopping once the best weight found is at most t + 1 (no combination of
     more rows can weigh less) or every combination has been seen. cap bounds
-    the kernel dimension; workers is accepted and changes nothing.
+    the kernel dimension.
     """
     if q.field.size != 2:
         raise ValueError("distance oracle implemented over GF(2)")

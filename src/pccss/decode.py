@@ -430,17 +430,41 @@ def pccss_decode_x(Q, s_x, max_rounds: int = 100) -> DecodeOutcome:
     return pccss_decode_x_rows(Q, _as_vector(s_x)[None, :], max_rounds=max_rounds)[0]
 
 
+def _outer_decoder(Q, decoder: str, max_rounds: int):
+    """The decoder of Q's outer code for one run: "flip", "exhaustive", or
+    "auto" (exhaustive when the outer code fits its size cap, else flip).
+    It decodes a stack of syndromes, one per row, and returns (estimates,
+    flips, residual syndromes) with one row each; a row is corrected when
+    its residual is zero.  The flip rule runs on every row at once
+    (_flip_kernel), each row within max_rounds * (outer length) flips."""
+    H = Q.outer.H
+    if decoder == "auto":
+        decoder = "flip" if _exhaustive_refusal(Q.outer) else "exhaustive"
+    if decoder == "flip":
+        flip_rows = _flip_kernel(H.data)
+        return lambda S: flip_rows(S, max_rounds * H.cols)
+    # refused here, since a run whose X syndromes are all zero never decodes
+    _check_exhaustive_size(Q.outer)
+
+    def decode_exhaustive(S):
+        outs = [exhaustive_decode(Q.outer, s) for s in S]
+        est = np.array([out.estimate != 0 for out in outs], dtype=np.uint8)
+        refused = np.array([out.status != CORRECTED for out in outs], dtype=bool)
+        # a refused syndrome keeps the zero estimate, so its residual is itself
+        return est, np.zeros(len(outs), dtype=np.int64), S * refused[:, None]
+
+    return decode_exhaustive
+
+
 def pccss_decode_x_rows(Q, S, max_rounds: int = 100) -> list[DecodeOutcome]:
     """X-side decoding of a stack of syndromes, one per row: the outer code's
-    sequential flip rule runs on every row at once (_flip_kernel), each
-    within max_rounds * (outer length) flips, and each row's block parities
-    are placed on the blocks' representative (first) coordinates.  Returns
-    one outcome per row, as flip_decode words it.
+    flip decoder (_outer_decoder) runs on every row at once, and each row's
+    block parities are placed on the blocks' representative (first)
+    coordinates.  Returns one outcome per row, as flip_decode words it.
     """
-    H = Q.outer.H
     S = np.asarray(S, dtype=np.uint8)
-    _check_flip_syndrome(H, S.shape[1])
-    est, flips, unsat = _flip_kernel(H.data)(S, max_rounds * H.cols)
+    _check_flip_syndrome(Q.outer.H, S.shape[1])
+    est, flips, unsat = _outer_decoder(Q, "flip", max_rounds)(S)
     lifted = np.zeros((len(S), Q.n), dtype=np.uint8)
     lifted[:, :: Q.n0] = est
     return [
@@ -448,24 +472,18 @@ def pccss_decode_x_rows(Q, S, max_rounds: int = 100) -> list[DecodeOutcome]:
     ]
 
 
-def pccss_decode_z(Q, s_z, partitions: int = 1) -> DecodeOutcome:
-    """Z-side decoding: independent majority decoding of every block.
-
-    With partitions > 1 the blocks are decoded in that many contiguous
-    chunks, one after another; the output is bitwise identical to the
-    single-chunk order.
-    """
+def pccss_decode_z(Q, s_z) -> DecodeOutcome:
+    """Z-side decoding: independent majority decoding of every block.  No
+    block's estimate depends on another's, which is what lets the blocks
+    decode in parallel."""
     _require_gf2(Q, "Z-side majority decoding")
     n0 = Q.n0
     n2 = Q.n // n0
-    d0 = (n0 - 1) // 2
     s = _as_vector(s_z).astype(np.uint8)
     if s.shape[0] != n2 * (n0 - 1):
         raise ValueError(
             f"syndrome length {s.shape[0]} does not match {n2 * (n0 - 1)} bits "
             f"({n2} blocks of {n0 - 1})"
         )
-    S = s.reshape(n2, n0 - 1)
-    chunks = np.array_split(S, max(1, partitions))
-    blocks = np.concatenate([_osmlg_rows(c, d0) for c in chunks], axis=0)
+    blocks = _osmlg_rows(s.reshape(n2, n0 - 1), (n0 - 1) // 2)
     return DecodeOutcome(CORRECTED, blocks.reshape(-1), {"block_decodes": n2})

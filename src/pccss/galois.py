@@ -186,6 +186,9 @@ def is_irreducible(poly, p: int) -> bool:
 
 
 def default_modulus(p: int, degree: int) -> tuple[int, ...]:
+    # any monic linear polynomial is irreducible; x + 1 is the table's choice for p <= 5
+    if degree == 1:
+        return (1, 1)
     try:
         return DEFAULT_MODULI[(p, degree)]
     except KeyError:

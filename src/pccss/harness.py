@@ -1,6 +1,6 @@
 """Seeded Monte Carlo experiments on block-concatenated CSS codes: logical
 failure rates under asymmetric Pauli noise, adversarial fixed-weight sweeps,
-and serial-versus-partitioned decoder timing.
+and the Z decoder's time-scaling scan.
 
 Every trial is keyed by (seed, trial index), so record streams are identical
 however the trials are grouped.  run_trials and adversarial_sweep work in
@@ -31,16 +31,7 @@ import numpy as np
 from .bounds import pz_upper_bound
 from .channel import PauliError, check_key, make_channel, sample_errors
 from .css import _hz_products, css_from_text, fast_family
-from .decode import (
-    CORRECTED,
-    DETECTED,
-    _check_exhaustive_size,
-    _exhaustive_refusal,
-    _flip_kernel,
-    _require_gf2,
-    exhaustive_decode,
-    pccss_decode_z,
-)
+from .decode import CORRECTED, DETECTED, _outer_decoder, _require_gf2, pccss_decode_z
 from .matgf import in_rowspace, rref
 
 __all__ = [
@@ -122,24 +113,10 @@ def logical_check(q, residual: PauliError) -> tuple[bool, bool]:
 
 # ------------------------------------------------------------- experiments
 
-def _resolve_workers(value: int | None) -> int:
-    """The one worker policy, for the CLI's --workers and for
-    ExperimentConfig.partitions: value if given, else the PCCSS_WORKERS
-    variable, else 1.  A count below 1 is refused.  No result depends on
-    the count."""
-    if value is None:
-        value = int(os.environ.get("PCCSS_WORKERS") or 1)
-    if value < 1:
-        raise ValueError(f"worker count must be >= 1, got {value}")
-    return value
-
-
 @dataclass
 class ExperimentConfig:
     """One Monte Carlo run.  seed and every trial index must lie in
-    [0, 2^64).  partitions (resolved_partitions) is kept for existing
-    callers; run_trials runs on one thread and its output does not depend
-    on it."""
+    [0, 2^64)."""
 
     p: float
     zeta: float
@@ -151,7 +128,6 @@ class ExperimentConfig:
     code_seed: int = 0
     bundle: str | None = None
     seed: int = 0
-    partitions: int | None = None
     decoder: str = "flip"
     max_rounds: int = 100
     out: str | None = None
@@ -168,8 +144,9 @@ class ExperimentConfig:
         if self.bundle is not None and not os.path.exists(self.bundle):
             raise ValueError(f"bundle {self.bundle!r} does not exist")
 
+    # the benchmark runner records this; every run is one serial pass
     def resolved_partitions(self) -> int:
-        return _resolve_workers(self.partitions)
+        return 1
 
 
 @dataclass(frozen=True)
@@ -203,29 +180,12 @@ def _block_size(n: int) -> int:
     return max(1, min(_BLOCK_TRIALS, _BLOCK_BITS // n))
 
 
-def _outer_decoder(q, decoder: str, max_rounds: int):
-    """The outer-code decoder for one run.  It decodes a stack of syndromes,
-    one per row, and returns (estimates, flips, ok) with one row each; ok
-    marks the rows it corrected."""
-    H = q.outer.H
-    if decoder == "flip":
-        flip_rows = _flip_kernel(H.data)
-
-        def decode_flip(S):
-            est, flips, unsat = flip_rows(S, max_rounds * H.cols)
-            return est, flips, ~unsat.any(axis=1)
-
-        return decode_flip
-    # refused here, since blocks with only zero X syndromes never call it
-    _check_exhaustive_size(q.outer)
-
-    def decode_exhaustive(S):
-        outs = [exhaustive_decode(q.outer, s) for s in S]
-        est = np.array([out.estimate != 0 for out in outs], dtype=np.uint8)
-        ok = np.array([out.status == CORRECTED for out in outs], dtype=bool)
-        return est, np.zeros(len(outs), dtype=np.int64), ok
-
-    return decode_exhaustive
+def _require_blocks(q, what: str) -> None:
+    """Refuse a code the block decoders cannot run: one without repetition
+    blocks (n0) and an outer code, or one over a field other than GF(2)."""
+    if getattr(q, "n0", None) is None or getattr(q, "outer", None) is None:
+        raise ValueError(f"{what} needs a block-structured code with n0 and outer")
+    _require_gf2(q, what)
 
 
 def _incidence(A: np.ndarray) -> np.ndarray:
@@ -283,7 +243,8 @@ def _decode_block(q, decode_outer, checks, x: np.ndarray, z: np.ndarray):
     flips = np.zeros(t, dtype=np.int64)
     rows = np.flatnonzero(s_x.any(axis=1))
     if rows.size:
-        est_x, flips[rows], ok_x[rows] = decode_outer(s_x[rows])
+        est_x, flips[rows], unsat = decode_outer(s_x[rows])
+        ok_x[rows] = ~unsat.any(axis=1)
         parity[rows, :n2] ^= est_x
     blocks = z.reshape(t, n2, n0)
     weight = np.einsum("ijk->ij", blocks, dtype=np.min_scalar_type(n0))
@@ -306,18 +267,16 @@ def run_trials(cfg: ExperimentConfig, code=None):
     CSV when cfg.out is set.
 
     Trials run in blocks of consecutive indices; every record depends only
-    on (cfg.seed, trial), so the output is the same for any block size and
-    any cfg.partitions.  Each block yields one numpy column per record
-    field; the columns of all blocks are joined once, the summary counts
-    come from them, and the records are built in one pass at the end, the
-    only place statuses become strings.  A record's decode_seconds is its
-    block's decoding time (X and Z decoders, not sampling, syndromes or the
-    logical check) divided by the block's trial count.
+    on (cfg.seed, trial), so the output is the same for any block size.
+    Each block yields one numpy column per record field; the columns of all
+    blocks are joined once, the summary counts come from them, and the
+    records are built in one pass at the end, the only place statuses
+    become strings.  A record's decode_seconds is its block's decoding time
+    (X and Z decoders, not sampling, syndromes or the logical check)
+    divided by the block's trial count.
     """
     q = code if code is not None else _build_code(cfg)
-    if getattr(q, "n0", None) is None or getattr(q, "outer", None) is None:
-        raise ValueError("run_trials needs a block-structured code with n0 and outer")
-    _require_gf2(q, "run_trials")
+    _require_blocks(q, "run_trials")
     ch = make_channel(cfg.p, cfg.zeta)
     decode_outer = _outer_decoder(q, cfg.decoder, cfg.max_rounds)
     checks = _incidence(q.outer.H.data)
@@ -436,11 +395,9 @@ def adversarial_sweep(q, side: str, weights, samples: int = 500, seed: int = 0,
     side = side.lower()
     if side not in ("x", "z"):
         raise ValueError(f"side must be x or z, got {side!r}")
-    _require_gf2(q, "adversarial_sweep")
+    _require_blocks(q, "adversarial_sweep")
     if any(w > q.n or w < 0 for w in weights):
         raise ValueError("weights must lie in [0, n]")
-    if decoder == "auto":
-        decoder = "flip" if _exhaustive_refusal(q.outer) else "exhaustive"
     # a Z sweep has no X errors, so it never runs the outer decoder
     decode_outer = _outer_decoder(q, decoder, max_rounds) if side == "x" else None
     checks = _incidence(q.outer.H.data)
@@ -472,8 +429,6 @@ def adversarial_sweep(q, side: str, weights, samples: int = 500, seed: int = 0,
 class TimingRow:
     n: int
     serial_seconds: float
-    partitioned_seconds: float
-    partitions: int
 
 
 @dataclass(frozen=True)
@@ -484,25 +439,23 @@ class TimingReport:
     threshold: float
 
     def csv_text(self) -> str:
-        lines = ["n,serial_seconds,partitioned_seconds,partitions"]
+        lines = ["n,serial_seconds"]
         for r in self.rows:
-            lines.append(
-                f"{r.n},{r.serial_seconds:.6g},{r.partitioned_seconds:.6g},{r.partitions}"
-            )
+            lines.append(f"{r.n},{r.serial_seconds:.6g}")
         for i, ratio in enumerate(self.ratios):
             lines.append(f"# doubling_ratio_{i} {ratio:.4g}")
         lines.append(f"# ok {self.ok}")
         return "\n".join(lines) + "\n"
 
 
-def timing_scaling(codes, trials: int = 32, partitions: int = 2, p: float = 0.05,
-                   seed: int = 0, repeats: int = 3, threshold: float = 2.5) -> TimingReport:
-    """Serial and partitioned Z-decode time per pass over `trials`
-    syndromes, on a code grid sorted by size; checks that serial time at most
-    `threshold`-folds per size doubling.  Time is this process's CPU time.
-    Each of `repeats` rounds times every size once, over a section that
-    repeats the pass until it lasts _MIN_SECTION_SECONDS; a size reports the
-    seconds per pass of its fastest round."""
+def timing_scaling(codes, trials: int = 32, p: float = 0.05, seed: int = 0,
+                   repeats: int = 3, threshold: float = 2.5) -> TimingReport:
+    """Z-decode time per pass over `trials` syndromes, on a code grid sorted
+    by size; checks that it at most `threshold`-folds per size doubling.
+    Time is this process's CPU time.  Each of `repeats` rounds times every
+    size once, over a section that repeats the pass until it lasts
+    _MIN_SECTION_SECONDS; a size reports the seconds per pass of its
+    fastest round."""
     sizes = [q.n for q in codes]
     if sizes != sorted(sizes):
         raise ValueError("code grid must be sorted by n")
@@ -510,15 +463,12 @@ def timing_scaling(codes, trials: int = 32, partitions: int = 2, p: float = 0.05
     batches = [list(_hz_products(sample_errors(ch, q.n, seed, range(trials)).z, q.n0))
                for q in codes]
     serial = [math.inf] * len(codes)
-    parted = [math.inf] * len(codes)
     # rounds over the whole grid: a slow spell of the machine then lands on
     # one round of several sizes, not on every round of one size
     for _ in range(repeats):
         for i, q in enumerate(codes):
-            serial[i] = min(serial[i], _timed_decode(q, batches[i], 1))
-            parted[i] = min(parted[i], _timed_decode(q, batches[i], partitions))
-    rows = [TimingRow(n=q.n, serial_seconds=s, partitioned_seconds=t, partitions=partitions)
-            for q, s, t in zip(codes, serial, parted)]
+            serial[i] = min(serial[i], _timed_decode(q, batches[i]))
+    rows = [TimingRow(n=q.n, serial_seconds=s) for q, s in zip(codes, serial)]
     ratios = []
     for prev, cur in zip(rows, rows[1:]):
         if cur.n == 2 * prev.n:
@@ -534,14 +484,14 @@ def timing_scaling(codes, trials: int = 32, partitions: int = 2, p: float = 0.05
 _MIN_SECTION_SECONDS = 0.05
 
 
-def _timed_decode(q, batches, partitions: int) -> float:
+def _timed_decode(q, batches) -> float:
     """CPU seconds per pass over batches, over a section of whole passes
     lasting at least _MIN_SECTION_SECONDS."""
     passes = 0
     t0 = time.process_time()
     while True:
         for s_z in batches:
-            pccss_decode_z(q, s_z, partitions=partitions)
+            pccss_decode_z(q, s_z)
         passes += 1
         elapsed = time.process_time() - t0
         if elapsed >= _MIN_SECTION_SECONDS:

@@ -220,6 +220,30 @@ def test_qubit_only_commands_refuse_a_gf3_bundle(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "handles GF(2) codes only, not GF(3)" in err
 
 
+@pytest.mark.parametrize("decoder", ["auto", "flip"])
+@pytest.mark.parametrize("side", ["x", "z"])
+def test_sweep_refuses_a_bundle_without_blocks(tmp_path, capsys, side, decoder):
+    f = FieldSpec(2, 1, 3)
+    alpha = [f.pow(2, i) for i in range(7)]
+    ham = tmp_path / "ham.txt"
+    ham.write_text(code_to_text(make_alternant(f, a=alpha, y=alpha, r=1)))
+    steane = tmp_path / "steane.txt"
+    rc, out, _ = run(capsys, "construct", "css", "--code1", str(ham), "--code2", str(ham),
+                     "--out", str(steane))
+    assert rc == 0 and "[[7, 1]]" in out
+    rc, out, err = run(capsys, "sweep", "--bundle", str(steane), "--side", side,
+                       "--weights", "1", "--decoder", decoder)
+    assert (rc, out) == (2, "")
+    assert err == "error: adversarial_sweep needs a block-structured code with n0 and outer\n"
+
+
+def test_check_accepts_a_gf7_bundle(tmp_path, capsys):
+    # hx . hz = 1*1 + 1*6 + 1*0 = 7 = 0 over GF(7)
+    bundle = tmp_path / "gf7.txt"
+    bundle.write_text("csscode 7 3 1\nhx\n7 1 3\n1 1 1\nhz\n7 1 3\n1 6 0\n")
+    assert run(capsys, "check", str(bundle)) == (0, "ok\n", "")
+
+
 def test_simulate_prints_summary(shor_bundle, capsys):
     rc, out, _ = run(capsys, "simulate", "--bundle", str(shor_bundle),
                      "--p", "0.01", "--zeta", "inf", "--trials", "20",
@@ -291,12 +315,26 @@ def test_enlarged_bundle_lifecycle(tmp_path, capsys):
     assert s.d_method == "exhaustive"
 
 
-def test_workers_env_override(shor_bundle, capsys, monkeypatch):
-    monkeypatch.setenv("PCCSS_WORKERS", "2")
-    rc, out, _ = run(capsys, "simulate", "--bundle", str(shor_bundle),
-                     "--p", "0.0", "--zeta", "1", "--trials", "8")
-    assert rc == 0
-    assert "x_failures 0" in out
+def test_workers_env_changes_nothing(shor_bundle, tmp_path, capsys, monkeypatch):
+    syn = tmp_path / "syn.txt"
+    syn.write_text("1 0\n0 1\n")
+    zsyn = tmp_path / "zsyn.txt"
+    zsyn.write_text("1 0 0 1 1 1\n")
+    commands = [
+        ["distance", str(shor_bundle)],
+        ["distance", str(shor_bundle), "--workers", "3"],
+        ["decode", str(shor_bundle), "--side", "x", "--syndrome", str(syn)],
+        ["decode", str(shor_bundle), "--side", "z", "--syndrome", str(zsyn)],
+        ["simulate", "--bundle", str(shor_bundle), "--p", "0.1", "--zeta", "2",
+         "--trials", "16"],
+        ["sweep", "--bundle", str(shor_bundle), "--side", "z", "--weights", "1,2"],
+        ["decode", str(shor_bundle), "--side", "z", "--syndrome", str(syn)],
+    ]
+    expected = [run(capsys, *argv) for argv in commands]
+    assert [rc for rc, _, _ in expected] == [0, 0, 0, 0, 0, 0, 2]
+    for value in ("0", "-2", "4"):
+        monkeypatch.setenv("PCCSS_WORKERS", value)
+        assert [run(capsys, *argv) for argv in commands] == expected
 
 
 # ------------------------------------------------------- malformed bundles
@@ -609,15 +647,22 @@ def test_max_rounds_below_one_exits_two(shor_bundle, tmp_path, capsys, command, 
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])
-def test_workers_env_below_one_exits_two(shor_bundle, capsys, monkeypatch, workers):
-    monkeypatch.setenv("PCCSS_WORKERS", workers)
-    for argv in (["distance", str(shor_bundle)],
-                 ["simulate", "--bundle", str(shor_bundle), "--p", "0.1", "--zeta", "2",
-                  "--trials", "4"]):
-        rc, out, err = run(capsys, *argv)
-        assert rc == 2
-        assert out == ""
-        assert err == f"error: worker count must be >= 1, got {workers}\n"
+@pytest.mark.parametrize("command", ["distance", "decode", "simulate"])
+def test_workers_below_one_exits_two(shor_bundle, tmp_path, capsys, command, workers):
+    syn = tmp_path / "syn.txt"
+    syn.write_text("1 0\n")
+    argv = {
+        "distance": ["distance", str(shor_bundle)],
+        "decode": ["decode", str(shor_bundle), "--side", "x", "--syndrome", str(syn)],
+        "simulate": ["simulate", "--bundle", str(shor_bundle), "--p", "0.1",
+                     "--zeta", "2", "--trials", "4"],
+    }[command]
+    before = shor_bundle.read_text()
+    rc, out, err = run(capsys, *argv, "--workers", workers)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: worker count must be >= 1, got {workers}\n"
+    assert shor_bundle.read_text() == before
 
 
 # --------------------------------------------------------- fuzzed bundles

@@ -275,12 +275,6 @@ def test_distance_empty_hx_side():
     assert distance_css(q, "x") == 1
 
 
-def test_distance_workers_deterministic():
-    q = shor_code()
-    vals = {distance_css(q, "z", workers=w) for w in (1, 2, 3)}
-    assert vals == {3}
-
-
 def test_distance_cap():
     q = fast_family(64, 4, c=3, d=6, seed=2)
     with pytest.raises(ValueError):

@@ -556,14 +556,13 @@ def test_pccss_z_miscorrection_above_bound():
 
 
 def test_pccss_z_partitioned_bitwise_identical():
+    # the finest contiguous partition: every block decoded on its own
     q = SimpleNamespace(n=60, n0=5, outer=None)
     rng = np.random.default_rng(3)
-    for parts in (2, 3, 5):
-        for _ in range(20):
-            s = rng.integers(0, 2, size=48).astype(np.uint8)
-            a = pccss_decode_z(q, s)
-            b = pccss_decode_z(q, s, partitions=parts)
-            assert a.estimate.tolist() == b.estimate.tolist()
+    for _ in range(60):
+        s = rng.integers(0, 2, size=48).astype(np.uint8)
+        blocks = [osmlg_block_decode(5, b) for b in s.reshape(12, 4)]
+        assert pccss_decode_z(q, s).estimate.tolist() == np.concatenate(blocks).tolist()
 
 
 def test_pccss_z_wrong_length_names_expected_bits():
@@ -578,3 +577,19 @@ def test_outcome_carries_work_counters():
     assert "flips" in out.counters
     z = pccss_decode_z(SimpleNamespace(n=9, n0=3, outer=None), np.zeros(6, dtype=np.uint8))
     assert z.counters["block_decodes"] == 3
+
+
+@pytest.mark.parametrize("decoder", ["auto", "exhaustive", "flip"])
+def test_outer_decoder_returns_residual_syndromes(decoder):
+    # rank-2 checks: the syndrome 1 0 0 has no solution, so exhaustive
+    # refuses it and leaves it as its own residual
+    f = field_of_size(2)
+    H = MatrixGF(f, np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8))
+    outer = LinearCode(f, 3, 1, MatrixGF(f, np.ones((1, 3), dtype=np.uint8)), H)
+    S = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=np.uint8)
+    est, flips, residual = decode._outer_decoder(SimpleNamespace(outer=outer), decoder, 5)(S)
+    assert ((est @ H.data.T + residual) % 2 == S).all()
+    assert residual[[0, 2]].tolist() == [[0, 0, 0], [0, 0, 0]]
+    if decoder != "flip":
+        assert est[1].tolist() == [0, 0, 0] and residual[1].tolist() == [1, 0, 0]
+        assert flips.tolist() == [0, 0, 0]

@@ -361,6 +361,16 @@ def test_field_of_size():
     assert default_modulus(2, 3) == (1, 1, 0, 1)
 
 
+@pytest.mark.parametrize("p", [7, 11, 13, 251, 65521])
+def test_prime_fields_multiply_mod_p(p):
+    f = field_of_size(p)
+    assert (f.p, f.size, f.modulus) == (p, p, (1, 1))
+    values = sorted({0, 1, 2, p - 2, p - 1, p // 2, p // 3 + 1})
+    for a in values:
+        for b in values:
+            assert f.mul(a, b) == a * b % p
+
+
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
 @settings(max_examples=200, deadline=None)
 def test_gf9_ring_laws_hypothesis(a, b, c):

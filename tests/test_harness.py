@@ -130,14 +130,11 @@ def test_config_validation():
         ExperimentConfig(p=0.1, zeta=1.0, trials=1, bundle="/nonexistent/path.txt")
 
 
-def test_partition_width_from_environment(monkeypatch):
+def test_resolved_partitions_is_one_whatever_the_environment(monkeypatch):
     cfg = ExperimentConfig(p=0.1, zeta=1.0, trials=1, n=64, n0=4)
-    monkeypatch.setenv("PCCSS_WORKERS", "3")
-    assert cfg.resolved_partitions() == 3
-    monkeypatch.delenv("PCCSS_WORKERS")
     assert cfg.resolved_partitions() == 1
-    cfg2 = ExperimentConfig(p=0.1, zeta=1.0, trials=1, n=64, n0=4, partitions=5)
-    assert cfg2.resolved_partitions() == 5
+    monkeypatch.setenv("PCCSS_WORKERS", "3")
+    assert cfg.resolved_partitions() == 1
 
 
 def test_run_trials_noiseless_channel_never_fails():
@@ -150,17 +147,6 @@ def test_run_trials_noiseless_channel_never_fails():
 
 def _strip_seconds(records):
     return [dataclasses.replace(r, decode_seconds=0.0) for r in records]
-
-
-def test_run_trials_is_deterministic_across_partitions():
-    base = dict(p=0.04, zeta=10.0, trials=60, n=64, n0=4, code_seed=0, seed=9)
-    serial, s1 = run_trials(ExperimentConfig(**base, partitions=1))
-    parted, s2 = run_trials(ExperimentConfig(**base, partitions=3))
-    assert _strip_seconds(serial) == _strip_seconds(parted)
-    s1.pop("x_rate"), s2.pop("x_rate")
-    assert {k: v for k, v in s1.items() if "wilson" not in k} == {
-        k: v for k, v in s2.items() if "wilson" not in k
-    }
 
 
 def test_run_trials_records_recompute_from_keys():
@@ -426,11 +412,11 @@ def test_sweep_validation():
 def test_timing_report_mechanics():
     codes = [fast_family(512, 16, c=3, d=6, seed=0, validate=False),
              fast_family(1024, 16, c=3, d=6, seed=0, validate=False)]
-    report = timing_scaling(codes, trials=8, partitions=2, repeats=2)
+    report = timing_scaling(codes, trials=8, repeats=2)
     assert len(report.rows) == 2
     assert len(report.ratios) == 1
     text = report.csv_text()
-    assert text.startswith("n,serial_seconds,partitioned_seconds,partitions")
+    assert text.startswith("n,serial_seconds\n512,")
     assert "# ok" in text
 
 
@@ -439,9 +425,9 @@ def test_timing_gate_fails_a_quadratic_decoder(monkeypatch):
     # over sections of at least 50 ms must not hide it from the gate
     real = harness.pccss_decode_z
 
-    def quadratic(q, s_z, partitions=1):
+    def quadratic(q, s_z):
         sum(range(8 * q.n * q.n))
-        return real(q, s_z, partitions=partitions)
+        return real(q, s_z)
 
     monkeypatch.setattr(harness, "pccss_decode_z", quadratic)
     codes = [fast_family(n, 4, 3, 6, 0, validate=False) for n in (64, 128, 256)]
@@ -458,7 +444,7 @@ def test_timing_grid_must_be_sorted():
 
 
 def test_timing_smoke_on_tiny_instance():
-    report = timing_scaling([shor_like_code()], trials=4, partitions=2, repeats=1)
+    report = timing_scaling([shor_like_code()], trials=4, repeats=1)
     assert report.rows[0].n == 9
     assert report.rows[0].serial_seconds < 0.5
     assert report.ok  # no doublings, vacuous
