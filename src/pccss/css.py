@@ -15,6 +15,10 @@ the block's other columns (_hz_products), so check_valid reads the
 commutator off hx without forming hz.  When it is zero, every column of a
 block of hx is minus the block's last column (over GF(2), hx is constant on
 each block), so rank(hx) = rank(hx[:, ::n0]) and k = n/n0 - rank(hx[:, ::n0]).
+A code whose hx is built lazily from its outer code (fast_family) has hx
+= outer.H lifted over the blocks by construction, so check_valid forms
+neither hx nor the commutator and takes rank(hx) = rank(outer.H) from the
+outer code.
 """
 from __future__ import annotations
 
@@ -73,7 +77,9 @@ class CssCode:
 
     hx and hz may be passed as matrices or as zero-argument builders; a
     builder runs on first access, so large structured families never pay for
-    a matrix the caller does not touch.
+    a matrix the caller does not touch.  A code with n0 and outer whose hx
+    is a builder must build outer.H with each column repeated over a block
+    of n0 (fast_family's hx); check_valid relies on it and never builds hx.
     """
 
     def __init__(
@@ -381,22 +387,28 @@ def _check_block_hz(hz: MatrixGF, n0: int) -> None:
 def check_valid(q: CssCode) -> ValidityReport:
     """Commutation, rank bookkeeping of k and its sign.  A code with n0 has
     hz = I ⊗ [I | 1] (CssCode enforces it), so hz is never formed: the
-    commutator comes from _hz_products and rank(hz) is n/n0 · (n0 - 1)."""
+    commutator comes from _hz_products and rank(hz) is n/n0 · (n0 - 1).
+    A code with n0 whose hx is built from outer.H (see CssCode) commutes by
+    construction, and rank(hx) = rank(outer.H) = outer.n - outer.k, outer.G
+    being a full-rank basis of the kernel of outer.H."""
     msgs = []
-    if q.n0 is None:
-        comm, rank_hz = mul(q.hx, q.hz.T).data, rank(q.hz)
+    if q.n0 is not None and q.outer is not None and q._hx_builder is not None:
+        k_rank = q.n // q.n0 - (q.outer.n - q.outer.k)
     else:
-        add = np.bitwise_xor if q.field.size == 2 else _field_ops(q.field)[0]
-        comm, rank_hz = _hz_products(q.hx.data, q.n0, add), q.n // q.n0 * (q.n0 - 1)
-    bad = np.count_nonzero(comm)
-    if bad:
-        i, j = map(int, np.argwhere(comm)[0])
-        msgs.append(f"commutator has {bad} nonzero entries, first at ({i},{j})")
-    if q.n0 is not None and not bad:
-        # every column of a block of hx is minus the block's last column
-        k_rank = q.n // q.n0 - rank(MatrixGF(q.field, q.hx.data[:, :: q.n0]))
-    else:
-        k_rank = q.n - rank(q.hx) - rank_hz
+        if q.n0 is None:
+            comm, rank_hz = mul(q.hx, q.hz.T).data, rank(q.hz)
+        else:
+            add = np.bitwise_xor if q.field.size == 2 else _field_ops(q.field)[0]
+            comm, rank_hz = _hz_products(q.hx.data, q.n0, add), q.n // q.n0 * (q.n0 - 1)
+        bad = np.count_nonzero(comm)
+        if bad:
+            i, j = map(int, np.argwhere(comm)[0])
+            msgs.append(f"commutator has {bad} nonzero entries, first at ({i},{j})")
+        if q.n0 is not None and not bad:
+            # every column of a block of hx is minus the block's last column
+            k_rank = q.n // q.n0 - rank(MatrixGF(q.field, q.hx.data[:, :: q.n0]))
+        else:
+            k_rank = q.n - rank(q.hx) - rank_hz
     if q.k != k_rank:
         msgs.append(f"k = {q.k} but rank bookkeeping gives {k_rank}")
     if q.k < 0:

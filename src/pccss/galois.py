@@ -89,13 +89,14 @@ def _pscale(f: FieldSpec, u: list[int], c: int) -> list[int]:
 
 
 def _pmul(f: FieldSpec, u: list[int], v: list[int]) -> list[int]:
+    add, mul = f.add, f.mul
     out = [0] * (len(u) + len(v) - 1)
     for i, a in enumerate(u):
         if not a:
             continue
-        for j, b in enumerate(v):
+        for j, b in enumerate(v, i):
             if b:
-                out[i + j] = f.add(out[i + j], f.mul(a, b))
+                out[j] = add(out[j], mul(a, b))
     return _ptrim(out)
 
 
@@ -106,13 +107,15 @@ def _pdivmod(f: FieldSpec, u: list[int], v: list[int]) -> tuple[list[int], list[
     rem = list(u[: du + 1]) if du >= 0 else [0]
     quo = [0] * max(du - dv + 1, 1)
     inv_lead = f.inv(v[dv])
+    sub, mul = f.sub, f.mul
     for i in range(du - dv, -1, -1):
-        c = f.mul(rem[i + dv], inv_lead)
+        c = mul(rem[i + dv], inv_lead)
         if not c:
             continue
         quo[i] = c
-        for j in range(dv + 1):
-            rem[i + j] = f.sub(rem[i + j], f.mul(c, v[j]))
+        for j, b in enumerate(v[: dv + 1], i):
+            if b:
+                rem[j] = sub(rem[j], mul(c, b))
     return _ptrim(quo), _ptrim(rem)
 
 
@@ -148,9 +151,10 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def is_irreducible(poly, p: int) -> bool:
-    """Rabin's test: f of degree n over GF(p) is irreducible exactly when
-    x^(p^n) = x mod f and gcd(x^(p^(n/r)) - x, f) = 1 for every prime r
-    dividing n."""
+    """Ben-Or's test: f of degree n over GF(p) is irreducible exactly when
+    gcd(x^(p^i) - x, f) = 1 for i = 1 .. n/2, that is when f has no factor
+    of degree i <= n/2.  Most reducible f have a factor of low degree, so
+    the test usually ends after the first few i."""
     poly = list(poly)
     deg = len(poly) - 1
     if deg < 1 or poly[-1] == 0:
@@ -163,26 +167,20 @@ def is_irreducible(poly, p: int) -> bool:
     def mulmod(u, v):
         return _pdivmod(prime, _pmul(prime, u, v), poly)[1]
 
-    x = [0, 1]
     minus_x = [0, prime.neg(1)]
-    gcd_at = {deg // r for r in _prime_factors(deg)}
-    power = x  # x^(p^i) mod f after step i
-    for i in range(1, deg + 1):
-        base, e, power = power, p, [1]
-        while True:
-            if e & 1:
+    power = [0, 1]  # x^(p^i) mod f after step i
+    for _ in range(deg // 2):
+        base = power  # raised to the p-th power, high bits of p first
+        for bit in bin(p)[3:]:
+            power = mulmod(power, power)
+            if bit == "1":
                 power = mulmod(power, base)
-            e >>= 1
-            if not e:
-                break
-            base = mulmod(base, base)
-        if i in gcd_at:
-            a, b = poly, _padd(prime, power, minus_x)
-            while _pdeg(b) >= 0:
-                a, b = b, _pdivmod(prime, a, b)[1]
-            if _pdeg(a) > 0:
-                return False
-    return power == x
+        a, b = poly, _padd(prime, power, minus_x)
+        while _pdeg(b) >= 0:
+            a, b = b, _pdivmod(prime, a, b)[1]
+        if _pdeg(a) > 0:
+            return False
+    return True
 
 
 def default_modulus(p: int, degree: int) -> tuple[int, ...]:
@@ -274,6 +272,8 @@ class FieldSpec:
         if self.p == 2:
             return a ^ b
         p = self.p
+        if self.degree == 1:
+            return (a + b) % p
         out = 0
         mult = 1
         while a or b:
@@ -287,6 +287,8 @@ class FieldSpec:
         if self.p == 2:
             return a
         p = self.p
+        if self.degree == 1:
+            return -a % p
         out = 0
         mult = 1
         while a:
@@ -296,9 +298,13 @@ class FieldSpec:
         return out
 
     def sub(self, a: int, b: int) -> int:
+        if self.degree == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
+        if self.degree == 1:
+            return a * b % self.p
         if self._exp is not None:
             if a == 0 or b == 0:
                 return 0

@@ -4,15 +4,16 @@ Entries are stored as element indices in a numpy array (uint8 when q <= 256,
 int64 above). Arithmetic takes one of two paths:
 
 - GF(2) works on words: elimination runs bit-packed, 64 columns per machine
-  word, products are float32 BLAS products reduced mod 2 (exact, since the
-  inner dimension is split into chunks below 2^24), and row-space reduction
-  XORs rows.
+  word, clearing a word's columns per pass through 8-bit XOR tables,
+  products are float32 BLAS products reduced mod 2 (exact, since the inner
+  dimension is split into chunks below 2^24), and row-space reduction XORs
+  rows.
 - Every other field goes through one cached provider of elementwise
   (add, mul, neg, inv) over index arrays: q x q lookup tables up to q = 256,
   scalar FieldSpec calls above that (only small matrices live there).
 
-Pivot choice is leftmost column, topmost row, in both paths, so echelon
-forms are canonical and golden-file comparable.
+Both paths return the reduced row echelon form, which a matrix has only
+one of, so echelon forms are canonical and golden-file comparable.
 
 The text format is a "q rows cols" header line followed by one line of
 entries per row; the bundle readers share its block reader, take_matrix.
@@ -182,31 +183,141 @@ class RrefResult:
     pivots: tuple[int, ...]
 
 
+_WORD = (1 << 64) - 1
+
+
+def _panel_basis(words: list[int]) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Reduced echelon basis of the span of words, 64-bit panel words.
+
+    Words are inserted in order into a basis whose leaders are their lowest
+    set bits, until there are as many leaders as columns the words touch.
+    A word that becomes a leader is a source; each basis word carries, in
+    its bits from 64 on, a mask of the sources that XOR to it, numbered in
+    the order they joined.  Back-substitution then clears every leader from
+    the other basis words.  Returns, in increasing leader order, the leader
+    bit positions, the reduced words and their source masks, and the
+    positions in words of the sources.
+    """
+    touched = 0
+    for v in words:
+        touched |= v
+    most = touched.bit_count()
+    basis: dict[int, int] = {}  # leader bit -> source mask << 64 | word
+    sources: list[int] = []
+    for i, v in enumerate(words):
+        if not v:
+            continue
+        v |= 1 << (64 + len(sources))
+        while True:
+            low = v & -v
+            if low >> 64:  # the word reduced to zero
+                break
+            hit = basis.get(low)
+            if hit is None:
+                basis[low] = v
+                sources.append(i)
+                break
+            v ^= hit
+        if len(sources) == most:
+            break
+    lows = sorted(basis)
+    reduced: dict[int, int] = {}
+    for low in reversed(lows):
+        v = basis[low]
+        for high, hv in reduced.items():
+            if v & high:
+                v ^= hv
+        reduced[low] = v
+    return ([low.bit_length() - 1 for low in lows], [reduced[low] & _WORD for low in lows],
+            [reduced[low] >> 64 for low in lows], sources)
+
+
+def _xor_gather(out: np.ndarray, index_bytes: np.ndarray, rows: np.ndarray, groups) -> None:
+    """out ^= the XOR of rows[8g + b] over the set bits b of byte g of the
+    matching row of index_bytes, for each g in groups: one gather from a
+    256-entry table of XORs per group of eight packed rows."""
+    width = rows.shape[1]
+    part = rows.reshape(-1, 8, width)[groups]
+    T = np.zeros((len(groups), 256, width), dtype=np.uint64)
+    for b in range(8):
+        lo = 1 << b
+        np.bitwise_xor(T[:, :lo], part[:, b, None], out=T[:, lo : 2 * lo])
+    for table, g in zip(T, groups):
+        out ^= table[index_bytes[:, g]]
+
+
 def _rref_packed(bits: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
+    """GF(2) reduced row echelon form on rows packed 64 columns to a word,
+    by the Method of Four Russians (Albrecht, Bard and Pernet, 2011): one
+    pass per word column (a panel) clears up to 64 pivot columns.
+
+    1. The panel words of the rows from the current rank down go, as Python
+       ints, into a reduced echelon basis (_panel_basis).  Left of the panel
+       those rows are already zero, so its leaders are the panel's pivot
+       columns, the leftmost independent ones.
+    2. The full-width reduced pivot rows R are formed from the rows that
+       became leaders (the sources), through 8-bit XOR tables over the
+       sources' masks.  R is the identity on the pivot columns, so any row
+       is cleared by XORing the rows of R at its own pivot-column bits: one
+       table gather per group of eight pivots, indexed by the bytes of its
+       panel word.  The sources lie in R's row space and are dropped.
+    3. R moves up to the current rank.
+
+    A matrix has one reduced row echelon form, so the result, rank and
+    pivots are those of column-at-a-time elimination, whatever rows are
+    combined on the way.  A matrix of at most 64 columns is one panel whose
+    rows all go into the basis, so it is finished in Python ints.
+    """
     r, c = bits.shape
     if r == 0 or c == 0:
         return bits.copy(), 0, ()
     P = _pack_rows(bits)
-    one = np.uint64(1)
+    words = P.shape[1]
+    if words == 1:
+        cols, rows, _, _ = _panel_basis(P[:, 0].tolist())
+        out = np.zeros((r, 1), dtype=np.uint64)
+        out[: len(rows), 0] = rows
+        return _unpack_rows(out, c), len(rows), tuple(cols)
     pivots: list[int] = []
     cur = 0
-    for col in range(c):
+    for w in range(words):
         if cur == r:
             break
-        w = col >> 6
-        b = np.uint64(col & 63)
-        nz = np.nonzero((P[cur:, w] >> b) & one)[0]
-        if nz.size == 0:
+        live = cur + np.flatnonzero(P[cur:, w])
+        cols, _, masks, sources = _panel_basis(P[live, w].tolist())
+        k = len(cols)
+        if not k:
             continue
-        piv = cur + int(nz[0])
-        if piv != cur:
-            P[[cur, piv]] = P[[piv, cur]]
-        mask = ((P[:, w] >> b) & one).astype(bool)
-        mask[cur] = False
-        if mask.any():
-            P[mask] ^= P[cur]
-        pivots.append(col)
-        cur += 1
+        src = live[sources]
+        # reduced pivot rows over words w on (the words before are zero)
+        groups = list(range((k + 7) // 8))
+        S = np.zeros((8 * len(groups), words - w), dtype=np.uint64)
+        S[:k] = P[src, w:]
+        R = np.zeros((k, words - w), dtype=np.uint64)
+        mask_bytes = np.array(masks, dtype=np.uint64).view(np.uint8).reshape(k, 8)
+        _xor_gather(R, mask_bytes, S, groups)
+        # the sources lie in R's row space, so they are dropped, not cleared
+        clear = (P[:, w] & np.uint64(sum(1 << col for col in cols))) != 0
+        clear[src] = False
+        hit = np.flatnonzero(clear)
+        if hit.size:
+            at_bit = np.zeros((64, words - w), dtype=np.uint64)
+            at_bit[cols] = R
+            block = P[hit, w:]
+            # a copy: the gathers below change the panel words
+            panel_bytes = block[:, 0].copy().view(np.uint8).reshape(-1, 8)
+            _xor_gather(block, panel_bytes, at_bit, sorted({col >> 3 for col in cols}))
+            P[hit, w:] = block
+        # rows cur..top-1 that are not sources move to the places of the
+        # sources below them, and R takes rows cur..top-1
+        top = cur + k
+        taken = set(src.tolist())
+        moved = [i for i in range(cur, top) if i not in taken]
+        if moved:
+            P[src[-len(moved):]] = P[moved]
+        P[cur:top, w:] = R
+        pivots.extend(64 * w + col for col in cols)
+        cur = top
     return _unpack_rows(P, c), cur, tuple(pivots)
 
 
@@ -261,20 +372,40 @@ def rank(M: MatrixGF) -> int:
 # ------------------------------------------------------------ nullspace
 
 def nullspace(M: MatrixGF) -> MatrixGF:
-    """Full-rank basis B of the right kernel: M B^T = 0, rows = cols - rank."""
+    """Full-rank basis B of the right kernel: M B^T = 0, rows = cols - rank.
+
+    Row j of B sets free (non-pivot) column f_j to 1 and each pivot column
+    p_i to minus entry (i, f_j) of rref(M), the only kernel vector that is
+    zero on the other free columns.  So B depends on rref(M) alone, which
+    is unique, whichever kernel computed it.  B^T is built row by row, its
+    pivot rows being the free columns of rref(M), and transposed in tiles.
+    """
     field = M.field
     rr = rref(M)
-    piv = list(rr.pivots)
-    pivset = set(piv)
-    free = [j for j in range(M.cols) if j not in pivset]
-    B = np.zeros((len(free), M.cols), dtype=_dtype_for(field.size))
-    if free:
-        B[np.arange(len(free)), free] = 1
-        if piv:
-            # coefficients of the pivot variables, one row per free column
-            block = rr.matrix.data[: rr.rank, free].T
-            B[:, piv] = _field_ops(field)[2](block)
-    return MatrixGF(field, B)
+    is_free = np.ones(M.cols, dtype=bool)
+    is_free[list(rr.pivots)] = False
+    free = np.flatnonzero(is_free)
+    Bt = np.zeros((M.cols, free.size), dtype=_dtype_for(field.size))
+    Bt[free, np.arange(free.size)] = 1
+    if rr.rank and free.size:
+        neg = (lambda a: a) if field.p == 2 else _field_ops(field)[2]
+        Bt[list(rr.pivots)] = neg(np.take(rr.matrix.data[: rr.rank], free, axis=1))
+    del rr  # freed before the transposed copy is made
+    return MatrixGF(field, _transposed(Bt))
+
+
+# tile side for _transposed: a tile pair fits in cache
+_TILE = 256
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """a.T as a contiguous array, copied one square tile at a time; one
+    strided copy of a large matrix runs several times slower."""
+    out = np.empty(a.shape[::-1], dtype=a.dtype)
+    for i in range(0, a.shape[0], _TILE):
+        for j in range(0, a.shape[1], _TILE):
+            out[j : j + _TILE, i : i + _TILE] = a[i : i + _TILE, j : j + _TILE].T
+    return out
 
 
 # ------------------------------------------------------------- products

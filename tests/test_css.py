@@ -252,6 +252,22 @@ def test_validated_fast_family_never_forms_hz():
     assert q.k == fast_family(2**14, 16, 3, 6, 0, validate=False).k
 
 
+@pytest.mark.parametrize("k_offset", [0, 1, -1])
+def test_block_code_built_from_outer_is_validated_without_hx(k_offset):
+    """A code whose hx is built from outer.H is checked from the outer code
+    alone, never building hx, with the report the dense hx would give."""
+    q = fast_family(2**10, 16, 3, 6, 0)
+
+    def unbuilt():
+        raise AssertionError("hx was built")
+
+    k = q.k + k_offset
+    lazy = CssCode(n=q.n, hx=unbuilt, hz=q.hz, k=k, n0=16, outer=q.outer, validate=False)
+    dense = CssCode(n=q.n, hx=q.hx, hz=q.hz, k=k, n0=16, outer=q.outer, validate=False)
+    assert check_valid(lazy) == check_valid(dense)
+    assert check_valid(lazy).ok == (k_offset == 0)
+
+
 @pytest.mark.parametrize("row, xor_with", [(1, 0), (5, 2), (0, None)])
 def test_block_hz_must_be_lifted_repetition_checks(row, xor_with):
     """A code with n0 refuses any hz but I (x) [I | 1], validated or not,

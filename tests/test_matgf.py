@@ -1,6 +1,7 @@
 """Matrix algebra over GF(q), checked against brute-force enumeration oracles."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pccss import matgf
+from pccss.codes import make_expander
 from pccss.galois import GF2, FieldSpec, field_of_size
 from pccss.matgf import (
     MatrixGF,
@@ -422,6 +424,54 @@ def test_packed_and_generic_paths_agree_on_randomized_instances():
         assert ga.rank == pa.rank
         assert ga.pivots == pa.pivots
         assert ga.matrix == pa.matrix
+
+
+@pytest.mark.parametrize("cols", [1, 63, 64, 65, 127, 128, 129, 200])
+def test_packed_matches_generic_at_word_boundaries(cols):
+    """Panels of 64 columns: shapes either side of a word boundary, from no
+    rows to more rows than columns, on random, sparse, duplicate-row,
+    all-zero and (shifted) identity matrices."""
+    rng = np.random.default_rng(cols)
+    for rows in sorted({0, 1, 2, 9, cols // 2, cols - 1, cols, cols + 5}):
+        dense = (rng.random((rows, cols)) < 0.5).astype(np.uint8)
+        half = dense[: (rows + 1) // 2]
+        mats = [
+            dense,
+            (rng.random((rows, cols)) < 0.03).astype(np.uint8),
+            np.vstack([half, half])[:rows],
+            np.zeros((rows, cols), dtype=np.uint8),
+            np.eye(rows, cols, dtype=np.uint8),
+            np.eye(rows, cols, k=cols // 3, dtype=np.uint8)[::-1],
+        ]
+        for bits in mats:
+            M = MatrixGF(GF2, bits)
+            ga = rref(M, method="generic")
+            pa = rref(M, method="packed")
+            assert (pa.rank, pa.pivots) == (ga.rank, ga.pivots), (rows, cols)
+            assert pa.matrix == ga.matrix, (rows, cols)
+
+
+# sha256 of rref(H)'s matrix bytes, repr((rank, pivots)) and nullspace(H)'s
+# bytes, first 16 hex digits, for H = make_expander(n, 3, 6, seed)[0].H; taken
+# with column-at-a-time elimination
+EXPANDER_RREF_DIGESTS = {
+    (64, 0): "643fd6ed3612b210",
+    (64, 1): "9c6557f9dc982bfa",
+    (1024, 0): "3e3bcc7b313d0427",
+    (1024, 1): "af6a772f0b177e79",
+    (4096, 0): "be49644fb5e977bb",
+    (4096, 1): "6ed8fc2ba4e893c1",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(EXPANDER_RREF_DIGESTS))
+def test_expander_rref_and_nullspace_digests(n, seed):
+    H = make_expander(n, 3, 6, seed)[0].H
+    rr = rref(H)
+    h = hashlib.sha256(rr.matrix.data.tobytes())
+    h.update(repr((rr.rank, rr.pivots)).encode())
+    h.update(nullspace(H).data.tobytes())
+    assert h.hexdigest()[:16] == EXPANDER_RREF_DIGESTS[n, seed]
 
 
 # ---------------------------------------------------------- text format
