@@ -7,6 +7,7 @@ live behind the module contracts. Exit codes are stable for scripting:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -410,8 +411,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process: building it costs more than most
+    commands on a small code, and parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # --workers changes nothing; kept and range-checked so command lines keep exit codes
         if getattr(args, "workers", None) is not None:

@@ -11,6 +11,7 @@ miscorrection after the fact.
 """
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
@@ -138,7 +139,7 @@ def exhaustive_decode(code, s) -> DecodeOutcome:
     best_w = None
     best = None
     for cw in _span_chunks(code.G) if table is None else (table,):
-        vecs = add(cw, x0[None, :])
+        vecs = cw ^ x0 if q == 2 else add(cw, x0[None, :])
         weights = (vecs != 0).sum(axis=1)
         wmin = int(weights.min())
         if best_w is None or wmin <= best_w:
@@ -146,22 +147,32 @@ def exhaustive_decode(code, s) -> DecodeOutcome:
             if best_w is None or (wmin, cand) < (best_w, best):
                 best_w, best = wmin, cand
     est = np.array(best, dtype=x0.dtype)
-    assert np.array_equal(syndrome_of(code.H, est), s)
+    # est is x0 plus a codeword, so it is valid as it stands
+    assert np.array_equal(mul(code.H, MatrixGF._wrap(field, est[:, None])).data[:, 0], s)
     return DecodeOutcome(CORRECTED, est, {"cosets": q ** code.k})
 
 
 # ------------------------------------------------------------ bdd alternant
 
+@functools.lru_cache(maxsize=64)
+def _alternant_tables(field: FieldSpec, a: tuple, y: tuple, r: int):
+    """Per alternant recipe: the r power rows, entry (j, i) being y_i·a_i^j,
+    and the inverses of the points (None for a zero point)."""
+    rows = tuple(tuple(field.mul(yi, field.pow(ai, j)) for ai, yi in zip(a, y))
+                 for j in range(r))
+    return rows, tuple(field.inv(ai) if ai else None for ai in a)
+
+
 def grs_syndrome(field: FieldSpec, a: Sequence[int], y: Sequence[int], r: int, e) -> list[int]:
     """Extension-field syndrome of a base-field error against the power rows."""
     base = field.base_field()
     e = np.asarray(e).reshape(-1)
-    active = [(i, field.embed(base, int(v))) for i, v in enumerate(e) if v]
+    active = [(i, field.embed(base, int(e[i]))) for i in np.flatnonzero(e).tolist()]
     syn = []
-    for j in range(r):
+    for row in _alternant_tables(field, tuple(a), tuple(y), r)[0]:
         acc = 0
         for i, ev in active:
-            acc = field.add(acc, field.mul(field.mul(y[i], field.pow(a[i], j)), ev))
+            acc = field.add(acc, field.mul(row[i], ev))
         syn.append(acc)
     return syn
 
@@ -196,8 +207,8 @@ def bdd_alternant(code, s, t: int | None = None) -> DecodeOutcome:
     if prov.get("origin") != "alternant":
         raise ValueError("bdd decoding needs an alternant construction recipe")
     field: FieldSpec = prov["ext"]
-    a = list(prov["a"])
-    y = list(prov["y"])
+    a = tuple(prov["a"])
+    y = tuple(prov["y"])
     r = prov["r"]
     s = [int(v) for v in np.asarray(_as_vector(s))]
     if len(s) != r:
@@ -240,9 +251,8 @@ def bdd_alternant(code, s, t: int | None = None) -> DecodeOutcome:
     if nu > t:
         return detected
 
-    roots = [
-        i for i, ai in enumerate(a) if ai and _peval(field, sigma, field.inv(ai)) == 0
-    ]
+    inverses = _alternant_tables(field, a, y, r)[1]
+    roots = [i for i, z in enumerate(inverses) if z is not None and _peval(field, sigma, z) == 0]
     if len(roots) != nu:
         return detected
 
@@ -250,7 +260,7 @@ def bdd_alternant(code, s, t: int | None = None) -> DecodeOutcome:
     dsigma = _pderiv(field, sigma)
     est = zeros.copy()
     for i in roots:
-        z = field.inv(a[i])
+        z = inverses[i]
         den = field.mul(y[i], _peval(field, dsigma, z))
         if not den:
             return detected
@@ -263,7 +273,8 @@ def bdd_alternant(code, s, t: int | None = None) -> DecodeOutcome:
             return detected
         est[i] = ev
 
-    resid = [field.sub(sv, cv) for sv, cv in zip(s, grs_syndrome(field, a, y, r, est))]
+    syn = grs_syndrome(field, a, y, r, est)
+    resid = [field.sub(sv, cv) for sv, cv in zip(s, syn)]
     if any(resid):
         # a zero evaluation point only shows up in the constant syndrome row
         z_idx = a.index(0) if 0 in a else None
@@ -281,7 +292,8 @@ def bdd_alternant(code, s, t: int | None = None) -> DecodeOutcome:
         if not ev:
             return detected
         est[z_idx] = ev
-    assert grs_syndrome(field, a, y, r, est) == s
+        syn = grs_syndrome(field, a, y, r, est)
+    assert syn == s
     return DecodeOutcome(CORRECTED, est, {"euclid_steps": steps})
 
 

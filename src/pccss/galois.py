@@ -11,6 +11,7 @@ the irreducibility test, the subfield embeddings and the alternant decoder.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 __all__ = [
@@ -183,14 +184,25 @@ def is_irreducible(poly, p: int) -> bool:
     return True
 
 
+@functools.cache
 def default_modulus(p: int, degree: int) -> tuple[int, ...]:
-    # any monic linear polynomial is irreducible; x + 1 is the table's choice for p <= 5
+    """The monic irreducible modulus of GF(p^degree) used when none is given.
+
+    Degree 1 gives x + 1 (any monic linear polynomial is irreducible).  Other
+    degrees take the DEFAULT_MODULI entry; a (p, degree) pair missing there
+    takes the first x^degree + c(x) that is_irreducible accepts, trying the
+    lower coefficients c_0, ..., c_(degree-1) in increasing order of their
+    radix-p index c_0 + c_1 p + ... + c_(degree-1) p^(degree-1), from 1.
+    """
+    if not _is_prime(p) or degree < 1:
+        raise ValueError(f"no modulus for GF({p}^{degree}): needs a prime and a positive degree")
     if degree == 1:
         return (1, 1)
-    try:
-        return DEFAULT_MODULI[(p, degree)]
-    except KeyError:
-        raise ValueError(f"no built-in modulus for GF({p}^{degree}); pass one explicitly") from None
+    hit = DEFAULT_MODULI.get((p, degree))
+    if hit is not None:
+        return hit
+    lowers = (tuple(i // p**j % p for j in range(degree)) for i in range(1, p**degree))
+    return next(c + (1,) for c in lowers if is_irreducible(c + (1,), p))
 
 
 class FieldSpec:
@@ -530,7 +542,7 @@ class FieldSpec:
 
 _FIELDS_BY_SIZE: dict[int, FieldSpec] = {}
 
-# The largest field with a built-in modulus, so the largest field_of_size builds.
+# The largest field in the modulus table, 2^16: the largest field_of_size builds.
 _MAX_FIELD_SIZE = max(p**degree for p, degree in DEFAULT_MODULI)
 
 

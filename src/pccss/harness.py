@@ -31,7 +31,7 @@ import numpy as np
 from .bounds import pz_upper_bound
 from .channel import PauliError, check_key, make_channel, sample_errors
 from .css import _hz_products, css_from_text, fast_family
-from .decode import CORRECTED, DETECTED, _outer_decoder, _require_gf2, pccss_decode_z
+from .decode import CORRECTED, DETECTED, _outer_decoder, _require_gf2, pccss_decode_z, syndrome_of
 from .matgf import in_rowspace, rref
 
 __all__ = [
@@ -86,9 +86,8 @@ def logical_check(q, residual: PauliError) -> tuple[bool, bool]:
     outer = getattr(q, "outer", None)
     if n0 and outer is not None:
         n2 = q.n // n0
-        h2 = outer.H.data
         pi = residual.x.reshape(n2, n0).sum(axis=1).astype(np.uint8) % 2
-        x_failed = bool(pi.any()) and not ((h2 @ pi) % 2).any()
+        x_failed = bool(pi.any()) and not syndrome_of(outer.H, pi).any()
         blocks = residual.z.reshape(n2, n0)
         if (blocks ^ blocks[:, :1]).any():
             z_failed = False
@@ -100,11 +99,11 @@ def logical_check(q, residual: PauliError) -> tuple[bool, bool]:
                 z_failed = not in_rowspace(_cached_rref(q, "_h2_rref", outer.H), w)
         return x_failed, z_failed
 
-    sx = (q.hx.data @ residual.x) % 2
+    sx = syndrome_of(q.hx, residual.x)
     x_failed = not sx.any() and residual.x.any() and not in_rowspace(
         _cached_rref(q, "_hz_rref", q.hz), residual.x
     )
-    sz = (q.hz.data @ residual.z) % 2
+    sz = syndrome_of(q.hz, residual.z)
     z_failed = not sz.any() and residual.z.any() and not in_rowspace(
         _cached_rref(q, "_hx_rref", q.hx), residual.z
     )

@@ -5,9 +5,9 @@ int64 above). Arithmetic takes one of two paths:
 
 - GF(2) works on words: elimination runs bit-packed, 64 columns per machine
   word, clearing a word's columns per pass through 8-bit XOR tables,
-  products are float32 BLAS products reduced mod 2 (exact, since the inner
-  dimension is split into chunks below 2^24), and row-space reduction XORs
-  rows.
+  products are float32 BLAS products reduced to parity by an exact integer
+  cast (the inner dimension is split into chunks below 2^24 terms, so every
+  sum is an exact integer), and row-space reduction XORs rows.
 - Every other field goes through one cached provider of elementwise
   (add, mul, neg, inv) over index arrays: q x q lookup tables up to q = 256,
   scalar FieldSpec calls above that (only small matrices live there).
@@ -79,6 +79,16 @@ class MatrixGF:
         data.setflags(write=False)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "data", data)
+
+    @classmethod
+    def _wrap(cls, field: FieldSpec, data: np.ndarray) -> "MatrixGF":
+        """Wrap data that is valid by construction (a fresh 2-D array of
+        field's dtype and range, like a product's), skipping the checks."""
+        data.setflags(write=False)
+        self = object.__new__(cls)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "data", data)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixGF is immutable")
@@ -411,7 +421,8 @@ def _transposed(a: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------- products
 
 # float32 holds every integer below 2^24 exactly, so a GF(2) product summed
-# over at most this many inner terms has an exact integer value
+# over at most this many inner terms has an exact integer value, which the
+# cast to int32 keeps; its low bit is the parity
 _F32_EXACT_TERMS = 2**24 - 1
 
 
@@ -422,17 +433,17 @@ def mul(A: MatrixGF, B: MatrixGF) -> MatrixGF:
         raise ValueError(f"shape mismatch {A.shape} x {B.shape}")
     field = A.field
     if field.size == 2:
-        C = np.zeros((A.rows, B.cols), dtype=np.uint8)
-        for s in range(0, A.cols, _F32_EXACT_TERMS):
+        parity = None
+        for s in range(0, max(A.cols, 1), _F32_EXACT_TERMS):  # one pass at least
             t = s + _F32_EXACT_TERMS
-            part = A.data[:, s:t].astype(np.float32) @ B.data[s:t].astype(np.float32)
-            C ^= (part % 2).astype(np.uint8)
-        return MatrixGF(field, C)
+            part = np.matmul(A.data[:, s:t], B.data[s:t], dtype=np.float32).astype(np.int32)
+            parity = part if parity is None else parity ^ part
+        return MatrixGF._wrap(field, parity.astype(np.uint8) & 1)
     add, mulf, _, _ = _field_ops(field)
     C = np.zeros((A.rows, B.cols), dtype=_dtype_for(field.size))
     for k in range(A.cols):
         C = add(C, mulf(A.data[:, k, None], B.data[None, k, :]))
-    return MatrixGF(field, C)
+    return MatrixGF._wrap(field, C)
 
 
 _SPAN_CHUNK = 4096

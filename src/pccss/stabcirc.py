@@ -48,26 +48,32 @@ class Circuit:
     meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
+        n = self.n
         for g in self.gates:
-            if g.name not in ("H", "CX"):
+            arity = _ARITY.get(g.name)
+            if arity is None:
                 raise ValueError(f"unsupported gate {g.name!r}")
-            if len(g.qubits) != (1 if g.name == "H" else 2):
-                raise ValueError(f"{g.name} takes {1 if g.name == 'H' else 2} qubits")
-            if len(set(g.qubits)) != len(g.qubits):
+            qubits = g.qubits
+            if len(qubits) != arity:
+                raise ValueError(f"{g.name} takes {arity} qubits")
+            if arity == 2 and qubits[0] == qubits[1]:
                 raise ValueError("gate qubits must be distinct")
-            if any(not 0 <= q < self.n for q in g.qubits):
+            if not (0 <= qubits[0] < n and 0 <= qubits[-1] < n):
                 raise ValueError(f"qubit index out of range in {g}")
+
+
+_ARITY = {"H": 1, "CX": 2}
 
 
 def circuit_depth(c: Circuit) -> tuple[int, int]:
     """Greedy layering: each gate lands on the first layer where all its
     qubits are free.  Returns (depth, gate count)."""
-    free = np.zeros(c.n, dtype=np.int64)
+    free = [0] * c.n
     depth = 0
     for g in c.gates:
-        layer = max(int(free[q]) for q in g.qubits) + 1
-        for q in g.qubits:
-            free[q] = layer
+        a, b = g.qubits[0], g.qubits[-1]  # the same qubit for H
+        layer = max(free[a], free[b]) + 1
+        free[a] = free[b] = layer
         depth = max(depth, layer)
     return depth, len(c.gates)
 
@@ -76,18 +82,17 @@ def circuit_depth(c: Circuit) -> tuple[int, int]:
 
 def _color_edges(edges: list[tuple[int, int]]) -> list[int]:
     """Proper edge coloring of a bipartite multigraph with max-degree many
-    colors, by alternating-path exchange.  edges are (control, target) with
-    the two endpoint namespaces disjoint by construction."""
-    used: dict[tuple[int, int], dict[int, int]] = {}
+    colors, by alternating-path exchange.  edges are (control, target);
+    control u is node 2u and target v node 2v + 1, so the two sides never
+    share a node."""
+    used: dict[int, dict[int, int]] = {}  # node -> {color: edge}
+    ends: list[int] = []  # per edge, the sum of its two nodes
     color_of = [0] * len(edges)
-    other = {}
-
-    def node_colors(v):
-        return used.setdefault(v, {})
 
     for idx, (u, v) in enumerate(edges):
-        cu = node_colors(("c", u))
-        cv = node_colors(("t", v))
+        cnode, tnode = 2 * u, 2 * v + 1
+        cu = used.setdefault(cnode, {})
+        cv = used.setdefault(tnode, {})
         a = 0
         while a in cu:
             a += 1
@@ -97,28 +102,26 @@ def _color_edges(edges: list[tuple[int, int]]) -> list[int]:
         if a != b:
             # walk the a/b alternating path from the target side and swap;
             # bipartiteness keeps the path away from the control endpoint
-            x, want = ("t", v), a
+            x, want = tnode, a
             path = []
-            while want in node_colors(x):
-                eidx = node_colors(x)[want]
-                path.append((x, other[(eidx, x)], eidx, want))
-                x = other[(eidx, x)]
+            while want in used[x]:
+                eidx = used[x][want]
+                y = ends[eidx] - x
+                path.append((x, y, eidx, want))
+                x = y
                 want = b if want == a else a
             for x, y, eidx, col in path:
-                del node_colors(x)[col]
-                del node_colors(y)[col]
+                del used[x][col]
+                del used[y][col]
             for x, y, eidx, col in path:
                 newc = b if col == a else a
-                node_colors(x)[newc] = eidx
-                node_colors(y)[newc] = eidx
+                used[x][newc] = eidx
+                used[y][newc] = eidx
                 color_of[eidx] = newc
-        cu = node_colors(("c", u))
-        cv = node_colors(("t", v))
         cu[a] = idx
         cv[a] = idx
         color_of[idx] = a
-        other[(idx, ("c", u))] = ("t", v)
-        other[(idx, ("t", v))] = ("c", u)
+        ends.append(cnode + tnode)
     return color_of
 
 
@@ -141,15 +144,14 @@ def build_encoder(q) -> Circuit:
     k2 = gstd.rows
     p2 = gstd.data[:, k2:]
 
-    edges = [(j, i) for i in range(copies - k2) for j in range(k2) if p2[j, i]]
+    # the parity part's ones, column by column: (row j, column i)
+    cols, rows = np.nonzero(p2.T)
+    edges = list(zip(rows.tolist(), cols.tolist()))
     colors = _color_edges(edges)
-    gates = []
-    for layer in range(max(colors, default=-1) + 1):
-        for eidx, (j, i) in enumerate(edges):
-            if colors[eidx] == layer:
-                ctrl = int(perm[j]) * n0
-                tgt = int(perm[k2 + i]) * n0
-                gates.append(Gate("CX", (ctrl, tgt), "I"))
+    perm = perm.tolist()
+    # layer by layer, edges in order within a layer (the sort is stable)
+    gates = [Gate("CX", (perm[edges[e][0]] * n0, perm[k2 + edges[e][1]] * n0), "I")
+             for e in sorted(range(len(edges)), key=colors.__getitem__)]
     stage_one = len(gates)
 
     for b in range(copies):
@@ -250,9 +252,12 @@ def verify_encoder(q, c: Circuit) -> VerifyReport:
     n = c.n
     t = tableau_run(c)
     hx, hz = q.hx.data, q.hz.data
-    paulis = np.block([[t.x, t.z],
-                       [hx, np.zeros_like(hx)],
-                       [np.zeros_like(hz), hz]])
+    # rows: the tableau (x | z), then (hx | 0) and (0 | hz)
+    paulis = np.zeros((2 * n + len(hx) + len(hz), 2 * n), dtype=np.uint8)
+    paulis[: 2 * n, :n] = t.x
+    paulis[: 2 * n, n:] = t.z
+    paulis[2 * n : 2 * n + len(hx), :n] = hx
+    paulis[2 * n + len(hx) :, n:] = hz
     # (a | b) · Λ · (s_x | s_z)ᵀ = a · s_zᵀ + b · s_xᵀ
     lam_s = np.hstack([t.z[n:], t.x[n:]]).T
     prod = mul(MatrixGF(GF2, paulis), MatrixGF(GF2, lam_s)).data

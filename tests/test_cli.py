@@ -4,6 +4,8 @@ import contextlib
 import functools
 import io
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pccss import cli
 from pccss.cli import build_parser, main
 from pccss.codes import code_to_text, dual, make_alternant, make_expander, make_repetition
 from pccss.css import css_from_text, css_to_text, fast_family, stab_from_text, stab_to_text
@@ -106,6 +109,45 @@ def test_check_rejects_unknown_header(tmp_path, capsys):
 def test_help_matches_golden_file(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert build_parser().format_help() == (DATA / "cli_help.txt").read_text()
+
+
+def test_main_builds_its_parser_once_and_keeps_no_parse_state(tmp_path, monkeypatch):
+    """Calls of main in one process, each after others have parsed, print
+    and return exactly what the same command line does in a fresh one."""
+    monkeypatch.setenv("COLUMNS", "80")
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    for d in (here, fresh):
+        d.mkdir()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["construct", "fast", "--N", "9", "--n0", "3", "--outer", "rep",
+                     "--out", str(here / "rep9.txt")]) == 0
+    (fresh / "rep9.txt").write_text((here / "rep9.txt").read_text())
+    commands = [
+        ["check", "{d}/rep9.txt"],
+        ["distance", "{d}/rep9.txt", "--side", "sideways"],  # argparse exits 2
+        ["distance", "{d}/rep9.txt"],
+        ["bounds", "--zeta", "10", "--pmax", "0.03", "--step", "0.01"],
+    ]
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main([a.format(d=here) for a in argv])
+            except SystemExit as exc:
+                rc = exc.code
+        proc = subprocess.run([sys.executable, "-m", "pccss.cli"]
+                              + [a.format(d=fresh) for a in argv],
+                              capture_output=True, text=True, env=env, check=False)
+        got = (rc, out.getvalue(), err.getvalue())
+        assert got == (proc.returncode, proc.stdout.replace(str(fresh), str(here)),
+                       proc.stderr.replace(str(fresh), str(here))), argv
+    assert (here / "rep9.txt").read_text() == (fresh / "rep9.txt").read_text()
+    assert len(builds) == 1
 
 
 def test_decode_both_sides(shor_bundle, tmp_path, capsys):
@@ -242,6 +284,17 @@ def test_check_accepts_a_gf7_bundle(tmp_path, capsys):
     bundle = tmp_path / "gf7.txt"
     bundle.write_text("csscode 7 3 1\nhx\n7 1 3\n1 1 1\nhz\n7 1 3\n1 6 0\n")
     assert run(capsys, "check", str(bundle)) == (0, "ok\n", "")
+
+
+def test_check_accepts_a_gf49_bundle(tmp_path, capsys):
+    # GF(49) has no table modulus; the first irreducible x^2 + c is x^2 + 1,
+    # so with x the element 7, hx . hz = 1*1 + x*x + 1*0 = 1 + x^2 = 0
+    bundle = tmp_path / "gf49.txt"
+    bundle.write_text("csscode 49 3 1\nhx\n49 1 3\n1 7 1\nhz\n49 1 3\n1 7 0\n")
+    assert run(capsys, "check", str(bundle)) == (0, "ok\n", "")
+    bundle.write_text("csscode 49 3 1\nhx\n49 1 3\n1 7 1\nhz\n49 1 3\n1 8 0\n")
+    rc, out, _ = run(capsys, "check", str(bundle))
+    assert rc == 1 and "violation:" in out
 
 
 def test_simulate_prints_summary(shor_bundle, capsys):

@@ -315,6 +315,32 @@ def test_is_irreducible_matches_trial_division(p):
         assert got == expected.tolist(), deg
 
 
+@pytest.mark.parametrize("p, deg", [(7, 2), (11, 2), (7, 3), (13, 2), (3, 5), (2, 17)])
+def test_default_modulus_outside_the_table_is_the_first_irreducible(p, deg):
+    """x^deg + c(x) for the smallest radix-p index of c, lowest power first,
+    that trial division finds irreducible."""
+    assert (p, deg) not in DEFAULT_MODULI
+    got = default_modulus(p, deg)
+    assert len(got) == deg + 1 and got[-1] == 1
+    index = sum(c * p**j for j, c in enumerate(got[:-1]))
+    # every candidate up to and including got, in radix-p order
+    polys = np.array([[i // p**j % p for j in range(deg)] + [1] for i in range(index + 1)])
+    irreducible = oracle_trial_division(polys, p)
+    assert irreducible[-1] and not irreducible[:-1].any()
+
+
+def test_gf49_arithmetic_matches_polynomial_oracle():
+    f = FieldSpec(7, 1, 2)
+    assert f.modulus == (1, 0, 1) and f.size == 49
+    for a in range(49):
+        for b in range(49):
+            assert f.mul(a, b) == oracle_mul(f, a, b)
+            assert f.add(a, b) == oracle_add(f, a, b)
+        if a:
+            assert f.mul(a, f.inv(a)) == 1
+    assert field_of_size(49).modulus == f.modulus
+
+
 @pytest.mark.parametrize("p, deg", sorted(DEFAULT_MODULI))
 def test_generator_and_tables_match_oracle_orders(p, deg):
     f = FieldSpec(p, 1, deg)

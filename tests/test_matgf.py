@@ -248,6 +248,27 @@ def test_gf2_mul_sums_inner_chunks(monkeypatch):
         assert mul(odd, transpose(odd)).data.tolist() == [[1]]
 
 
+# row i of A holds WIDE_SUMS[i] ones, so every entry of row i of A·ones is
+# that sum: odd and even values on both sides of 255 and of 65535
+WIDE_SUMS = [255, 256, 300, 301, 65535, 65536, 70000, 70001]
+
+
+@pytest.mark.parametrize("terms", [None, 257, 65536, 70000])
+def test_gf2_mul_parity_of_sums_beyond_a_byte(monkeypatch, terms):
+    """Parity is taken from the exact chunk sums, not from a narrowed copy:
+    a cast that saturates or wraps at 255 or 65535 gets some rows wrong."""
+    if terms is not None:
+        monkeypatch.setattr(matgf, "_F32_EXACT_TERMS", terms)
+    k = max(WIDE_SUMS)
+    A = (np.arange(k)[None, :] < np.array(WIDE_SUMS)[:, None]).astype(np.uint8)
+    ones = np.ones((k, 3), dtype=np.uint8)
+    C = mul(MatrixGF(GF2, A), MatrixGF(GF2, ones)).data
+    assert np.array_equal(C, int64_product_mod2(A, ones))
+    assert C[:, 0].tolist() == [s % 2 for s in WIDE_SUMS]
+    full = MatrixGF(GF2, np.ones((2, 70001), dtype=np.uint8))
+    assert mul(full, MatrixGF(GF2, np.ones((70001, 3), dtype=np.uint8))).data.tolist() == [[1] * 3] * 2
+
+
 def test_transpose_involution():
     rng = np.random.default_rng(9)
     A = MatrixGF(GF4, rng.integers(0, 4, size=(3, 5)))
