@@ -48,7 +48,11 @@ def entropy_q(x: float, q: int = 2) -> float:
     """q-ary entropy x log_q(q-1) - x log_q x - (1-x) log_q(1-x), limits at 0, 1."""
     if q < 2:
         raise ValueError(f"entropy needs a field size q >= 2, got {q}")
-    x = _clip01(float(x), "entropy argument")
+    return _entropy(_clip01(float(x), "entropy argument"), q)
+
+
+def _entropy(x: float, q: int) -> float:
+    """entropy_q for an x already snapped onto [0, 1]."""
     lnq = math.log(q)
     if x == 0.0:
         return 0.0
@@ -170,7 +174,11 @@ class RateCurve:
 
 
 def rate_curves(zetas, pmax: float = 0.5, step: float = 1e-3) -> list[RateCurve]:
-    """Hashing bound plus one achievable-rate curve per asymmetry value."""
+    """Hashing bound plus one achievable-rate curve per asymmetry value.
+
+    Each point is hashing_rate(p) or pccss_channel_rate(p, zeta), NaN where
+    4 p_X > 1: the same float expressions in the same order, in one loop
+    without their per-point channel objects and checks."""
     _check_grid(pmax, step)
     grid = []
     k = 1
@@ -180,15 +188,19 @@ def rate_curves(zetas, pmax: float = 0.5, step: float = 1e-3) -> list[RateCurve]
             break
         grid.append(p)
         k += 1
-    curves = [RateCurve("hashing", tuple(grid), tuple(hashing_rate(p) for p in grid))]
+    ps = [_clip01(p, "total error probability") for p in grid]
+    curves = [RateCurve("hashing", tuple(grid), tuple(1.0 - _entropy(p, 2) for p in ps))]
     for z in zetas:
         check_asymmetry(z)  # a bad zeta is an input error, not a NaN column
         ys = []
-        for p in grid:
-            try:
-                ys.append(pccss_channel_rate(p, z))
-            except ValueError:
+        for p in ps:
+            px = 0.0 if math.isinf(z) else p / (2.0 * z + 1.0)  # channel.make_channel's split
+            if 4 * px > 1 + _FUZZ:
                 ys.append(float("nan"))
+            else:
+                h_x = _entropy(_clip01(4 * px, "entropy argument"), 2)
+                h_z = _entropy(_clip01((p - 2.0 * px) + px, "entropy argument"), 2)
+                ys.append(1.0 - h_x - h_z)
         curves.append(RateCurve(f"pccss zeta={z:g}", tuple(grid), tuple(ys)))
     return curves
 

@@ -77,10 +77,11 @@ def _cmd_construct(args) -> int:
         if args.N is None or args.n0 is None:
             raise ValueError("construct fast needs --N and --n0")
         if args.outer == "rep":
+            block = make_repetition(args.n0)  # refuses n0 < 2 before n0 = 0 can divide
             copies, rem = divmod(args.N, args.n0)
             if rem:
                 raise ValueError(f"block length {args.n0} must divide N = {args.N}")
-            inner = lift_block(make_repetition(args.n0), copies)
+            inner = lift_block(block, copies)
             q = make_pccss(inner, make_repetition(copies))
         else:
             q = fast_family(args.N, args.n0, args.c, args.d, args.seed)

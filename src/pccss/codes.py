@@ -8,6 +8,7 @@ stored as d_certified.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 
@@ -150,9 +151,16 @@ def probe_min_weight(code: LinearCode, trials: int = 100000, seed: int = 0) -> i
 # ------------------------------------------------------------ repetition
 
 def make_repetition(n0: int) -> LinearCode:
-    """[n0, 1, n0] binary repetition code; H = [I | all-ones column]."""
+    """[n0, 1, n0] binary repetition code; H = [I | all-ones column].  A new
+    code on every call, over matrices validated once per n0."""
     if n0 < 2:
         raise ValueError(f"repetition length must be >= 2, got {n0}")
+    code = _repetition_code(n0)
+    return dataclasses.replace(code, provenance=dict(code.provenance))
+
+
+@functools.lru_cache(maxsize=64)
+def _repetition_code(n0: int) -> LinearCode:
     f2 = field_of_size(2)
     H = np.hstack([np.eye(n0 - 1, dtype=np.uint8), np.ones((n0 - 1, 1), dtype=np.uint8)])
     G = np.ones((1, n0), dtype=np.uint8)

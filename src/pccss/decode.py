@@ -1,7 +1,10 @@
 """Syndrome decoders: exhaustive coset-leader search, bounded-distance
 decoding of alternant codes, bit-flip decoding on sparse graphs, one-step
 majority-logic for the repetition blocks, and the two-sided decoder for the
-product-construction CSS family.
+product-construction CSS family.  The two small-code decoders keep state
+per code: exhaustive search scans a binary code's codewords packed one per
+integer word, and bounded-distance decoding keeps the recipe's tables and
+the extension field's log tables in one context.
 
 Status vocabulary for every decoder: "corrected" means the returned estimate
 reproduces the input syndrome exactly; "detected-uncorrectable" means the
@@ -12,25 +15,15 @@ miscorrection after the fact.
 from __future__ import annotations
 
 import functools
+import operator
 import weakref
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
 
-from .galois import (
-    GF2,
-    FieldSpec,
-    _padd,
-    _pderiv,
-    _pdeg,
-    _pdivmod,
-    _peval,
-    _pmul,
-    _pscale,
-    _ptrim,
-)
-from .matgf import _SPAN_CHUNK, MatrixGF, _field_ops, _span_chunks, mul, solver
+from .galois import GF2, FieldSpec
+from .matgf import _SPAN_CHUNK, MatrixGF, _column, _field_ops, _span_chunks, mul, solver
 
 __all__ = [
     "DecodeOutcome",
@@ -73,9 +66,7 @@ def _require_gf2(q, what: str) -> None:
 
 def syndrome_of(M: MatrixGF, e: np.ndarray) -> np.ndarray:
     """Syndrome of an error vector against the given check matrix."""
-    e = np.asarray(e).reshape(-1)
-    col = MatrixGF(M.field, e.reshape(-1, 1).astype(M.data.dtype))
-    return mul(M, col).data.reshape(-1)
+    return mul(M, _column(M.field, e)).data.reshape(-1)
 
 
 # --------------------------------------------------------------- exhaustive
@@ -99,19 +90,25 @@ def _check_exhaustive_size(code) -> None:
         raise ValueError(reason)
 
 
-# Per code: its factored check matrix, and its codewords when they fit in
-# one _span_chunks chunk.  Keyed by the code object, which is frozen over
-# write-protected matrices, so an entry lives exactly as long as its code.
+# Per code: its factored check matrix and its codewords.  A binary code
+# packs each codeword into one word, position 0 as the most significant of
+# n bits, so numeric order is the lexicographic order of 0/1 tuples; any
+# other code keeps its codewords when they fit in one _span_chunks chunk.
+# Keyed by the code object, which is frozen over write-protected matrices,
+# so an entry lives exactly as long as its code.
 _EXHAUSTIVE_CACHE = weakref.WeakKeyDictionary()
 
 
 def _exhaustive_setup(code):
     setup = _EXHAUSTIVE_CACHE.get(code)
     if setup is None:
-        table = None
-        if code.field.size ** code.G.rows <= _SPAN_CHUNK:
+        table = bits = None
+        if code.field.size == 2:
+            bits = np.uint32(1) << np.arange(code.n - 1, -1, -1, dtype=np.uint32)
+            table = np.concatenate([cw @ bits for cw in _span_chunks(code.G)])
+        elif code.field.size ** code.G.rows <= _SPAN_CHUNK:
             (table,) = _span_chunks(code.G)
-        setup = _EXHAUSTIVE_CACHE[code] = (solver(code.H), table)
+        setup = _EXHAUSTIVE_CACHE[code] = (solver(code.H), table, bits)
     return setup
 
 
@@ -119,80 +116,149 @@ def exhaustive_decode(code, s) -> DecodeOutcome:
     """Minimum-weight coset leader by full enumeration, lexicographic ties.
 
     Only intended for small codes; refuses n > 24 or more than 2^18 codewords.
-    The check matrix is factored once per code (matgf.solver), and a code
-    whose codewords fit in one _span_chunks chunk keeps them in a table, so
-    repeated syndromes of one code pay only a product and a scan; larger
-    codes enumerate their codewords on every call.
+    The check matrix is factored once per code (matgf.solver).  A binary
+    code scans its packed codewords (see _EXHAUSTIVE_CACHE): each coset word
+    is one XOR with the packed x0, and one min over (weight, word) keys
+    picks the lightest, lexicographically first.  Other codes keep their
+    codewords when they fit in one _span_chunks chunk and enumerate them on
+    every call otherwise.
     """
     s = _as_vector(s)
     field = code.field
     q = field.size
     _check_exhaustive_size(code)
-    factored, table = _exhaustive_setup(code)
+    factored, table, bits = _exhaustive_setup(code)
     x0 = factored.solve(s)
     if x0 is None:
         return DecodeOutcome(DETECTED, np.zeros(code.n, dtype=np.uint8), {"cosets": 0})
     if code.k == 0:
         return DecodeOutcome(CORRECTED, x0, {"cosets": 1})
 
-    add = _field_ops(field)[0]
-    best_w = None
-    best = None
-    for cw in _span_chunks(code.G) if table is None else (table,):
-        vecs = cw ^ x0 if q == 2 else add(cw, x0[None, :])
-        weights = (vecs != 0).sum(axis=1)
-        wmin = int(weights.min())
-        if best_w is None or wmin <= best_w:
-            cand = min(map(tuple, vecs[weights == wmin]))
-            if best_w is None or (wmin, cand) < (best_w, best):
-                best_w, best = wmin, cand
-    est = np.array(best, dtype=x0.dtype)
+    if q == 2:
+        coset = table ^ (x0 @ bits)
+        # the weight sits above the n word bits, so the least key is the best
+        key = int(((np.bitwise_count(coset).astype(np.uint32) << code.n) | coset).min())
+        est = (bits & key != 0).view(np.uint8)
+    else:
+        add = _field_ops(field)[0]
+        best_w = None
+        best = None
+        for cw in _span_chunks(code.G) if table is None else (table,):
+            vecs = add(cw, x0[None, :])
+            weights = (vecs != 0).sum(axis=1)
+            wmin = int(weights.min())
+            if best_w is None or wmin <= best_w:
+                cand = min(map(tuple, vecs[weights == wmin]))
+                if best_w is None or (wmin, cand) < (best_w, best):
+                    best_w, best = wmin, cand
+        est = np.array(best, dtype=x0.dtype)
     # est is x0 plus a codeword, so it is valid as it stands
-    assert np.array_equal(mul(code.H, MatrixGF._wrap(field, est[:, None])).data[:, 0], s)
+    assert not np.count_nonzero(mul(code.H, MatrixGF._wrap(field, est[:, None])).data[:, 0] != s)
     return DecodeOutcome(CORRECTED, est, {"cosets": q ** code.k})
 
 
 # ------------------------------------------------------------ bdd alternant
+# Polynomials here are lists of extension-field elements, lowest power
+# first, trimmed of high zero coefficients (the zero polynomial is []).
+# Products go through the field's exp/log lists, bound once per code.
 
 @functools.lru_cache(maxsize=64)
 def _alternant_tables(field: FieldSpec, a: tuple, y: tuple, r: int):
-    """Per alternant recipe: the r power rows, entry (j, i) being y_i·a_i^j,
-    and the inverses of the points (None for a zero point)."""
+    """Per alternant recipe, what its syndromes and decoder read, as plain
+    lists: the r power rows, entry (j, i) being y_i·a_i^j; the inverses of
+    the points (None for a zero point); the field's (exp, log) lists; the
+    Chien rows, entry (k, i) being log((1/a_i)^k) for k <= r/2 (0 at a
+    zero point); and the base field's embedding list and projection dict."""
     rows = tuple(tuple(field.mul(yi, field.pow(ai, j)) for ai, yi in zip(a, y))
                  for j in range(r))
-    return rows, tuple(field.inv(ai) if ai else None for ai in a)
+    inverses = tuple(field.inv(ai) if ai else None for ai in a)
+    exp, log = field._tables()
+    chien = tuple(tuple(k * log[z] % (field.size - 1) if z else 0 for z in inverses)
+                  for k in range(r // 2 + 1))
+    return rows, inverses, exp, log, chien, *field._subfield_maps(field.base_field())
+
+
+def _add_sub(field: FieldSpec):
+    """field's addition and subtraction, as XOR in characteristic 2."""
+    return (operator.xor, operator.xor) if field.p == 2 else (field.add, field.sub)
+
+
+def _grs(field: FieldSpec, rows, emb, errors) -> list[int]:
+    """The syndrome against the power rows of the base-field error whose
+    nonzero entries are the (position, value) pairs errors, each value
+    embedded through emb."""
+    add, mul = _add_sub(field)[0], field.mul
+    syn = [0] * len(rows)
+    for i, v in errors:
+        ev = emb[v]
+        syn = [add(acc, mul(row[i], ev)) for acc, row in zip(syn, rows)]
+    return syn
 
 
 def grs_syndrome(field: FieldSpec, a: Sequence[int], y: Sequence[int], r: int, e) -> list[int]:
     """Extension-field syndrome of a base-field error against the power rows."""
+    rows, *_, emb, _ = _alternant_tables(field, tuple(a), tuple(y), r)
     base = field.base_field()
-    e = np.asarray(e).reshape(-1)
-    active = [(i, field.embed(base, int(e[i]))) for i in np.flatnonzero(e).tolist()]
-    syn = []
-    for row in _alternant_tables(field, tuple(a), tuple(y), r)[0]:
-        acc = 0
-        for i, ev in active:
-            acc = field.add(acc, field.mul(row[i], ev))
-        syn.append(acc)
-    return syn
+    errors = [(i, base._check(int(v))) for i, v in enumerate(_as_vector(e).tolist()) if v]
+    return _grs(field, rows, emb, errors)
 
 
-def _bdd_single_error(code, field: FieldSpec, a, y, s0: int) -> DecodeOutcome:
-    base = field.base_field()
-    hits = []
-    for i in range(code.n):
-        val = field.mul(s0, field.inv(y[i]))
-        try:
-            ev = field.project(base, val)
-        except ValueError:
-            continue
-        if ev:
-            hits.append((i, ev))
-    if len(hits) != 1:
-        return DecodeOutcome(DETECTED, np.zeros(code.n, dtype=np.uint8), {"euclid_steps": 0})
-    est = np.zeros(code.n, dtype=np.uint8)
-    est[hits[0][0]] = hits[0][1]
-    return DecodeOutcome(CORRECTED, est, {"euclid_steps": 0})
+# Per alternant code: (field, points, multipliers, r, its _alternant_tables),
+# read from its recipe once.  Keyed like _EXHAUSTIVE_CACHE.
+_BDD_CACHE = weakref.WeakKeyDictionary()
+
+
+def _bdd_context(code):
+    ctx = _BDD_CACHE.get(code)
+    if ctx is None:
+        prov = code.provenance
+        if prov.get("origin") != "alternant":
+            raise ValueError("bdd decoding needs an alternant construction recipe")
+        field, a, y, r = prov["ext"], tuple(prov["a"]), tuple(prov["y"]), prov["r"]
+        ctx = _BDD_CACHE[code] = (field, a, y, r, _alternant_tables(field, a, y, r))
+    return ctx
+
+
+def _key_equation(s: list[int], r: int, exp, log, sub) -> tuple[list, list, int]:
+    """Sugiyama's extended Euclid on (x^r, S), S the syndrome polynomial,
+    stopping once the remainder's degree falls below ceil(r/2): returns
+    (sigma, omega, steps) with sigma·S = omega mod x^r, steps counting the
+    divisions."""
+    m = len(log) - 1
+    stop = -(-r // 2)
+    r_prev = [0] * r + [1]
+    r_cur = list(s)
+    while r_cur and not r_cur[-1]:
+        r_cur.pop()
+    u_prev, u_cur = [], [1]
+    steps = 0
+    while len(r_cur) > stop:
+        # r_prev = quo·r_cur + rem, then u_next = u_prev - quo·u_cur
+        dv = len(r_cur) - 1
+        lead = log[r_cur[-1]]
+        rem = r_prev[:]
+        quo = [0] * (len(rem) - dv)
+        for i in range(len(quo) - 1, -1, -1):
+            c = rem[i + dv]
+            if c:
+                lc = (log[c] - lead) % m
+                quo[i] = exp[lc]
+                for j, b in enumerate(r_cur, i):
+                    if b:
+                        rem[j] = sub(rem[j], exp[lc + log[b]])
+        u_next = u_prev + [0] * (len(quo) + len(u_cur) - 1 - len(u_prev))
+        for i, c in enumerate(quo):
+            if c:
+                for j, b in enumerate(u_cur, i):
+                    if b:
+                        u_next[j] = sub(u_next[j], exp[log[c] + log[b]])
+        for poly in (rem, u_next):
+            while poly and not poly[-1]:
+                poly.pop()
+        r_prev, r_cur = r_cur, rem
+        u_prev, u_cur = u_cur, u_next
+        steps += 1
+    return u_cur, r_cur, steps
 
 
 def bdd_alternant(code, s, t: int | None = None) -> DecodeOutcome:
@@ -202,98 +268,91 @@ def bdd_alternant(code, s, t: int | None = None) -> DecodeOutcome:
     equation is solved with the extended Euclidean algorithm, roots are
     searched over the evaluation points, and values come from the evaluator
     polynomial; anything inconsistent is reported detected-uncorrectable.
+    The code's recipe and tables are read once per code (_bdd_context), and
+    the root search evaluates sigma at every point at once, a log-table row
+    per coefficient.
     """
-    prov = code.provenance
-    if prov.get("origin") != "alternant":
-        raise ValueError("bdd decoding needs an alternant construction recipe")
-    field: FieldSpec = prov["ext"]
-    a = tuple(prov["a"])
-    y = tuple(prov["y"])
-    r = prov["r"]
-    s = [int(v) for v in np.asarray(_as_vector(s))]
+    field, a, y, r, (rows, inverses, exp, log, chien, emb, proj) = _bdd_context(code)
+    s = [int(v) for v in _as_vector(s).tolist()]
     if len(s) != r:
         raise ValueError(f"syndrome length {len(s)} does not match {r} power rows")
+    for v in s:
+        if not 0 <= v < field.size:
+            raise ValueError(f"entry {v} out of range for {field}")
     if t is None:
         t = 1 if r == 1 else r // 2
     elif r >= 2 and t > r // 2:
         raise ValueError(f"requested radius {t} exceeds floor(r/2) = {r // 2}")
 
-    n = code.n
-    zeros = np.zeros(n, dtype=np.uint8)
+    zeros = np.zeros(code.n, dtype=np.uint8)
     if not any(s):
         return DecodeOutcome(CORRECTED, zeros, {"euclid_steps": 0})
-    if r == 1:
-        return _bdd_single_error(code, field, a, y, s[0])
-
-    # extended Euclid on (x^r, S), stopping below ceil(r/2)
-    stop = -(-r // 2)
-    r_prev = [0] * r + [1]
-    r_cur = _ptrim(s)
-    u_prev, u_cur = [0], [1]
+    (add, sub), mul = _add_sub(field), field.mul
+    m = field.size - 1
     steps = 0
-    while _pdeg(r_cur) >= stop:
-        quo, rem = _pdivmod(field, r_prev, r_cur)
-        u_next = _padd(field, u_prev, [field.neg(c) for c in _pmul(field, quo, u_cur)])
-        r_prev, r_cur = r_cur, rem
-        u_prev, u_cur = u_cur, u_next
-        steps += 1
-        if _pdeg(r_cur) < 0:
-            break
 
-    sigma, omega = u_cur, r_cur
-    detected = DecodeOutcome(DETECTED, zeros, {"euclid_steps": steps})
-    if not sigma[0]:
-        return detected
-    scale = field.inv(sigma[0])
-    sigma = _pscale(field, sigma, scale)
-    omega = _pscale(field, omega, scale)
-    nu = _pdeg(sigma)
-    if nu > t:
-        return detected
+    def detected():
+        return DecodeOutcome(DETECTED, zeros, {"euclid_steps": steps})
 
-    inverses = _alternant_tables(field, a, y, r)[1]
-    roots = [i for i, z in enumerate(inverses) if z is not None and _peval(field, sigma, z) == 0]
-    if len(roots) != nu:
-        return detected
+    if r == 1:
+        # one error, at the one point where s/y_i lies in the base field
+        errors = [(i, ev) for i, yi in enumerate(y) if (ev := proj.get(mul(s[0], field.inv(yi))))]
+        if len(errors) != 1:
+            return detected()
+    else:
+        sigma, omega, steps = _key_equation(s, r, exp, log, sub)
+        if not sigma[0] or len(sigma) - 1 > t:
+            return detected()
+        scale = m - log[sigma[0]]
+        sigma = [exp[log[c] + scale] if c else 0 for c in sigma]
+        omega = [exp[log[c] + scale] if c else 0 for c in omega]
 
-    base = field.base_field()
-    dsigma = _pderiv(field, sigma)
-    est = zeros.copy()
-    for i in roots:
-        z = inverses[i]
-        den = field.mul(y[i], _peval(field, dsigma, z))
-        if not den:
-            return detected
-        val = field.neg(field.mul(field.mul(a[i], _peval(field, omega, z)), field.inv(den)))
-        try:
-            ev = field.project(base, val)
-        except ValueError:
-            return detected
-        if not ev:
-            return detected
-        est[i] = ev
+        # Chien search: sigma at every inverse point, one table row per term
+        vals = [1] * code.n
+        for c, row in zip(sigma[1:], chien[1:]):
+            if c:
+                lc = log[c]
+                vals = list(map(add, vals, [exp[lc + lz] for lz in row]))
+        roots = [i for i, v in enumerate(vals) if not v and inverses[i] is not None]
+        if len(roots) != len(sigma) - 1:
+            return detected()
 
-    syn = grs_syndrome(field, a, y, r, est)
-    resid = [field.sub(sv, cv) for sv, cv in zip(s, syn)]
+        def at(poly, i):  # poly at 1/a_i, through the Chien rows
+            acc = 0
+            for c, row in zip(poly, chien):
+                if c:
+                    acc = add(acc, exp[log[c] + row[i]])
+            return acc
+
+        # Forney: e_i = -a_i·omega(1/a_i) / (y_i·sigma'(1/a_i))
+        dsigma = [mul(c, k % field.p) for k, c in enumerate(sigma[1:], 1)]
+        errors = []
+        for i in roots:
+            den, num = at(dsigma, i), at(omega, i)
+            if not den or not num:
+                return detected()
+            ev = proj.get(field.neg(exp[(log[a[i]] + log[num] - log[y[i]] - log[den]) % m]))
+            if not ev:  # None outside the base field
+                return detected()
+            errors.append((i, ev))
+
+    syn = _grs(field, rows, emb, errors)
+    resid = list(map(sub, s, syn))
     if any(resid):
-        # a zero evaluation point only shows up in the constant syndrome row
+        # a zero evaluation point only shows up in the constant syndrome row,
+        # and the root search never finds it
         z_idx = a.index(0) if 0 in a else None
-        if (
-            z_idx is None
-            or est[z_idx]
-            or any(resid[1:])
-            or len(roots) + 1 > t
-        ):
-            return detected
-        try:
-            ev = field.project(base, field.mul(resid[0], field.inv(y[z_idx])))
-        except ValueError:
-            return detected
+        if z_idx is None or any(resid[1:]) or len(errors) + 1 > t:
+            return detected()
+        ev = proj.get(mul(resid[0], field.inv(y[z_idx])))
         if not ev:
-            return detected
-        est[z_idx] = ev
-        syn = grs_syndrome(field, a, y, r, est)
+            return detected()
+        errors.append((z_idx, ev))
+        syn = _grs(field, rows, emb, errors)
     assert syn == s
+    est = zeros.copy()
+    for i, ev in errors:
+        est[i] = ev
     return DecodeOutcome(CORRECTED, est, {"euclid_steps": steps})
 
 

@@ -6,8 +6,9 @@ builds the extension of degree m0*m and knows how to view it as a degree-m
 extension of GF(p^m0): embeddings, projections, traces, and coordinates over
 the base field all come from a root of the subfield's modulus found inside
 the big field. Fields of size <= 256 carry log/exp tables. Polynomials
-over a field (division, evaluation, derivative) live here too, shared by
-the irreducibility test, the subfield embeddings and the alternant decoder.
+over a field (sum, division, evaluation) live here too, for the
+irreducibility test and the subfield embeddings; the alternant decoder
+runs its key equation on the field's log tables instead.
 """
 from __future__ import annotations
 
@@ -69,10 +70,10 @@ def _is_prime(n: int) -> bool:
 # coefficients, [0] for the zero polynomial.
 
 def _pdeg(p: list[int]) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
+    d = len(p) - 1
+    while d >= 0 and not p[d]:
+        d -= 1
+    return d
 
 
 def _ptrim(p: list[int]) -> list[int]:
@@ -85,38 +86,25 @@ def _padd(f: FieldSpec, u: list[int], v: list[int]) -> list[int]:
     return _ptrim([f.add(u[i] if i < len(u) else 0, v[i] if i < len(v) else 0) for i in range(n)])
 
 
-def _pscale(f: FieldSpec, u: list[int], c: int) -> list[int]:
-    return _ptrim([f.mul(c, a) for a in u])
-
-
-def _pmul(f: FieldSpec, u: list[int], v: list[int]) -> list[int]:
-    add, mul = f.add, f.mul
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        for j, b in enumerate(v, i):
-            if b:
-                out[j] = add(out[j], mul(a, b))
-    return _ptrim(out)
-
-
 def _pdivmod(f: FieldSpec, u: list[int], v: list[int]) -> tuple[list[int], list[int]]:
     du, dv = _pdeg(u), _pdeg(v)
     if dv < 0:
         raise ZeroDivisionError("polynomial division by zero")
+    sub, mul = f.sub, f.mul
+    p = f.p if f.degree == 1 else 0
     rem = list(u[: du + 1]) if du >= 0 else [0]
     quo = [0] * max(du - dv + 1, 1)
     inv_lead = f.inv(v[dv])
-    sub, mul = f.sub, f.mul
+    v = v[: dv + 1]
     for i in range(du - dv, -1, -1):
         c = mul(rem[i + dv], inv_lead)
         if not c:
             continue
         quo[i] = c
-        for j, b in enumerate(v[: dv + 1], i):
+        for j, b in enumerate(v, i):
             if b:
-                rem[j] = sub(rem[j], mul(c, b))
+                # plain ints mod p on a prime field: no call per coefficient
+                rem[j] = (rem[j] - c * b) % p if p else sub(rem[j], mul(c, b))
     return _ptrim(quo), _ptrim(rem)
 
 
@@ -125,13 +113,6 @@ def _peval(f: FieldSpec, p: list[int], x: int) -> int:
     for c in reversed(p):
         acc = f.add(f.mul(acc, x), c)
     return acc
-
-
-def _pderiv(f: FieldSpec, p: list[int]) -> list[int]:
-    out = []
-    for i in range(1, len(p)):
-        out.append(f.mul(p[i], i % f.p))
-    return _ptrim(out) if out else [0]
 
 
 # ------------------------------------------------------ factors and moduli
@@ -151,11 +132,17 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _prime_field(p: int) -> FieldSpec:
+    return FieldSpec(p, 1, 1, modulus=(0, 1))
+
+
 def is_irreducible(poly, p: int) -> bool:
     """Ben-Or's test: f of degree n over GF(p) is irreducible exactly when
     gcd(x^(p^i) - x, f) = 1 for i = 1 .. n/2, that is when f has no factor
     of degree i <= n/2.  Most reducible f have a factor of low degree, so
-    the test usually ends after the first few i."""
+    the test usually ends after the first few i.  Over GF(p), g(x)^p =
+    g(x^p), so each step raises to the p-th power by one division."""
     poly = list(poly)
     deg = len(poly) - 1
     if deg < 1 or poly[-1] == 0:
@@ -163,19 +150,13 @@ def is_irreducible(poly, p: int) -> bool:
     if deg == 1:
         # also ends the recursion: the prime field below checks its modulus
         return True
-    prime = FieldSpec(p, 1, 1, modulus=(0, 1))
-
-    def mulmod(u, v):
-        return _pdivmod(prime, _pmul(prime, u, v), poly)[1]
-
+    prime = _prime_field(p)
     minus_x = [0, prime.neg(1)]
     power = [0, 1]  # x^(p^i) mod f after step i
     for _ in range(deg // 2):
-        base = power  # raised to the p-th power, high bits of p first
-        for bit in bin(p)[3:]:
-            power = mulmod(power, power)
-            if bit == "1":
-                power = mulmod(power, base)
+        spread = [0] * (p * (len(power) - 1) + 1)
+        spread[::p] = power
+        power = _pdivmod(prime, spread, poly)[1]
         a, b = poly, _padd(prime, power, minus_x)
         while _pdeg(b) >= 0:
             a, b = b, _pdivmod(prime, a, b)[1]
@@ -237,7 +218,7 @@ class FieldSpec:
         self._sub_cache: dict = {}
         self._decomp: tuple | None = None
         if self.size <= _TABLE_LIMIT and self.size > 2:
-            self._build_tables()
+            self._exp, self._log = self._tables()
 
     # ------------------------------------------------------------ basics
 
@@ -401,8 +382,13 @@ class FieldSpec:
                     break
         return self._generator
 
-    def _build_tables(self) -> None:
-        # _exp stays None until the end, so mul and pow (and the generator
+    def _tables(self) -> tuple[list[int], list[int]]:
+        """(exp, log): exp[i] = g^i for i < 2(q - 1), g the generator, and
+        log[exp[i]] = i for i < q - 1.  A field of size <= 256 keeps them
+        from __init__; a larger one builds them on each call."""
+        if self._exp is not None:
+            return self._exp, self._log
+        # _exp stays None while building, so mul and pow (and the generator
         # search) work without the tables they are building
         n = self.size - 1
         g = self.generator
@@ -415,8 +401,7 @@ class FieldSpec:
             x = self.mul(x, g)
         for i in range(n, 2 * n):
             exp[i] = exp[i - n]
-        self._exp = exp
-        self._log = log
+        return exp, log
 
     # --------------------------------------------------------- subfields
 

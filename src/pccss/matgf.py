@@ -427,18 +427,23 @@ _F32_EXACT_TERMS = 2**24 - 1
 
 
 def mul(A: MatrixGF, B: MatrixGF) -> MatrixGF:
-    if A.field != B.field:
-        raise ValueError("matrix product across different fields")
-    if A.cols != B.rows:
-        raise ValueError(f"shape mismatch {A.shape} x {B.shape}")
     field = A.field
+    if B.field is not field and B.field != field:
+        raise ValueError("matrix product across different fields")
+    a, b = A.data, B.data
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"shape mismatch {a.shape} x {b.shape}")
     if field.size == 2:
-        parity = None
-        for s in range(0, max(A.cols, 1), _F32_EXACT_TERMS):  # one pass at least
-            t = s + _F32_EXACT_TERMS
-            part = np.matmul(A.data[:, s:t], B.data[s:t], dtype=np.float32).astype(np.int32)
-            parity = part if parity is None else parity ^ part
-        return MatrixGF._wrap(field, parity.astype(np.uint8) & 1)
+        t = _F32_EXACT_TERMS
+        if a.shape[1] <= t:
+            parity = np.matmul(a, b, dtype=np.float32).astype(np.int32)
+        else:  # one exact product per chunk of t inner terms, XORed
+            parity = np.matmul(a[:, :t], b[:t], dtype=np.float32).astype(np.int32)
+            for s in range(t, a.shape[1], t):
+                part = np.matmul(a[:, s : s + t], b[s : s + t], dtype=np.float32)
+                parity ^= part.astype(np.int32)
+        parity &= 1
+        return MatrixGF._wrap(field, parity.astype(np.uint8))
     add, mulf, _, _ = _field_ops(field)
     C = np.zeros((A.rows, B.cols), dtype=_dtype_for(field.size))
     for k in range(A.cols):
@@ -531,40 +536,56 @@ def in_rowspace(rr: RrefResult, v: np.ndarray) -> bool:
     return not reduce_vector(rr, v).any()
 
 
+def _column(field: FieldSpec, v) -> MatrixGF:
+    """The vector v as a one-column matrix over field.  An entry outside
+    [0, q) is refused before the cast to the field's dtype could wrap it;
+    one max suffices when v already has that dtype."""
+    v = np.asarray(v).reshape(-1)
+    col = v.astype(_dtype_for(field.size))
+    if v.size:
+        hi = np.maximum.reduce(v)
+        lo = 0 if v.dtype == col.dtype else np.minimum.reduce(v)
+        if hi >= field.size or lo < 0:
+            raise ValueError(f"entry {hi if hi >= field.size else lo} out of range for {field}")
+    return MatrixGF._wrap(field, col[:, None])
+
+
 @dataclass(frozen=True)
 class Solver:
     """A factored once for repeated solves of A x = b.
 
-    transform is the invertible T from one rref of [A | I]: the left block
-    of that rref is T·A = rref(A), so for b in A's column space the first
-    rank entries of T·b are the pivot values of a solution, and b lies there
-    exactly when the other entries are zero.
+    One rref of [A | I] gives an invertible T with T·A = rref(A): for b in
+    A's column space the first rank entries of T·b are the pivot values of
+    a solution, and b lies there exactly when the other entries are zero.
+    transform is T's rows rearranged so that one product gives both: row j
+    of its first cols rows is T's row for pivot column j (zero for a free
+    column), and T's rows below the rank follow.
     """
 
     transform: MatrixGF
-    pivots: tuple[int, ...]
     cols: int
 
     def solve(self, b: np.ndarray):
         """One solution x of A x = b, or None if the system is inconsistent."""
         T = self.transform
-        b = np.asarray(b).reshape(-1)
-        if b.shape[0] != T.cols:
+        col = _column(T.field, b)
+        if col.rows != T.cols:
             raise ValueError("right-hand side length mismatch")
-        tb = mul(T, MatrixGF(T.field, b.reshape(-1, 1).astype(T.data.dtype))).data[:, 0]
-        rk = len(self.pivots)
-        if tb[rk:].any():
+        tb = mul(T, col).data[:, 0]
+        if np.count_nonzero(tb[self.cols :]):
             return None
-        x = np.zeros(self.cols, dtype=T.data.dtype)
-        x[list(self.pivots)] = tb[:rk]
-        return x
+        return tb[: self.cols].copy()
 
 
 def solver(A: MatrixGF) -> Solver:
     """Factor A once (see Solver)."""
     rr = rref(hstack([A, identity(A.field, A.rows)]))
-    pivots = tuple(p for p in rr.pivots if p < A.cols)
-    return Solver(MatrixGF(A.field, rr.matrix.data[:, A.cols :]), pivots, A.cols)
+    rank = sum(p < A.cols for p in rr.pivots)
+    T = rr.matrix.data[:, A.cols :]
+    rows = np.zeros((A.cols + A.rows - rank, A.rows), dtype=T.dtype)
+    rows[list(rr.pivots[:rank])] = T[:rank]
+    rows[A.cols :] = T[rank:]
+    return Solver(MatrixGF._wrap(A.field, rows), A.cols)
 
 
 def solve(A: MatrixGF, b: np.ndarray):

@@ -256,6 +256,29 @@ def test_rate_curves_structure():
         assert all(b > a for a, b in zip(c.x, c.x[1:]))
 
 
+@pytest.mark.parametrize("pmax, step", [(0.15, 1e-4), (0.5, 1e-3), (1.0, 1e-3)])
+def test_rate_curves_equal_the_per_point_rates(pmax, step):
+    """Point by point, == on floats: the hashing curve is hashing_rate and
+    each asymmetry's curve is pccss_channel_rate, NaN exactly where that
+    refuses 4 p_X > 1.  The Fig. 1 grid, and grids to p = 0.5 and p = 1;
+    only the last has a NaN tail (zeta = 1 beyond p = 0.75)."""
+    zetas = [1, 3, 100, 1000, math.inf]
+    curves = rate_curves(zetas, pmax=pmax, step=step)
+    assert list(curves[0].y) == [hashing_rate(p) for p in curves[0].x]
+    nans = 0
+    for zeta, curve in zip(zetas, curves[1:]):
+        assert curve.x == curves[0].x
+        for p, y in zip(curve.x, curve.y):
+            try:
+                want = pccss_channel_rate(p, zeta)
+            except ValueError:
+                assert math.isnan(y), (zeta, p)
+                nans += 1
+            else:
+                assert y == want, (zeta, p)
+    assert (nans > 0) == (pmax == 1.0)
+
+
 @pytest.mark.parametrize("pmax, step", [(0.1, 0.0), (0.1, -1e-3), (0.1, math.nan),
                                         (math.inf, 1e-3), (math.nan, 1e-3), (1.5, 1e-3)])
 def test_grids_that_never_end_or_leave_the_domain_are_refused(pmax, step):

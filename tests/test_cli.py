@@ -682,6 +682,14 @@ def test_bounds_rejects_asymmetry_below_one(capsys, zeta):
     assert "asymmetry" in err and "must be >= 1" in err
 
 
+@pytest.mark.parametrize("outer", ["rep", "expander"])
+def test_zero_block_length_exits_two(tmp_path, capsys, outer):
+    rc, out, err = run(capsys, "construct", "fast", "--N", "9", "--n0", "0", "--outer", outer,
+                       "--out", str(tmp_path / "x.txt"))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and "0" in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep", "decode"])
 @pytest.mark.parametrize("rounds", ["0", "-1"])
 def test_max_rounds_below_one_exits_two(shor_bundle, tmp_path, capsys, command, rounds):

@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pccss import codes
 from pccss.codes import (
     ExpanderGraph,
     GrsSpec,
@@ -64,6 +65,21 @@ def test_repetition_2_and_5():
     assert make_repetition(5).d_certified == 5
     with pytest.raises(ValueError):
         make_repetition(1)
+
+
+def test_repetition_validates_once_per_length(monkeypatch):
+    """Each call returns a new code, but _new_code's rank checks on G and H
+    run once per n0."""
+    calls = []
+    real = codes.rank
+    monkeypatch.setattr(codes, "rank", lambda M: calls.append(M) or real(M))
+    codes._repetition_code.cache_clear()
+    first, second = make_repetition(6), make_repetition(6)
+    assert first is not second and first.provenance is not second.provenance
+    assert (first.G, first.H, first.provenance) == (second.G, second.H, second.provenance)
+    assert len(calls) == 2
+    make_repetition(7)
+    assert len(calls) == 4
 
 
 def test_repetition_distance_brute_force_agrees():

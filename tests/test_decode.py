@@ -143,6 +143,26 @@ def test_exhaustive_matches_full_enumeration_reference():
     assert inconsistent and streamed == 2
 
 
+def test_packed_scan_matches_reference_on_random_binary_codes():
+    """The packed scan agrees with a full enumeration with lexicographic
+    ties on random binary codes of every length from 8 to 24, the widest
+    packed word; codes up to 12 bits decode every syndrome."""
+    rng = np.random.default_rng(18)
+    for n in range(8, 25):
+        rows = n // 2 if n <= 12 else n - 8
+        code = code_from_checks(2, rng.integers(0, 2, size=(rows, n)))
+        if n <= 12:
+            syndromes = itertools.product((0, 1), repeat=rows)
+        else:
+            syndromes = rng.integers(0, 2, size=(6, rows))
+        for s in syndromes:
+            s = np.array(s, dtype=np.uint8)
+            got, want = exhaustive_decode(code, s), reference_exhaustive(code, s)
+            assert (got.status, got.counters) == (want.status, want.counters), (n, s)
+            assert got.estimate.dtype == want.estimate.dtype
+            assert np.array_equal(got.estimate, want.estimate), (n, s)
+
+
 def test_exhaustive_factors_each_code_once(monkeypatch):
     calls = []
     real = decode.solver
@@ -258,6 +278,32 @@ def test_bdd_zero_evaluation_point():
         out = bdd_alternant(code, s)
         assert out.status == "corrected", supp
         assert out.estimate.tolist() == e.tolist()
+
+
+@pytest.mark.parametrize("bad", [16, -1])
+def test_bdd_refuses_syndrome_entries_outside_the_field(bad):
+    with pytest.raises(ValueError, match=rf"entry {bad} out of range for GF\(16\)"):
+        bdd_alternant(bch_15_instance(), [bad, 0, 0, 0])
+
+
+@pytest.mark.parametrize("p, m, n, r", [(2, 4, 15, 4), (2, 5, 24, 4), (3, 2, 8, 2)])
+def test_bdd_agrees_with_exhaustive_up_to_half_the_designed_distance(p, m, n, r):
+    """Every error of weight <= t = r/2, every nonzero base-field value:
+    BDD corrects it to the exhaustive decoder's estimate.  GF(16) and
+    GF(32) over GF(2), and GF(9) over GF(3), whose sums are not XORs."""
+    f = FieldSpec(p, 1, m)
+    code = make_alternant(f, a=range(1, n + 1), y=[1] * n, r=r)
+    prov = code.provenance
+    t = r // 2
+    for w in range(t + 1):
+        for supp in itertools.combinations(range(n), w):
+            for vals in itertools.product(range(1, p), repeat=w):
+                e = np.zeros(n, dtype=np.uint8)
+                e[list(supp)] = vals
+                out = bdd_alternant(code, grs_syndrome(f, prov["a"], prov["y"], r, e))
+                ref = exhaustive_decode(code, syndrome_of(code.H, e))
+                assert out.status == ref.status == "corrected", supp
+                assert out.estimate.tolist() == ref.estimate.tolist() == e.tolist(), supp
 
 
 # ------------------------------------------------------------------ flip

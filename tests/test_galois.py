@@ -306,7 +306,7 @@ def oracle_trial_division(polys: np.ndarray, p: int) -> np.ndarray:
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_is_irreducible_matches_trial_division(p):
-    """Rabin's test against trial division, on every monic polynomial of
+    """Ben-Or's test against trial division, on every monic polynomial of
     degree 1 to 6."""
     for deg in range(1, 7):
         polys = np.array([c + (1,) for c in itertools.product(range(p), repeat=deg)])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pccss import matgf
 from pccss.codes import make_expander
+from pccss.decode import syndrome_of
 from pccss.galois import GF2, FieldSpec, field_of_size
 from pccss.matgf import (
     MatrixGF,
@@ -411,6 +412,16 @@ def test_solver_matches_augmented_elimination(q, rows, cols, seed):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
     with pytest.raises(ValueError):
         factored.solve(np.zeros(rows + 1, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("entry", [2, -1, 256])
+def test_solve_and_syndrome_refuse_entries_outside_the_field(entry):
+    """Checked before the cast to uint8, which would turn 256 into 0."""
+    A = MatrixGF(GF2, [[1, 0, 1], [0, 1, 1]])
+    b = np.array([1, entry], dtype=np.int64)
+    for call in (lambda: solver(A).solve(b), lambda: syndrome_of(A.T, b)):
+        with pytest.raises(ValueError, match=rf"entry {entry} out of range for GF\(2\)"):
+            call()
 
 
 @pytest.mark.parametrize("field", LARGE, ids=lambda f: f"q{f.size}")
