@@ -65,9 +65,12 @@ def _raw_bound(a: float) -> int:
 
 
 def _below(raw: np.ndarray, bound: int) -> np.ndarray:
-    """raw < bound for a bound in [0, 2^64]; 2^64 itself fits no uint64."""
+    """raw < bound for a bound in [0, 2^64]; 2^64 itself fits no uint64, and
+    no word is below 0, so neither edge compares the words."""
     if bound >= 2**64:
         return np.ones(raw.shape, dtype=bool)
+    if not bound:
+        return np.zeros(raw.shape, dtype=bool)
     return raw < np.uint64(bound)
 
 
@@ -89,8 +92,11 @@ def sample_errors(ch: PauliChannel, n: int, seed: int, trials) -> PauliError:
     """
     trials = [int(t) for t in trials]
     check_key("seed", seed)
-    for t in trials:
-        check_key("trial index", t)
+    # the range check is on the extremes; the loop only names the first
+    # index outside it
+    if trials and not 0 <= min(trials) <= max(trials) < 2**64:
+        for t in trials:
+            check_key("trial index", t)
     bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     # plain ints: setting the state from them is several times faster than
     # from the numpy arrays bits.state holds

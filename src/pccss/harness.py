@@ -13,17 +13,18 @@ last bit XORed with the majority flag), and only the outer word of those
 flags is checked against the outer row space.  The per-trial path
 (sample_error, pccss_decode_x/_z, logical_check) stays public and is the
 reference the block results are tested against.  A block's outcome stays
-a set of numpy columns (X decode ok, flips, logical failures) through the
-summary counts and the sweep; run_trials turns them into TrialRecords and
-status strings only once, at the end.  A record's decode_seconds is its
-share of its block's decoding time, not a per-trial measurement.
+a set of numpy columns (X and Z error weights, summed from the block
+weights both decoders form; X decode ok; flips; logical failures) through
+the summary counts and the sweep; run_trials turns them into TrialRecords
+and status strings only once, at the end.  A record's decode_seconds is
+its share of its block's decoding time, not a per-trial measurement.
 """
 from __future__ import annotations
 
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -162,6 +163,23 @@ class TrialRecord:
     decode_seconds: float
 
 
+# the record fields in order, which are also the CSV columns
+_FIELDS = tuple(f.name for f in fields(TrialRecord))
+
+
+def _records(*columns) -> list[TrialRecord]:
+    """TrialRecords from one column per field, in field order.  Each record
+    gets its fields by one update of its __dict__, not by the frozen
+    __init__'s object.__setattr__ per field; it equals, hashes and prints
+    as the record TrialRecord(*values) builds."""
+    records = []
+    for values in zip(*columns):
+        r = object.__new__(TrialRecord)
+        r.__dict__.update(zip(_FIELDS, values))
+        records.append(r)
+    return records
+
+
 def _build_code(cfg: ExperimentConfig):
     if cfg.bundle is not None:
         with open(cfg.bundle) as fh:
@@ -202,7 +220,8 @@ def _incidence(A: np.ndarray) -> np.ndarray:
 def _syndromes(parity: np.ndarray, checks: np.ndarray) -> np.ndarray:
     """Outer syndromes of a stack of 0/1 block parities whose last column
     is the zero column the padding of the check-to-bit incidence checks
-    points at.  The uint8 sums wrap mod 256, which keeps their parity."""
+    points at.  The unsigned sums wrap at a power of two, which keeps their
+    parity."""
     return np.einsum("ijk->ij", parity[:, checks]) & 1
 
 
@@ -212,10 +231,12 @@ def _decode_block(q, decode_outer, checks, x: np.ndarray, z: np.ndarray):
     exhaustive outer decoder) and pccss_decode_z followed by logical_check.
     checks is _incidence(q.outer.H.data), built once per run.
 
-    Returns (ok_x, flips, x_logical, z_logical, seconds): per row, whether
-    the X decoder reports "corrected" (bool), its flip count (int64) and
-    the logical_check flags of the residual (bool), then the block's
-    decoding time in seconds.
+    Returns (wt_x, wt_z, ok_x, flips, x_logical, z_logical, seconds): per
+    row, the weights of the X and Z errors (uint64, summed from the block
+    weights the decoders form anyway), whether the X decoder reports
+    "corrected" (bool), its flip count (int64) and the logical_check flags
+    of the residual (bool), then the block's decoding time in seconds.
+    Block weights are of type np.min_scalar_type(n0), so no block wraps.
 
     Rows with a zero X syndrome skip the outer decoder: both decoders
     return "corrected" with a zero estimate and no flips there.
@@ -230,10 +251,14 @@ def _decode_block(q, decode_outer, checks, x: np.ndarray, z: np.ndarray):
     t = x.shape[0]
     n0 = q.n0
     n2 = q.n // n0
-    # block parities of the X error, then of the X residual once decoded,
-    # with the zero column n2 that _syndromes needs
-    parity = np.zeros((t, n2 + 1), dtype=np.uint8)
+    block_weight = np.min_scalar_type(n0)
+    # block weights, then parities, of the X error, then of the X residual
+    # once decoded, with the zero column n2 that _syndromes needs
+    parity = np.zeros((t, n2 + 1), dtype=block_weight)
+    # with no dtype given, einsum sums in the common type of its operands
+    # and out, here block_weight
     np.einsum("ijk->ij", x.reshape(t, n2, n0), out=parity[:, :n2])
+    wt_x = parity.sum(axis=1)
     parity &= 1
     s_x = _syndromes(parity, checks)
 
@@ -246,7 +271,7 @@ def _decode_block(q, decode_outer, checks, x: np.ndarray, z: np.ndarray):
         ok_x[rows] = ~unsat.any(axis=1)
         parity[rows, :n2] ^= est_x
     blocks = z.reshape(t, n2, n0)
-    weight = np.einsum("ijk->ij", blocks, dtype=np.min_scalar_type(n0))
+    weight = np.einsum("ijk->ij", blocks, dtype=block_weight)
     last = blocks[:, :, -1]
     flag = np.where(last, n0 - weight, weight) > (n0 - 1) // 2
     w = last ^ flag
@@ -258,7 +283,7 @@ def _decode_block(q, decode_outer, checks, x: np.ndarray, z: np.ndarray):
     z_logical = np.zeros(t, dtype=bool)
     for i in np.flatnonzero(w.any(axis=1)):
         z_logical[i] = not in_rowspace(_cached_rref(q, "_h2_rref", q.outer.H), w[i])
-    return ok_x, flips, x_logical, z_logical, seconds
+    return wt_x, weight.sum(axis=1), ok_x, flips, x_logical, z_logical, seconds
 
 
 def run_trials(cfg: ExperimentConfig, code=None):
@@ -284,28 +309,24 @@ def run_trials(cfg: ExperimentConfig, code=None):
     for lo in range(0, cfg.trials, block):
         trials = range(lo, min(lo + block, cfg.trials))
         e = sample_errors(ch, q.n, cfg.seed, trials)
-        ok_x, flips, x_logical, z_logical, seconds = _decode_block(q, decode_outer, checks,
-                                                                   e.x, e.z)
-        share = np.full(len(trials), seconds / len(trials))
-        columns.append((np.count_nonzero(e.x, axis=1), np.count_nonzero(e.z, axis=1),
-                        ok_x, flips, x_logical, z_logical, share))
+        *outcome, seconds = _decode_block(q, decode_outer, checks, e.x, e.z)
+        columns.append((*outcome, np.full(len(trials), seconds / len(trials))))
     wt_x, wt_z, ok_x, flips, x_logical, z_failed, share = map(np.concatenate, zip(*columns))
     # the X decoder giving up counts as a failure; the Z decoder never does
     x_failed = x_logical | ~ok_x
     total = cfg.trials
-    records = list(map(
-        TrialRecord,
+    records = _records(
         range(total),
         wt_x.tolist(),
         wt_z.tolist(),
-        np.where(ok_x, CORRECTED, DETECTED).tolist(),
+        [CORRECTED if ok else DETECTED for ok in ok_x.tolist()],
         [CORRECTED] * total,
         x_failed.tolist(),
         z_failed.tolist(),
         flips.tolist(),
         [q.n // q.n0] * total,
         share.tolist(),
-    ))
+    )
 
     # a failed trial is either detected-uncorrectable or, reported
     # corrected, a silent miscorrection
@@ -339,24 +360,10 @@ def run_trials(cfg: ExperimentConfig, code=None):
     return records, summary
 
 
-_CSV_FIELDS = (
-    "trial",
-    "wt_x",
-    "wt_z",
-    "status_x",
-    "status_z",
-    "x_failed",
-    "z_failed",
-    "flips",
-    "block_decodes",
-    "decode_seconds",
-)
-
-
 def records_to_csv(records, summary=None) -> str:
-    lines = [",".join(_CSV_FIELDS)]
+    lines = [",".join(_FIELDS)]
     for r in records:
-        vals = [getattr(r, f) for f in _CSV_FIELDS]
+        vals = [getattr(r, f) for f in _FIELDS]
         lines.append(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in vals))
     if summary:
         for k, v in summary.items():
@@ -412,10 +419,11 @@ def adversarial_sweep(q, side: str, weights, samples: int = 500, seed: int = 0,
             errors[np.arange(len(chunk))[:, None], chunk] = 1
             zeros = np.zeros_like(errors)
             if side == "x":
-                ok_x, _, x_logical, _, _ = _decode_block(q, decode_outer, checks, errors, zeros)
+                _, _, ok_x, _, x_logical, _, _ = _decode_block(q, decode_outer, checks,
+                                                               errors, zeros)
                 good += int(np.count_nonzero(ok_x & ~x_logical))
             else:
-                _, _, _, z_logical, _ = _decode_block(q, decode_outer, checks, zeros, errors)
+                *_, z_logical, _ = _decode_block(q, decode_outer, checks, zeros, errors)
                 good += int(np.count_nonzero(~z_logical))
         rows.append(SweepRow(weight=int(w), trials=len(patterns), successes=good,
                              exhaustive=exhaustive))

@@ -101,6 +101,35 @@ def test_keys_outside_64_bits_are_rejected():
             sample_error(ch, 10, seed=seed, trial=trial)
 
 
+@pytest.mark.parametrize("bad", [-1, 2**64])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_block_sampling_refuses_a_key_outside_64_bits_anywhere(bad, where):
+    trials = [0, 2**64 - 1, 3, 0, 2**64 - 1]
+    trials[where] = bad
+    with pytest.raises(ValueError, match=f"trial index {bad} outside \\[0, 2\\^64\\)"):
+        sample_errors(make_channel(0.1, 2.0), 10, seed=0, trials=trials)
+
+
+def test_block_sampling_names_the_first_key_outside_64_bits():
+    for trials, first in (([5, 2**64, -1], 2**64), ([5, -1, 2**64], -1)):
+        with pytest.raises(ValueError, match=f"trial index {first} outside"):
+            sample_errors(make_channel(0.1, 2.0), 10, seed=0, trials=trials)
+
+
+def test_block_sampling_takes_both_ends_of_the_key_range_and_no_trials():
+    ch = make_channel(0.3, 1.0)
+    trials = [2**64 - 1, 0, 0, 2**64 - 1]
+    block = sample_errors(ch, 40, seed=1, trials=trials)
+    for row, t in enumerate(trials):
+        one = sample_error(ch, 40, seed=1, trial=t)
+        assert block.x[row].tolist() == one.x.tolist()
+        assert block.z[row].tolist() == one.z.tolist()
+    for empty in ([], range(0)):
+        none = sample_errors(ch, 7, seed=1, trials=empty)
+        assert none.x.shape == none.z.shape == (0, 7)
+        assert none.x.dtype == none.z.dtype == np.uint8
+
+
 def test_saturated_symmetric_channel_splits_three_ways():
     ch = make_channel(1.0, 1.0)
     e = sample_error(ch, 100_000, seed=2)

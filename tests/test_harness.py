@@ -213,6 +213,40 @@ def test_run_trials_matches_oracle_on_long_and_odd_blocks(n, n0, p, zeta):
     assert _strip_seconds(run_trials(cfg, code=q)[0]) == oracle_records(q, cfg)
 
 
+# Z (or X) weights of a block can pass 255 only with n0 above 255.  At p = 1
+# every block of a zeta = inf run is all Z, and at zeta = 1 a block of 512
+# carries about 341 X and as many Z; at p = 0.9, zeta = 1 a block carries
+# about 0.6 n0 of each, below 256.
+@pytest.mark.parametrize("n0, p, zeta", [(257, 0.9, 1.0), (300, 0.9, 1.0),
+                                         (300, 1.0, math.inf), (512, 1.0, 1.0)])
+def test_run_trials_weights_match_the_sampled_errors_on_long_blocks(n0, p, zeta):
+    q = fast_family(8 * n0, n0, 3, 6, 0, validate=False)
+    cfg = ExperimentConfig(p=p, zeta=zeta, trials=5, n=q.n, n0=n0, seed=9)
+    ch = make_channel(p, zeta)
+    heaviest = 0
+    for r in run_trials(cfg, code=q)[0]:
+        e = sample_error(ch, q.n, cfg.seed, trial=r.trial)
+        assert (r.wt_x, r.wt_z) == (int(e.x.sum()), int(e.z.sum()))
+        assert type(r.wt_x) is type(r.wt_z) is int
+        heaviest = max(heaviest, *(int(v.reshape(-1, n0).sum(axis=1).max()) for v in (e.x, e.z)))
+    assert (heaviest > 255) == (p == 1.0)
+
+
+def test_run_trials_records_are_the_records_their_constructor_builds():
+    cfg = ExperimentConfig(p=0.05, zeta=10.0, trials=30, n=64, n0=4, seed=3)
+    for r in run_trials(cfg)[0]:
+        built = TrialRecord(*(getattr(r, f.name) for f in dataclasses.fields(TrialRecord)))
+        assert r == built and hash(r) == hash(built) and repr(r) == repr(built)
+        assert vars(r) == vars(built) and list(vars(r)) == list(vars(built))
+        assert dataclasses.replace(r, flips=r.flips + 1) == dataclasses.replace(
+            built, flips=built.flips + 1)
+        assert dataclasses.replace(r) == r
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.wt_x = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del r.flips
+
+
 def test_run_trials_matches_oracle_below_one_block():
     q = fast_family(64, 4, 3, 6, 1, validate=False)
     cfg = ExperimentConfig(p=0.08, zeta=3.0, trials=7, n=64, n0=4, seed=2**64 - 1)
