@@ -357,50 +357,149 @@ def bdd_alternant(code, s, t: int | None = None) -> DecodeOutcome:
 
 
 # ------------------------------------------------------------------- flip
+# The flip rule runs on bit lanes: row 64w + i of a stack of syndromes is
+# bit i of word w, so one uint64 word carries 64 syndromes and every numpy
+# step works on all of them.
 
-def _flip_kernel(H: np.ndarray):
-    """The sequential flip rule for a binary check matrix H (0/1 entries),
-    set up once: returns rows(S, budget), which runs the rule on every row
-    of a stack of syndromes S at once.
+_LANE = np.dtype("<u8")
 
-    Each step flips, in every row still running, the lowest-index bit whose
-    unsatisfied incident checks form a strict majority.  A row stops when no
-    such bit is left or once it has made budget flips.  Every flip lowers
-    the row's unsatisfied count, so a row makes at most H.shape[0] flips.
-    rows returns (estimates, flips, residual syndromes), one row per
-    syndrome.
+
+def _pack_lanes(S: np.ndarray, words: int) -> np.ndarray:
+    """A stack of 0/1 rows as lane words: entry (j, w) holds column j of
+    rows 64w .. 64w + 63, of shape (columns, words)."""
+    out = np.zeros((S.shape[1], 8 * words), dtype=np.uint8)
+    out[:, : -(-len(S) // 8)] = np.packbits(S, axis=0, bitorder="little").T
+    return out.view(_LANE)
+
+
+def _unpack_lanes(words: np.ndarray, rows: int) -> np.ndarray:
+    """The first rows lanes of lane words as 0/1 rows: _pack_lanes undone."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=rows, bitorder="little").T
+
+
+def _padded(owner: np.ndarray, member: np.ndarray, count: int, fill: int) -> np.ndarray:
+    """The members of each of count owners as one row each, of shape
+    (count, largest membership), from (owner, member) pairs sorted by owner;
+    short rows are padded with fill."""
+    weight = np.bincount(owner, minlength=count)
+    out = np.full((count, weight.max(initial=0)), fill, dtype=np.intp)
+    out[owner, np.arange(owner.size) - (np.cumsum(weight) - weight)[owner]] = member
+    return out
+
+
+class _FlipKernel:
+    """The flip rule on the Tanner graph of a binary check matrix H (0/1
+    entries of any dtype), held once as edge arrays:
+
+    - checks, check to bit, of shape (largest check degree, r): column j
+      lists check j's bits, padded with n, the index of a zero bit word;
+    - bits, bit to check, of shape (largest bit degree, n): column i lists
+      bit i's checks, padded so that one threshold tests every bit's
+      majority.
+
+    A bit of degree c has a strict majority of unsatisfied checks when at
+    least c // 2 + 1 of them are.  Its check list is padded to the largest
+    degree C with C // 2 - c // 2 pointers to an all-ones word and the rest
+    to a zero word, so that test becomes "at least C // 2 + 1 of its C
+    words", whatever c is, zero and even degrees included.
     """
-    h = np.asarray(H, dtype=np.float32)
-    half = h.sum(axis=0) / 2  # a strict majority of a bit's checks exceeds it
-    ht = np.ascontiguousarray(h.T)  # a flipped bit's checks are one row of it
 
-    def rows(S: np.ndarray, budget: float):
-        unsat = np.array(S, dtype=np.float32)
-        # unsatisfied checks of each (row, bit), from the rows of H of the
-        # checks some syndrome leaves unsatisfied
-        lit = np.flatnonzero(unsat.any(axis=0))
-        count = unsat[:, lit] @ h[lit]
-        est = np.zeros((len(S), h.shape[1]), dtype=np.uint8)
-        flips = np.zeros(len(S), dtype=np.int64)
-        active = np.flatnonzero(flips < budget)
-        while active.size:
-            majority = count[active] > half
-            bit = majority.argmax(axis=1)
-            found = majority[np.arange(active.size), bit]
-            active, bit = active[found], bit[found]
-            est[active, bit] ^= 1
-            flips[active] += 1
-            # the flipped bits' checks toggle; only their rows of H move a count
-            toggled = ht[bit]
-            changed = np.flatnonzero(toggled.any(axis=0))
-            old = unsat[active]
-            new = np.abs(old - toggled)
-            unsat[active] = new
-            count[active] += (new - old)[:, changed] @ h[changed]
-            active = active[flips[active] < budget]
-        return est, flips, unsat.astype(np.uint8)
+    def __init__(self, H: np.ndarray):
+        r, n = H.shape
+        check, bit = np.divmod(np.flatnonzero(H), n)
+        self.shape = (r, n)
+        self.checks = np.ascontiguousarray(_padded(check, bit, r, n).T)
+        order = np.argsort(bit, kind="stable")
+        bits = _padded(bit[order], check[order], n, r)
+        c = bits.shape[1]
+        degree = np.bincount(bit, minlength=n)[:, None]
+        bits[(bits == r) & (np.arange(c) < degree + c // 2 - degree // 2)] = r + 1
+        self.bits = np.ascontiguousarray(bits.T)
+        self.threshold = k = c // 2 + 1
+        # the (word, j) updates of _majority's recurrence, in order: T[j]
+        # is kept only while the words left can still lift it to k
+        self._plan = [(i, j) for i in range(c) for j in range(min(i + 1, k), max(0, k - c + i), -1)]
 
-    return rows
+    def _majority(self, unsat: np.ndarray) -> np.ndarray:
+        """Lane words, one per bit, set where the bit's unsatisfied checks
+        form a strict majority.  unsat holds the check words, then a zero
+        and an all-ones word.  T[j] marks the lanes where at least j of the
+        words seen so far are set (T[j] |= T[j-1] & x)."""
+        words = unsat.take(self.bits, axis=0)
+        k = self.threshold
+        T = [None] * (k + 1)
+        for i, j in self._plan:
+            step = words[i] if j == 1 else T[j - 1] & words[i]
+            T[j] = step if T[j] is None else T[j] | step
+        return np.zeros(words.shape[1:], dtype=_LANE) if T[k] is None else T[k]
+
+    def run(self, S: np.ndarray, budget: float, parallel: bool = False):
+        """The flip rule on every row of a stack of syndromes S at once.
+
+        Each step flips, in every row still running, the lowest-index bit
+        whose unsatisfied checks form a strict majority, or every such bit
+        in parallel mode.  A row stops when no such bit is left: its state
+        no longer changes.  The run ends once every row has stopped or
+        after budget steps.  Returns (estimates, flips, steps, residual
+        syndromes), one row per syndrome; a row's steps are the steps in
+        which it flipped, equal to its flips in sequential mode.
+        """
+        rows = len(S)
+        r, n = self.shape
+        words = -(-rows // 64)
+        unsat = np.zeros((r + 2, words), dtype=_LANE)
+        unsat[:r] = _pack_lanes(np.asarray(S, dtype=np.uint8), words)
+        unsat[r + 1] = ~np.uint64(0)
+        live = _pack_lanes(np.ones((rows, 1), dtype=np.uint8), words)[0]
+        est = np.zeros((n, words), dtype=_LANE)
+        # the bits flipped in a step, then the zero word checks' padding reads
+        flip = np.zeros((n + 1, words), dtype=_LANE)
+        stepped = []
+        flips = np.zeros(rows, dtype=np.int64)
+        while len(stepped) < budget and live.any():
+            majority = self._majority(unsat) & live
+            if parallel:
+                flip[:n] = majority
+                live = np.bitwise_or.reduce(majority, axis=0)
+                flips += _unpack_lanes(majority, rows).sum(axis=1, dtype=np.int64)
+            else:
+                # a running OR over the bits turns on at each row's lowest
+                # majority bit
+                seen = np.bitwise_or.accumulate(majority, axis=0)
+                flip[0] = seen[0]
+                np.bitwise_xor(seen[1:], seen[:-1], out=flip[1:n])
+                # a copy: stepped keeps it, and a view would keep all of seen
+                live = seen[-1].copy()
+            est ^= flip[:n]
+            unsat[:r] ^= np.bitwise_xor.reduce(flip.take(self.checks, axis=0), axis=0)
+            stepped.append(live)
+        steps = _unpack_lanes(np.array(stepped, dtype=_LANE).reshape(-1, words), rows)
+        steps = steps.sum(axis=1, dtype=np.int64)
+        if not parallel:
+            flips = steps
+        return _unpack_lanes(est, rows), flips, steps, _unpack_lanes(unsat[:r], rows)
+
+    def __call__(self, S: np.ndarray, budget: float):
+        """The sequential rule on a stack of syndromes, within budget flips
+        per row: (estimates, flips, residual syndromes).  Every flip lowers
+        a row's unsatisfied count, so a row makes at most r flips."""
+        est, flips, _, unsat = self.run(S, budget)
+        return est, flips, unsat
+
+
+# The flip kernel of each binary code, keyed like _EXHAUSTIVE_CACHE.
+_FLIP_CACHE = weakref.WeakKeyDictionary()
+
+
+def _flip_kernel(code) -> _FlipKernel:
+    """The flip kernel of a binary code, built once per code; a bare 0/1
+    check matrix array gets a kernel of its own."""
+    if isinstance(code, np.ndarray):
+        return _FlipKernel(code)
+    kernel = _FLIP_CACHE.get(code)
+    if kernel is None:
+        kernel = _FLIP_CACHE[code] = _FlipKernel(code.H.data)
+    return kernel
 
 
 def flip_decode(code, s, max_rounds: int = 100, parallel: bool = False) -> DecodeOutcome:
@@ -413,9 +512,9 @@ def flip_decode(code, s, max_rounds: int = 100, parallel: bool = False) -> Decod
     mode only, "rounds".  Non-convergence is reported as
     detected-uncorrectable with the residual syndrome attached.
 
-    code is a binary code or its check matrix.  Sequential mode is the
-    one-row case of _flip_kernel, the block kernel the Monte Carlo harness
-    runs on every nonzero syndrome of a block of trials at once.
+    code is a binary code or its check matrix.  Both modes are the one-row
+    case of the code's _FlipKernel, which the Monte Carlo harness runs on
+    every nonzero syndrome of a decode group at once.
 
     What it does not guarantee: on graphs with 4-cycles (two bits sharing
     two checks), such as the (3, 6) outer graphs the harness and CLI ship,
@@ -427,31 +526,14 @@ def flip_decode(code, s, max_rounds: int = 100, parallel: bool = False) -> Decod
     H = getattr(code, "H", code)
     s = _as_vector(s).astype(np.uint8)
     _check_flip_syndrome(H, s.shape[0])
-    n = H.cols
-
+    kernel = _flip_kernel(H.data if code is H else code)
     if parallel:
-        data = H.data != 0
-        bit_edges, check_edges = np.nonzero(data.T)
-        degree = data.sum(axis=0)
-        unsat = s.copy()
-        est = np.zeros(n, dtype=np.uint8)
-        flips = rounds = 0
-        while rounds < max_rounds and unsat.any():
-            ucount = np.bincount(bit_edges, weights=unsat[check_edges], minlength=n)
-            flip_mask = 2 * ucount > degree
-            if not flip_mask.any():
-                break
-            est ^= flip_mask.astype(np.uint8)
-            touched = check_edges[flip_mask[bit_edges]]
-            unsat ^= (np.bincount(touched, minlength=H.rows) % 2).astype(np.uint8)
-            flips += int(flip_mask.sum())
-            rounds += 1
-        counters = {"flips": flips, "rounds": rounds}
+        est, flips, rounds, unsat = kernel.run(s[None, :], max_rounds, parallel=True)
+        counters = {"flips": int(flips[0]), "rounds": int(rounds[0])}
     else:
-        est, flips, unsat = _flip_kernel(H.data)(s[None, :], max_rounds * n)
-        est, unsat = est[0], unsat[0]
+        est, flips, unsat = kernel(s[None, :], max_rounds * H.cols)
         counters = {"flips": int(flips[0])}
-    return _flip_outcome(est, counters, unsat)
+    return _flip_outcome(est[0], counters, unsat[0])
 
 
 def _check_flip_syndrome(H: MatrixGF, length: int) -> None:
@@ -506,14 +588,14 @@ def _outer_decoder(Q, decoder: str, max_rounds: int):
     "auto" (exhaustive when the outer code fits its size cap, else flip).
     It decodes a stack of syndromes, one per row, and returns (estimates,
     flips, residual syndromes) with one row each; a row is corrected when
-    its residual is zero.  The flip rule runs on every row at once
-    (_flip_kernel), each row within max_rounds * (outer length) flips."""
-    H = Q.outer.H
+    its residual is zero.  The flip rule runs on every row at once, 64 rows
+    to a word, through the outer code's cached _FlipKernel, each row within
+    max_rounds * (outer length) flips."""
     if decoder == "auto":
         decoder = "flip" if _exhaustive_refusal(Q.outer) else "exhaustive"
     if decoder == "flip":
-        flip_rows = _flip_kernel(H.data)
-        return lambda S: flip_rows(S, max_rounds * H.cols)
+        kernel = _flip_kernel(Q.outer)
+        return lambda S: kernel(S, max_rounds * Q.outer.H.cols)
     # refused here, since a run whose X syndromes are all zero never decodes
     _check_exhaustive_size(Q.outer)
 

@@ -3,21 +3,23 @@ failure rates under asymmetric Pauli noise, adversarial fixed-weight sweeps,
 and the Z decoder's time-scaling scan.
 
 Every trial is keyed by (seed, trial index), so record streams are identical
-however the trials are grouped.  run_trials and adversarial_sweep work in
-blocks of trials: one keyed sampler call, X syndromes formed from the
-outer code's check-to-bit incidence, one outer decode over the stack of
-nonzero X syndromes, and vectorised logical checks.  The Z side is solved
-in closed form: the majority estimate of a repetition block has the
-block's syndrome, so its residual is all zeros or all ones (the block's
-last bit XORed with the majority flag), and only the outer word of those
-flags is checked against the outer row space.  The per-trial path
-(sample_error, pccss_decode_x/_z, logical_check) stays public and is the
-reference the block results are tested against.  A block's outcome stays
-a set of numpy columns (X and Z error weights, summed from the block
-weights both decoders form; X decode ok; flips; logical failures) through
-the summary counts and the sweep; run_trials turns them into TrialRecords
-and status strings only once, at the end.  A record's decode_seconds is
-its share of its block's decoding time, not a per-trial measurement.
+however the trials are grouped.  run_trials and adversarial_sweep sample
+in blocks of trials (one keyed sampler call each) and decode in groups of
+whole blocks.  Each block is reduced at once to its block parities, error
+weights and Z outcome; each group then forms its X syndromes from the
+outer code's check-to-bit edge array, runs the outer decoder once over its
+nonzero X syndromes and checks the X residuals.  The Z side is solved in
+closed form: the majority estimate of a repetition block has the block's
+syndrome, so its residual is all zeros or all ones (the block's last bit
+XORed with the majority flag), and only the outer word of those flags is
+checked against the outer row space.  The per-trial path (sample_error,
+pccss_decode_x/_z, logical_check) stays public and is the reference the
+grouped results are tested against.  A group's outcome stays a set of
+numpy columns (X and Z error weights, summed from the block weights both
+decoders form; X decode ok; flips; logical failures) through the summary
+counts and the sweep; run_trials turns them into TrialRecords and status
+strings only once, at the end.  A record's decode_seconds is its share of
+its decode group's decoding time, not a per-trial measurement.
 """
 from __future__ import annotations
 
@@ -32,7 +34,15 @@ import numpy as np
 from .bounds import pz_upper_bound
 from .channel import PauliError, check_key, make_channel, sample_errors
 from .css import _hz_products, css_from_text, fast_family
-from .decode import CORRECTED, DETECTED, _outer_decoder, _require_gf2, pccss_decode_z, syndrome_of
+from .decode import (
+    CORRECTED,
+    DETECTED,
+    _flip_kernel,
+    _outer_decoder,
+    _require_gf2,
+    pccss_decode_z,
+    syndrome_of,
+)
 from .matgf import in_rowspace, rref
 
 __all__ = [
@@ -187,14 +197,28 @@ def _build_code(cfg: ExperimentConfig):
     return fast_family(cfg.n, cfg.n0, c=cfg.c, d=cfg.d, seed=cfg.code_seed, validate=False)
 
 
-# Trials per block.  The block's arrays grow with block size times code
-# length, so longer codes take fewer trials per block to keep memory flat.
+# Trials per sampling block.  The block's arrays grow with block size
+# times code length, so longer codes take fewer trials per block to keep
+# memory flat.
 _BLOCK_TRIALS = 128
 _BLOCK_BITS = _BLOCK_TRIALS * 1024
 
 
 def _block_size(n: int) -> int:
     return max(1, min(_BLOCK_TRIALS, _BLOCK_BITS // n))
+
+
+def _groups(q, total: int):
+    """The sampling blocks of trials 0 .. total - 1, as (lo, hi) ranges, one
+    list per decode group.  A group holds whole blocks: at least 64 trials,
+    one word of the flip kernel's lanes, and enough for _BLOCK_BITS outer
+    bits, so what it keeps of each trial (block parities, X syndromes)
+    stays flat in N."""
+    block = _block_size(q.n)
+    group = block * -(-max(64, _BLOCK_BITS * q.n0 // q.n) // block)
+    for lo in range(0, total, group):
+        hi = min(lo + group, total)
+        yield [(b, min(b + block, hi)) for b in range(lo, hi, block)]
 
 
 def _require_blocks(q, what: str) -> None:
@@ -205,41 +229,23 @@ def _require_blocks(q, what: str) -> None:
     _require_gf2(q, what)
 
 
-def _incidence(A: np.ndarray) -> np.ndarray:
-    """The nonzero columns of each row of a 0/1 matrix A, as an array of
-    shape (rows, largest row weight).  Short rows are padded with
-    A.shape[1], the index of a zero column the caller appends."""
-    rows, cols = np.divmod(np.flatnonzero(A), A.shape[1])
-    weight = np.bincount(rows, minlength=A.shape[0])
-    out = np.full((A.shape[0], weight.max(initial=0)), A.shape[1], dtype=np.intp)
-    # rows come out sorted, so an entry's slot is its place within its row
-    out[rows, np.arange(rows.size) - (np.cumsum(weight) - weight)[rows]] = cols
-    return out
-
-
 def _syndromes(parity: np.ndarray, checks: np.ndarray) -> np.ndarray:
     """Outer syndromes of a stack of 0/1 block parities whose last column
-    is the zero column the padding of the check-to-bit incidence checks
-    points at.  The unsigned sums wrap at a power of two, which keeps their
-    parity."""
-    return np.einsum("ijk->ij", parity[:, checks]) & 1
+    is the zero column the padding of the check-to-bit edge array (the
+    outer _FlipKernel's checks) points at.  The unsigned sums wrap at a
+    power of two, which keeps their parity."""
+    return np.einsum("ijk->ik", parity[:, checks]) & 1
 
 
-def _decode_block(q, decode_outer, checks, x: np.ndarray, z: np.ndarray):
-    """Decode a stack of errors (one trial per row) on both sides and check
-    the residuals: per row, the same outcome as pccss_decode_x (or the
-    exhaustive outer decoder) and pccss_decode_z followed by logical_check.
-    checks is _incidence(q.outer.H.data), built once per run.
-
-    Returns (wt_x, wt_z, ok_x, flips, x_logical, z_logical, seconds): per
-    row, the weights of the X and Z errors (uint64, summed from the block
-    weights the decoders form anyway), whether the X decoder reports
-    "corrected" (bool), its flip count (int64) and the logical_check flags
-    of the residual (bool), then the block's decoding time in seconds.
-    Block weights are of type np.min_scalar_type(n0), so no block wraps.
-
-    Rows with a zero X syndrome skip the outer decoder: both decoders
-    return "corrected" with a zero estimate and no flips there.
+def _reduce_block(q, x: np.ndarray | None, z: np.ndarray):
+    """Reduce a sampling block of errors (one trial per row) to what its
+    decode group needs: (parity, wt_x, wt_z, z_logical, seconds).  parity
+    holds the X block parities with the zero column n2 that _syndromes
+    needs, or is None when x is None, which stands for an all-zero X side.
+    Then, per row, the weights of the X and Z errors (uint64, summed from
+    the block weights), the Z logical failure (bool), and the Z decoding
+    time in seconds.  Block weights are of type np.min_scalar_type(n0), so
+    no block wraps.
 
     The Z side needs no decoding pass.  A block's syndrome is its first
     n0 - 1 bits XORed with its last bit, and the majority decoder's
@@ -248,28 +254,21 @@ def _decode_block(q, decode_outer, checks, x: np.ndarray, z: np.ndarray):
     more than (n0 - 1) // 2 bits differ from the last one.  Like
     pccss_decode_z, the Z side always reports "corrected".
     """
-    t = x.shape[0]
+    t = len(z)
     n0 = q.n0
     n2 = q.n // n0
     block_weight = np.min_scalar_type(n0)
-    # block weights, then parities, of the X error, then of the X residual
-    # once decoded, with the zero column n2 that _syndromes needs
-    parity = np.zeros((t, n2 + 1), dtype=block_weight)
-    # with no dtype given, einsum sums in the common type of its operands
-    # and out, here block_weight
-    np.einsum("ijk->ij", x.reshape(t, n2, n0), out=parity[:, :n2])
-    wt_x = parity.sum(axis=1)
-    parity &= 1
-    s_x = _syndromes(parity, checks)
+    parity = None
+    wt_x = np.zeros(t, dtype=np.uint64)
+    if x is not None:
+        parity = np.zeros((t, n2 + 1), dtype=block_weight)
+        # with no dtype given, einsum sums in the common type of its
+        # operands and out, here block_weight
+        np.einsum("ijk->ij", x.reshape(t, n2, n0), out=parity[:, :n2])
+        wt_x = parity.sum(axis=1)
+        parity &= 1
 
     t0 = time.perf_counter()
-    ok_x = np.ones(t, dtype=bool)
-    flips = np.zeros(t, dtype=np.int64)
-    rows = np.flatnonzero(s_x.any(axis=1))
-    if rows.size:
-        est_x, flips[rows], unsat = decode_outer(s_x[rows])
-        ok_x[rows] = ~unsat.any(axis=1)
-        parity[rows, :n2] ^= est_x
     blocks = z.reshape(t, n2, n0)
     weight = np.einsum("ijk->ij", blocks, dtype=block_weight)
     last = blocks[:, :, -1]
@@ -277,40 +276,86 @@ def _decode_block(q, decode_outer, checks, x: np.ndarray, z: np.ndarray):
     w = last ^ flag
     seconds = time.perf_counter() - t0
 
-    # only decoded rows can have a nonzero residual syndrome
-    x_logical = parity.any(axis=1)
-    x_logical[rows] &= ~_syndromes(parity[rows], checks).any(axis=1)
     z_logical = np.zeros(t, dtype=bool)
     for i in np.flatnonzero(w.any(axis=1)):
         z_logical[i] = not in_rowspace(_cached_rref(q, "_h2_rref", q.outer.H), w[i])
-    return wt_x, weight.sum(axis=1), ok_x, flips, x_logical, z_logical, seconds
+    return parity, wt_x, weight.sum(axis=1), z_logical, seconds
+
+
+def _decode_group(decode_outer, checks, blocks):
+    """Decode the X side of a decode group, the list of its reduced
+    sampling blocks (_reduce_block), and check the residuals: per row, the
+    same outcome as pccss_decode_x (or the exhaustive outer decoder) and
+    pccss_decode_z followed by logical_check.  checks is the outer code's
+    check-to-bit edge array.
+
+    Returns (wt_x, wt_z, ok_x, flips, x_logical, z_logical, seconds): per
+    row, the error weights, whether the X decoder reports "corrected"
+    (bool), its flip count (int64) and the logical_check flags of the
+    residual (bool), then the group's decoding time in seconds (the outer
+    decoder and the Z majority flags).
+
+    The outer decoder runs once, on the group's nonzero X syndromes: rows
+    with a zero syndrome, and every row of an all-zero X side, are
+    "corrected" with a zero estimate and no flips.
+    """
+    parities, wt_x, wt_z, z_logical, seconds = zip(*blocks)
+    wt_x, wt_z, z_logical = map(np.concatenate, (wt_x, wt_z, z_logical))
+    seconds = sum(seconds)
+    t = len(wt_z)
+    ok_x = np.ones(t, dtype=bool)
+    flips = np.zeros(t, dtype=np.int64)
+    x_logical = np.zeros(t, dtype=bool)
+    if parities[0] is not None:
+        parity = np.concatenate(parities)
+        s_x = _syndromes(parity, checks)
+        t0 = time.perf_counter()
+        rows = np.flatnonzero(s_x.any(axis=1))
+        if rows.size:
+            est_x, flips[rows], unsat = decode_outer(s_x[rows])
+            ok_x[rows] = ~unsat.any(axis=1)
+            parity[rows, :-1] ^= est_x
+        seconds += time.perf_counter() - t0
+        # only decoded rows can have a nonzero residual syndrome
+        x_logical = parity.any(axis=1)
+        x_logical[rows] &= ~_syndromes(parity[rows], checks).any(axis=1)
+    return wt_x, wt_z, ok_x, flips, x_logical, z_logical, seconds
 
 
 def run_trials(cfg: ExperimentConfig, code=None):
     """Run cfg.trials seeded trials; returns (records, summary) and writes a
     CSV when cfg.out is set.
 
-    Trials run in blocks of consecutive indices; every record depends only
-    on (cfg.seed, trial), so the output is the same for any block size.
-    Each block yields one numpy column per record field; the columns of all
-    blocks are joined once, the summary counts come from them, and the
-    records are built in one pass at the end, the only place statuses
-    become strings.  A record's decode_seconds is its block's decoding time
-    (X and Z decoders, not sampling, syndromes or the logical check)
-    divided by the block's trial count.
+    Trials are sampled in blocks of consecutive indices and decoded in
+    groups of whole blocks (_groups); every record depends only on
+    (cfg.seed, trial), so the output is the same for any grouping.  Each
+    sampling block is reduced at once to its block parities, weights and Z
+    outcome, and the X side of a group is decoded in one outer decoder
+    call.  When the channel has no X or Y errors (zeta = inf), the sampler
+    returns a zero X side and the X side is skipped.  Each group yields one
+    numpy column per record field; the columns of all groups are joined
+    once, the summary counts come from them, and the records are built in
+    one pass at the end, the only place statuses become strings.  A
+    record's decode_seconds is its share of its decode group's decoding
+    time (the X and Z decoders, not sampling, syndromes or the logical
+    check): the group's time divided by its trial count.
     """
     q = code if code is not None else _build_code(cfg)
     _require_blocks(q, "run_trials")
     ch = make_channel(cfg.p, cfg.zeta)
     decode_outer = _outer_decoder(q, cfg.decoder, cfg.max_rounds)
-    checks = _incidence(q.outer.H.data)
-    block = _block_size(q.n)
+    checks = _flip_kernel(q.outer).checks
+    # the sampler's X bound: with none, every X error is zero
+    x_side = ch.p_x + ch.p_y > 0
     columns = []
-    for lo in range(0, cfg.trials, block):
-        trials = range(lo, min(lo + block, cfg.trials))
-        e = sample_errors(ch, q.n, cfg.seed, trials)
-        *outcome, seconds = _decode_block(q, decode_outer, checks, e.x, e.z)
-        columns.append((*outcome, np.full(len(trials), seconds / len(trials))))
+    for group in _groups(q, cfg.trials):
+        blocks = []
+        for lo, hi in group:
+            e = sample_errors(ch, q.n, cfg.seed, range(lo, hi))
+            blocks.append(_reduce_block(q, e.x if x_side else None, e.z))
+        *outcome, seconds = _decode_group(decode_outer, checks, blocks)
+        size = group[-1][1] - group[0][0]
+        columns.append((*outcome, np.full(size, seconds / size)))
     wt_x, wt_z, ok_x, flips, x_logical, z_failed, share = map(np.concatenate, zip(*columns))
     # the X decoder giving up counts as a failure; the Z decoder never does
     x_failed = x_logical | ~ok_x
@@ -406,25 +451,21 @@ def adversarial_sweep(q, side: str, weights, samples: int = 500, seed: int = 0,
         raise ValueError("weights must lie in [0, n]")
     # a Z sweep has no X errors, so it never runs the outer decoder
     decode_outer = _outer_decoder(q, decoder, max_rounds) if side == "x" else None
-    checks = _incidence(q.outer.H.data)
-    block = _block_size(q.n)
+    checks = _flip_kernel(q.outer).checks
     rng = np.random.default_rng(seed)
     rows = []
     for w in weights:
         patterns, exhaustive = _weight_patterns(q.n, int(w), samples, rng)
         good = 0
-        for lo in range(0, len(patterns), block):
-            chunk = patterns[lo : lo + block]
-            errors = np.zeros((len(chunk), q.n), dtype=np.uint8)
-            errors[np.arange(len(chunk))[:, None], chunk] = 1
-            zeros = np.zeros_like(errors)
-            if side == "x":
-                _, _, ok_x, _, x_logical, _, _ = _decode_block(q, decode_outer, checks,
-                                                               errors, zeros)
-                good += int(np.count_nonzero(ok_x & ~x_logical))
-            else:
-                *_, z_logical, _ = _decode_block(q, decode_outer, checks, zeros, errors)
-                good += int(np.count_nonzero(~z_logical))
+        for group in _groups(q, len(patterns)):
+            blocks = []
+            for lo, hi in group:
+                errors = np.zeros((hi - lo, q.n), dtype=np.uint8)
+                errors[np.arange(hi - lo)[:, None], patterns[lo:hi]] = 1
+                blocks.append(_reduce_block(q, errors, np.zeros_like(errors)) if side == "x"
+                              else _reduce_block(q, None, errors))
+            _, _, ok_x, _, x_logical, z_logical, _ = _decode_group(decode_outer, checks, blocks)
+            good += int(np.count_nonzero(ok_x & ~x_logical & ~z_logical))
         rows.append(SweepRow(weight=int(w), trials=len(patterns), successes=good,
                              exhaustive=exhaustive))
     return tuple(rows)

@@ -6,14 +6,18 @@ from __future__ import annotations
 import gc
 import heapq
 import itertools
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pccss import decode
 from pccss.codes import LinearCode, make_alternant, make_expander, make_repetition
+from pccss.css import fast_family
 from pccss.decode import (
     DecodeOutcome,
     _flip_kernel,
@@ -27,7 +31,7 @@ from pccss.decode import (
     pccss_decode_z,
     syndrome_of,
 )
-from pccss.galois import FieldSpec, field_of_size
+from pccss.galois import GF2, FieldSpec, field_of_size
 from pccss.matgf import MatrixGF, _field_ops, _span_chunks, nullspace, solve
 
 
@@ -442,6 +446,134 @@ def test_flip_rows_matches_reference_search_row_by_row(n, c, d, seed):
             assert est[i].tolist() == ref_est.tolist()
             assert flips[i] == ref_flips
             assert unsat[i].tolist() == ref_unsat.tolist()
+
+
+def mixed_syndromes(code, count: int, seed: int) -> np.ndarray:
+    """count syndromes of code: zero ones, random ones and those of errors
+    of weight 1 to 8, in turn."""
+    rng = np.random.default_rng(seed)
+    n = code.H.cols
+    rows = []
+    for i in range(count):
+        if i % 4 == 0:
+            s = np.zeros(code.H.rows, dtype=np.uint8)
+        elif i % 4 == 1:
+            s = rng.integers(0, 2, size=code.H.rows).astype(np.uint8)
+        else:
+            e = np.zeros(n, dtype=np.uint8)
+            e[rng.choice(n, size=min(n, 1 + i % 8), replace=False)] = 1
+            s = syndrome_of(code.H, e)
+        rows.append(s)
+    return np.array(rows, dtype=np.uint8).reshape(count, code.H.rows)
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 130])
+def test_flip_lanes_match_reference_search_across_word_edges(rows):
+    # 64 syndromes share a word: stacks one short of, at and past a word
+    code, _ = make_expander(64, 3, 6, seed=1)
+    S = mixed_syndromes(code, rows, seed=rows)
+    for max_rounds in (100, 1 / 64, 3 / 64):  # budgets of 6400, 1 and 3 flips
+        est, flips, unsat = _flip_kernel(code.H.data)(S, max_rounds * 64)
+        assert est.shape == (rows, 64) and flips.shape == (rows,) and unsat.shape == S.shape
+        for i, s in enumerate(S):
+            ref_est, ref_flips, ref_unsat = reference_flip(code.H, s, max_rounds)
+            assert est[i].tolist() == ref_est.tolist()
+            assert flips[i] == ref_flips
+            assert unsat[i].tolist() == ref_unsat.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flip_lanes_match_reference_search_on_irregular_graphs(data):
+    # small random H: bits of degree 0, of even and of odd degree side by side
+    r = data.draw(st.integers(1, 7), label="checks")
+    n = data.draw(st.integers(1, 10), label="bits")
+    entries = data.draw(st.lists(st.integers(0, 1), min_size=r * n, max_size=r * n))
+    H = MatrixGF(GF2, np.array(entries, dtype=np.uint8).reshape(r, n))
+    rows = data.draw(st.integers(1, 70), label="rows")
+    S = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(
+        0, 2, size=(rows, r)).astype(np.uint8)
+    kernel = _flip_kernel(H.data)
+    for budget in (1, 3, 6400):
+        est, flips, unsat = kernel(S, budget / n * n)
+        for i, s in enumerate(S):
+            ref_est, ref_flips, ref_unsat = reference_flip(H, s, budget / n)
+            assert est[i].tolist() == ref_est.tolist()
+            assert flips[i] == ref_flips
+            assert unsat[i].tolist() == ref_unsat.tolist()
+
+
+def reference_parallel_flip(H: MatrixGF, s: np.ndarray, max_rounds: int = 100):
+    """Parallel flip decoding written on numpy edge lists: every bit whose
+    unsatisfied checks form a strict majority flips in each round."""
+    data = H.data != 0
+    bit_edges, check_edges = np.nonzero(data.T)
+    degree = data.sum(axis=0)
+    unsat = s.astype(np.uint8).copy()
+    est = np.zeros(H.cols, dtype=np.uint8)
+    flips = rounds = 0
+    while rounds < max_rounds and unsat.any():
+        ucount = np.bincount(bit_edges, weights=unsat[check_edges], minlength=H.cols)
+        flip_mask = 2 * ucount > degree
+        if not flip_mask.any():
+            break
+        est ^= flip_mask.astype(np.uint8)
+        touched = check_edges[flip_mask[bit_edges]]
+        unsat ^= (np.bincount(touched, minlength=H.rows) % 2).astype(np.uint8)
+        flips += int(flip_mask.sum())
+        rounds += 1
+    return est, flips, rounds, unsat
+
+
+@pytest.mark.parametrize("n, c, d, seed", [(64, 3, 6, 1), (1000, 4, 5, 7)])
+def test_parallel_flip_matches_reference_loop(n, c, d, seed):
+    code, _ = make_expander(n, c, d, seed=seed)
+    S = mixed_syndromes(code, 70, seed=3)
+    for max_rounds in (100, 1, 3):
+        est, flips, rounds, unsat = _flip_kernel(code).run(S, max_rounds, parallel=True)
+        for i, s in enumerate(S):
+            ref_est, ref_flips, ref_rounds, ref_unsat = reference_parallel_flip(code.H, s, max_rounds)
+            assert (est[i].tolist(), flips[i], rounds[i], unsat[i].tolist()) == (
+                ref_est.tolist(), ref_flips, ref_rounds, ref_unsat.tolist())
+            out = flip_decode(code, s, max_rounds=max_rounds, parallel=True)
+            assert out.estimate.tolist() == ref_est.tolist()
+            assert out.counters == {"flips": ref_flips, "rounds": ref_rounds}
+            assert out.status == ("detected-uncorrectable" if ref_unsat.any() else "corrected")
+            if ref_unsat.any():
+                assert out.residual.tolist() == ref_unsat.tolist()
+
+
+def test_flip_kernel_builds_and_runs_without_a_dense_copy_of_the_graph():
+    # the outer graph is held as edge arrays: a dense copy of H, even one
+    # byte per entry, would take H.size bytes (512 checks by 1024 bits).
+    # A run keeps a few words per bit, however many steps it takes: 64
+    # random syndromes run for about 200 steps.
+    H = fast_family(2**14, 16, 3, 6, 0, validate=False).outer.H.data
+    S = np.random.default_rng(0).integers(0, 2, size=(64, H.shape[0])).astype(np.uint8)
+    peaks = []
+    tracemalloc.start()
+    try:
+        kernel = decode._FlipKernel(H)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        _, flips, _ = kernel(S, 6400 * H.shape[1])
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert flips.max() > 100
+    assert max(peaks) < H.size
+
+
+def test_flip_kernel_is_built_once_per_code():
+    code, _ = make_expander(64, 3, 6, seed=1)
+    kernel = _flip_kernel(code)
+    assert _flip_kernel(code) is kernel
+    assert _flip_kernel(code.H.data) is not kernel
+    ref = weakref.ref(code)
+    del code
+    gc.collect()
+    assert ref() is None
+    assert kernel not in decode._FLIP_CACHE.values()
 
 
 def test_flip_counts_rounds_only_in_parallel_mode():

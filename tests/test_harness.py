@@ -203,6 +203,24 @@ def test_run_trials_matches_per_trial_oracle(code_seed, p, zeta, seed):
         assert any(r.status_x != CORRECTED for r in records)
 
 
+@pytest.mark.parametrize("trials", [63, 64, 65, 130])
+@pytest.mark.parametrize("p, zeta, seed", [(0.05, math.inf, 0), (0.02, 10.0, 4)])
+def test_run_trials_matches_oracle_across_decode_groups(monkeypatch, trials, p, zeta, seed):
+    # 4096 bits per block: sampling blocks of 4 trials, decode groups of 64
+    monkeypatch.setattr(harness, "_BLOCK_BITS", 4096)
+    q = fast_family(1024, 16, 3, 6, 1, validate=False)
+    groups = list(harness._groups(q, trials))
+    assert groups[0][0] == (0, 4)
+    assert [(g[0][0], g[-1][1]) for g in groups] == [
+        (lo, min(lo + 64, trials)) for lo in range(0, trials, 64)]
+    cfg = ExperimentConfig(p=p, zeta=zeta, trials=trials, n=1024, n0=16, seed=seed)
+    records, _ = run_trials(cfg, code=q)
+    assert _strip_seconds(records) == oracle_records(q, cfg)
+    # decode_seconds is each trial's share of its group's time
+    for lo in range(0, trials, 64):
+        assert len({r.decode_seconds for r in records[lo : lo + 64]}) == 1
+
+
 # n0 = 256 puts up to 256 ones in a block, past a uint8 block weight (p = 1
 # at zeta = inf fills every block); n0 = 5 is an odd block length
 @pytest.mark.parametrize("n, n0", [(4096, 256), (320, 5)])
