@@ -376,13 +376,20 @@ def make_expander(n: int, c: int, d: int, seed: int) -> tuple[LinearCode, Expand
     _MATCHINGS matchings, so a seed yields the graph, or the RuntimeError,
     that resampling one matching at a time would. Dense degree pairs with
     vanishing simple-graph probability are rejected rather than silently
-    repaired.
+    repaired; degrees below 1, and fewer checks than a bit's c (n < d),
+    where no simple graph exists, are refused before any draw.
     """
+    if c < 1 or d < 1:
+        raise ValueError(f"degrees ({c},{d}) must both be >= 1")
     if n * c % d != 0:
         raise ValueError(f"degree accounting fails: {n}*{c} not divisible by {d}")
     r = n * c // d
     if r >= n:
         raise ValueError(f"{r} checks on {n} bits leaves no rate")
+    # each bit needs c distinct checks, equivalently each check d distinct bits
+    if r < c:
+        raise ValueError(f"no simple ({c},{d}) graph on {n} bits: {r} checks, "
+                         f"fewer than the {c} each bit needs")
     rng = np.random.default_rng(seed)
     left_nodes = np.repeat(np.arange(n), c)
     right_stubs = np.repeat(np.arange(r), d)

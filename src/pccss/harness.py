@@ -4,22 +4,23 @@ and the Z decoder's time-scaling scan.
 
 Every trial is keyed by (seed, trial index), so record streams are identical
 however the trials are grouped.  run_trials and adversarial_sweep sample
-in blocks of trials (one keyed sampler call each) and decode in groups of
-whole blocks.  Each block is reduced at once to its block parities, error
-weights and Z outcome; each group then forms its X syndromes from the
-outer code's check-to-bit edge array, runs the outer decoder once over its
-nonzero X syndromes and checks the X residuals.  The Z side is solved in
-closed form: the majority estimate of a repetition block has the block's
-syndrome, so its residual is all zeros or all ones (the block's last bit
-XORed with the majority flag), and only the outer word of those flags is
-checked against the outer row space.  The per-trial path (sample_error,
-pccss_decode_x/_z, logical_check) stays public and is the reference the
-grouped results are tested against.  A group's outcome stays a set of
-numpy columns (X and Z error weights, summed from the block weights both
-decoders form; X decode ok; flips; logical failures) through the summary
-counts and the sweep; run_trials turns them into TrialRecords and status
-strings only once, at the end.  A record's decode_seconds is its share of
-its decode group's decoding time, not a per-trial measurement.
+in blocks of trials and decode in groups of whole blocks; run_trials draws
+every block through one sampler, made once per run, whose Philox generator
+and buffers the blocks reuse.  Each block is reduced at once to its block
+parities, error weights and Z outcome; each group then forms its X
+syndromes from the outer code's check-to-bit edge array, runs the outer
+decoder once over its nonzero X syndromes and checks the X residuals.  The
+Z side is solved in closed form: the majority estimate of a repetition
+block has the block's syndrome, so its residual is all zeros or all ones,
+decided by one compare of the block weight, and only the outer word of
+those flags is checked against the outer row space.  The per-trial path
+(sample_error, pccss_decode_x/_z, logical_check) stays public and is the
+reference the grouped results are tested against.  A group's outcome stays
+a set of numpy columns (X and Z error weights, summed from the block
+weights both decoders form; X decode ok; flips; logical failures) through
+the summary counts and the sweep; run_trials turns them into TrialRecords
+and status strings only once, at the end.  A record's decode_seconds is its
+share of its decode group's decoding time, not a per-trial measurement.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from itertools import combinations
 import numpy as np
 
 from .bounds import pz_upper_bound
-from .channel import PauliError, check_key, make_channel, sample_errors
+from .channel import PauliError, _Sampler, check_key, make_channel, sample_errors
 from .css import _hz_products, css_from_text, fast_family
 from .decode import (
     CORRECTED,
@@ -250,9 +251,12 @@ def _reduce_block(q, x: np.ndarray | None, z: np.ndarray):
     The Z side needs no decoding pass.  A block's syndrome is its first
     n0 - 1 bits XORed with its last bit, and the majority decoder's
     estimate has that syndrome, so the block's residual is all zeros or all
-    ones: its last bit XORed with the majority flag.  The flag is set when
-    more than (n0 - 1) // 2 bits differ from the last one.  Like
-    pccss_decode_z, the Z side always reports "corrected".
+    ones: its last bit XORed with the majority flag, which _z_residual
+    reads off the block weight in one compare.  Like pccss_decode_z, the Z
+    side always reports "corrected".
+
+    Every array returned is new, so x and z may be views of buffers that
+    the next block's draw overwrites.
     """
     t = len(z)
     n0 = q.n0
@@ -271,15 +275,32 @@ def _reduce_block(q, x: np.ndarray | None, z: np.ndarray):
     t0 = time.perf_counter()
     blocks = z.reshape(t, n2, n0)
     weight = np.einsum("ijk->ij", blocks, dtype=block_weight)
-    last = blocks[:, :, -1]
-    flag = np.where(last, n0 - weight, weight) > (n0 - 1) // 2
-    w = last ^ flag
+    wt_z = weight.sum(axis=1)
+    w = _z_residual(weight, blocks[:, :, -1], n0)
     seconds = time.perf_counter() - t0
 
     z_logical = np.zeros(t, dtype=bool)
     for i in np.flatnonzero(w.any(axis=1)):
         z_logical[i] = not in_rowspace(_cached_rref(q, "_h2_rref", q.outer.H), w[i])
-    return parity, wt_x, weight.sum(axis=1), z_logical, seconds
+    return parity, wt_x, wt_z, z_logical, seconds
+
+
+def _z_residual(weight: np.ndarray, last: np.ndarray, n0: int) -> np.ndarray:
+    """Whether the majority decoder leaves a repetition block of length n0
+    all ones, from the block's weight and its last bit; weight may be
+    overwritten.
+
+    The residual is the last bit XORed with the flag "more than h =
+    (n0 - 1) // 2 bits differ from the last one".  With the last bit clear
+    that is weight > h.  With it set, n0 - weight bits differ from it, and
+    the residual is set when n0 - weight <= h, that is when weight exceeds
+    n0 - 1 - h, which is h for odd n0 and h + 1 for even n0.  So one
+    compare decides it: weight > h for odd n0 and weight - last > h for
+    even n0 (weight >= last, so the unsigned difference does not wrap).
+    """
+    if n0 % 2 == 0:
+        weight = np.subtract(weight, last, out=weight)
+    return weight > (n0 - 1) // 2
 
 
 def _decode_group(decode_outer, checks, blocks):
@@ -331,11 +352,12 @@ def run_trials(cfg: ExperimentConfig, code=None):
     (cfg.seed, trial), so the output is the same for any grouping.  Each
     sampling block is reduced at once to its block parities, weights and Z
     outcome, and the X side of a group is decoded in one outer decoder
-    call.  When the channel has no X or Y errors (zeta = inf), the sampler
-    returns a zero X side and the X side is skipped.  Each group yields one
-    numpy column per record field; the columns of all groups are joined
-    once, the summary counts come from them, and the records are built in
-    one pass at the end, the only place statuses become strings.  A
+    call.  One sampler draws every block of the run into the same buffers.
+    When the channel has no X or Y errors (zeta = inf), it draws no X side
+    and the X side is skipped.  Each group yields one numpy column per
+    record field; the columns of all groups are joined once, the summary
+    counts come from them, and the records are built in one pass at the
+    end, the only place statuses become strings.  A
     record's decode_seconds is its share of its decode group's decoding
     time (the X and Z decoders, not sampling, syndromes or the logical
     check): the group's time divided by its trial count.
@@ -345,14 +367,12 @@ def run_trials(cfg: ExperimentConfig, code=None):
     ch = make_channel(cfg.p, cfg.zeta)
     decode_outer = _outer_decoder(q, cfg.decoder, cfg.max_rounds)
     checks = _flip_kernel(q.outer).checks
-    # the sampler's X bound: with none, every X error is zero
-    x_side = ch.p_x + ch.p_y > 0
+    sampler = _Sampler(ch, q.n, cfg.seed, _block_size(q.n))
     columns = []
     for group in _groups(q, cfg.trials):
         blocks = []
         for lo, hi in group:
-            e = sample_errors(ch, q.n, cfg.seed, range(lo, hi))
-            blocks.append(_reduce_block(q, e.x if x_side else None, e.z))
+            blocks.append(_reduce_block(q, *sampler.draw(range(lo, hi))))
         *outcome, seconds = _decode_group(decode_outer, checks, blocks)
         size = group[-1][1] - group[0][0]
         columns.append((*outcome, np.full(size, seconds / size)))
@@ -430,10 +450,14 @@ class SweepRow:
         return self.successes / self.trials
 
 
+# a sweep weight with at most this many patterns is enumerated, not sampled
+_ENUMERATED = 10_000
+
+
 def _weight_patterns(n: int, w: int, samples: int, rng):
     """The supports of one sweep weight as an index array of shape
     (patterns, w), and whether it holds every pattern of that weight."""
-    if math.comb(n, w) <= 10_000:
+    if math.comb(n, w) <= _ENUMERATED:
         return np.array(list(combinations(range(n), w)), dtype=np.int64), True
     picks = [np.sort(rng.choice(n, size=w, replace=False)) for _ in range(samples)]
     return np.array(picks, dtype=np.int64).reshape(samples, w), False
@@ -442,13 +466,16 @@ def _weight_patterns(n: int, w: int, samples: int, rng):
 def adversarial_sweep(q, side: str, weights, samples: int = 500, seed: int = 0,
                       decoder: str = "auto", max_rounds: int = 100):
     """Correction rate per exact error weight on one side.  Exhaustive when
-    the pattern count is at most 10^4, sampled otherwise."""
+    the pattern count is at most 10^4, sampled otherwise; a sampled weight
+    needs samples >= 1."""
     side = side.lower()
     if side not in ("x", "z"):
         raise ValueError(f"side must be x or z, got {side!r}")
     _require_blocks(q, "adversarial_sweep")
     if any(w > q.n or w < 0 for w in weights):
         raise ValueError("weights must lie in [0, n]")
+    if samples < 1 and any(math.comb(q.n, int(w)) > _ENUMERATED for w in weights):
+        raise ValueError(f"sampled weights need a sample count >= 1, got {samples}")
     # a Z sweep has no X errors, so it never runs the outer decoder
     decode_outer = _outer_decoder(q, decoder, max_rounds) if side == "x" else None
     checks = _flip_kernel(q.outer).checks

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pccss.channel import make_channel, sample_error, sample_errors
+from pccss.channel import _Sampler, make_channel, sample_error, sample_errors
 
 
 def test_symmetric_channel_splits_evenly():
@@ -198,3 +198,31 @@ def test_raw_word_threshold_is_exact_at_its_bound(a):
     assert _below(raw, bound).tolist() == (u < a).tolist()
     assert _below(raw, _raw_bound(0.0)).sum() == 0
     assert _below(raw, _raw_bound(1.0)).all()
+
+
+@pytest.mark.parametrize("p, zeta", [(0.1, math.inf), (0.1, 10.0), (0.3, 1.0), (1.0, math.inf)])
+def test_sampler_reused_over_blocks_draws_what_fresh_calls_draw(p, zeta):
+    """One sampler drawing a full block, a partial one and a full one again
+    gives each block the stacks a fresh sample_errors call gives."""
+    ch = make_channel(p, zeta)
+    sampler = _Sampler(ch, 33, seed=5, rows=8)
+    for trials in (range(0, 8), range(8, 11), [2**64 - 1, 0, 7, 7, 1, 2, 3, 4], []):
+        x, z = sampler.draw(trials)
+        fresh = sample_errors(ch, 33, seed=5, trials=trials)
+        assert z.dtype == np.uint8 and z.tolist() == fresh.z.tolist()
+        if math.isinf(zeta):
+            assert x is None and not fresh.x.any()
+        else:
+            assert x.dtype == np.uint8 and x.tolist() == fresh.x.tolist()
+
+
+def test_sample_errors_results_own_their_arrays():
+    for zeta in (3.0, math.inf):
+        ch = make_channel(0.2, zeta)
+        a = sample_errors(ch, 50, seed=1, trials=range(4))
+        b = sample_errors(ch, 50, seed=1, trials=range(4))
+        arrays = (a.x, a.z, b.x, b.z)
+        for i, u in enumerate(arrays):
+            for v in arrays[i + 1:]:
+                assert not np.shares_memory(u, v)
+        assert a.z.tolist() == b.z.tolist()

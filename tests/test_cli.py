@@ -726,6 +726,55 @@ def test_workers_below_one_exits_two(shor_bundle, tmp_path, capsys, command, wor
     assert shor_bundle.read_text() == before
 
 
+def expander_argv(command: str, tmp_path: Path, n: str = "128", n0: str = "16") -> list[str]:
+    """A command that builds its code, outer expander included, from --N and
+    --n0 (with --c 3, --d 6 unless flags say otherwise)."""
+    return {
+        "construct": ["construct", "fast", "--N", n, "--n0", n0,
+                      "--out", str(tmp_path / "new.txt")],
+        "simulate": ["simulate", "--N", n, "--n0", n0, "--p", "0.1", "--zeta", "2",
+                     "--trials", "4"],
+        "sweep": ["sweep", "--N", n, "--n0", n0, "--side", "x", "--weights", "1"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["construct", "simulate", "sweep"])
+@pytest.mark.parametrize("flags, message", [
+    (("--c", "0"), "degrees (0,6) must both be >= 1"),
+    (("--d", "0"), "degrees (3,0) must both be >= 1"),
+    (("--c", "-1"), "degrees (-1,6) must both be >= 1"),
+    (("--c", "0", "--d", "0"), "degrees (0,0) must both be >= 1"),
+])
+def test_expander_degree_below_one_exits_two(tmp_path, capsys, command, flags, message):
+    rc, out, err = run(capsys, *expander_argv(command, tmp_path), *flags)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "new.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["construct", "simulate", "sweep"])
+def test_outer_graph_with_fewer_checks_than_bit_degree_exits_two(tmp_path, capsys, command):
+    # N = 64, n0 = 16: 4 outer bits, so a (3,6) graph has 2 checks for 3 per bit
+    rc, out, err = run(capsys, *expander_argv(command, tmp_path, n="64"))
+    assert (rc, out) == (2, "")
+    assert err == ("error: no simple (3,6) graph on 4 bits: 2 checks, "
+                   "fewer than the 3 each bit needs\n")
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_sweep_sampled_weight_without_samples_exits_two(capsys, samples):
+    rc, out, err = run(capsys, "sweep", "--N", "128", "--n0", "16", "--side", "x",
+                       "--weights", "1,5", "--samples", samples)
+    assert (rc, out) == (2, "")
+    assert err == f"error: sampled weights need a sample count >= 1, got {samples}\n"
+
+
+def test_sweep_of_enumerated_weights_ignores_sample_count(capsys):
+    argv = ("sweep", "--N", "128", "--n0", "16", "--side", "x", "--weights", "1")
+    rc, out, err = run(capsys, *argv, "--samples", "0")
+    assert (rc, err) == (0, "")
+    assert run(capsys, *argv) == (0, out, "")
+
+
 # --------------------------------------------------------- fuzzed bundles
 
 @functools.cache
@@ -822,11 +871,19 @@ def test_mutated_bundles_only_exit_with_documented_codes(kind, data):
 
 # ------------------------------------------------------------ fuzzed argv
 
-# one command per subcommand; each exits 0 as written ({d} is a scratch
-# directory holding the files argv_files writes)
+# one command per subcommand, plus the three that build an outer expander
+# from --N and --n0, so that edits reach --c, --d and --samples; each exits
+# 0 as written ({d} is a scratch directory holding the files argv_files
+# writes)
 ARGV_BASES = {
     "construct": ("construct", "fast", "--N", "9", "--n0", "3", "--outer", "rep",
                   "--code1", "{d}/hamming.txt", "--code2", "{d}/spc.txt", "--out", "{d}/new.txt"),
+    "construct-expander": ("construct", "fast", "--N", "64", "--n0", "4", "--c", "3", "--d", "6",
+                           "--out", "{d}/new.txt"),
+    "simulate-expander": ("simulate", "--N", "64", "--n0", "4", "--c", "3", "--d", "6",
+                          "--p", "0.1", "--zeta", "2", "--trials", "4"),
+    "sweep-expander": ("sweep", "--N", "64", "--n0", "4", "--c", "3", "--d", "6", "--side", "x",
+                       "--weights", "1,3", "--samples", "4"),
     "check": ("check", "{d}/css.txt"),
     "distance": ("distance", "{d}/css.txt", "--side", "both"),
     "decode": ("decode", "{d}/css.txt", "--side", "x", "--syndrome", "{d}/syn.txt"),

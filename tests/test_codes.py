@@ -293,6 +293,21 @@ def test_expander_degree_accounting_error():
         make_expander(10, 3, 4, seed=0)
 
 
+@pytest.mark.parametrize("n, c, d", [(16, 0, 6), (16, 3, 0), (16, -1, 6), (16, 0, 0)])
+def test_expander_degree_below_one_is_refused(n, c, d):
+    with pytest.raises(ValueError, match=f"degrees \\({c},{d}\\) must both be >= 1"):
+        make_expander(n, c, d, seed=0)
+
+
+@pytest.mark.parametrize("n, c, d", [(4, 3, 6), (2, 2, 4), (6, 4, 8)])
+def test_expander_with_fewer_checks_than_bit_degree_is_refused_before_drawing(
+        monkeypatch, n, c, d):
+    # r = n c / d < c: no bit can have c distinct checks
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ValueError, match=f"no simple \\({c},{d}\\) graph on {n} bits: "):
+        make_expander(n, c, d, seed=0)
+
+
 def test_expander_deterministic_in_seed():
     c1, g1 = make_expander(24, 2, 4, seed=9)
     c2, g2 = make_expander(24, 2, 4, seed=9)

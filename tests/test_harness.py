@@ -333,6 +333,47 @@ def test_run_trials_outputs_are_python_scalars_in_fixed_order():
         assert type(value) is SUMMARY_TYPES[key], key
 
 
+@pytest.mark.parametrize("n0", [2, 3, 4, 5, 6])
+def test_z_residual_threshold_matches_majority_decoding_on_every_block(n0):
+    """The one-compare rule gives, for every block pattern, the residual
+    that pccss_decode_z's estimate leaves: all ones exactly when flagged,
+    all zeros otherwise."""
+    q = make_pccss(lift_block(make_repetition(n0), 3), make_repetition(3))
+    patterns = np.array([[(v >> j) & 1 for j in range(n0)] for v in range(2**n0)],
+                        dtype=np.uint8)
+    weight = patterns.sum(axis=1).astype(np.min_scalar_type(n0))
+    flags = harness._z_residual(weight.copy(), patterns[:, -1], n0)
+    for e, flag in zip(patterns, flags):
+        error = np.tile(e, 3)
+        residual = error ^ pccss_decode_z(q, syndrome_of(q.hz, error)).estimate
+        assert residual.tolist() == [int(flag)] * q.n, e
+    # the ties of an even block: half its bits set, the last one set or clear
+    if n0 % 2 == 0:
+        half = n0 // 2
+        tie_last_clear = np.array([1] * half + [0] * half, dtype=np.uint8)
+        tie_last_set = tie_last_clear[::-1]
+        for tie, expected in ((tie_last_clear, True), (tie_last_set, False)):
+            w = np.array([half], dtype=np.uint8)
+            assert harness._z_residual(w, tie[-1:], n0).tolist() == [expected]
+
+
+def test_run_trials_draws_every_block_through_one_sampler(monkeypatch):
+    monkeypatch.setattr(harness, "_BLOCK_BITS", 256)  # blocks of 4 trials at n = 64
+    made = []
+
+    class Counted(harness._Sampler):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(harness, "_Sampler", Counted)
+    q = fast_family(64, 4, 3, 6, 1, validate=False)
+    for zeta in (math.inf, 3.0):
+        cfg = ExperimentConfig(p=0.08, zeta=zeta, trials=11, n=64, n0=4, seed=2)
+        assert _strip_seconds(run_trials(cfg, code=q)[0]) == oracle_records(q, cfg)
+    assert len(made) == 2 and all(args[3] == 4 for args in made)
+
+
 def test_run_trials_decode_seconds_share_their_block():
     cfg = ExperimentConfig(p=0.05, zeta=10.0, trials=20, n=64, n0=4, seed=6)
     records, _ = run_trials(cfg)
@@ -459,6 +500,16 @@ def test_sweep_validation():
         adversarial_sweep(q, "y", [1])
     with pytest.raises(ValueError):
         adversarial_sweep(q, "x", [10])
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_sweep_refuses_no_samples_only_for_a_sampled_weight(samples):
+    q = fast_family(128, 16, 3, 6, 0, validate=False)
+    with pytest.raises(ValueError, match=f"sample count >= 1, got {samples}"):
+        adversarial_sweep(q, "x", [1, 5], samples=samples)
+    # C(128, 2) = 8128 patterns: enumerated, so no sample count is needed
+    assert adversarial_sweep(q, "z", [1, 2], samples=samples) == adversarial_sweep(
+        q, "z", [1, 2])
 
 
 def test_timing_report_mechanics():
