@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .bounds import curves_to_csv, gap_curves, max_gap, rate_curves
-from .codes import LinearCode, code_from_text, lift_block, make_repetition
+from .codes import LinearCode, _from_checks, code_from_text, lift_block, make_repetition
 from .css import (
     check_valid,
     check_valid_stabilizer,
@@ -29,13 +29,14 @@ from .css import (
     stab_to_text,
 )
 from .decode import (
+    _OUTER_DECODERS,
     _check_flip_syndrome,
     exhaustive_decode,
     pccss_decode_x_rows,
     pccss_decode_z,
 )
 from .harness import ExperimentConfig, adversarial_sweep, run_trials
-from .matgf import nullspace, rank, rows_to_text
+from .matgf import rows_to_text
 from .stabcirc import build_encoder, circuit_to_text
 
 __all__ = ["build_parser", "main"]
@@ -151,15 +152,7 @@ def _side_decoder(q, side: str):
     without."""
     if q.n0 is not None:
         return lambda s: pccss_decode_z(q, s)
-    check = q.hx if side == "x" else q.hz
-    side_code = LinearCode(
-        field=q.field,
-        n=q.n,
-        k=q.n - rank(check),
-        G=nullspace(check),
-        H=check,
-        provenance={"origin": "bundle"},
-    )
+    side_code = _from_checks(q.hx if side == "x" else q.hz)
     return lambda s: exhaustive_decode(side_code, s)
 
 
@@ -392,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=float, required=True,
                    help="channel asymmetry (inf for pure dephasing)")
     p.add_argument("--trials", type=int, required=True, help="trial count")
-    p.add_argument("--decoder", choices=("flip", "exhaustive"), default="flip",
+    p.add_argument("--decoder", choices=tuple(_OUTER_DECODERS), default="flip",
                    help="X-side decoding strategy")
     p.add_argument("--workers", type=int, help="accepted; changes nothing")
     p.set_defaults(func=_cmd_simulate)
@@ -405,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated error weights, e.g. 1,2,3")
     p.add_argument("--samples", type=int, default=500,
                    help="patterns per weight when enumeration is too large")
-    p.add_argument("--decoder", choices=("auto", "flip", "exhaustive"),
+    p.add_argument("--decoder", choices=("auto", *_OUTER_DECODERS),
                    default="auto", help="X-side decoding strategy")
     p.set_defaults(func=_cmd_sweep)
 

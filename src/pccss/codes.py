@@ -86,6 +86,13 @@ def _new_code(field, n, k, G, H, d=None, method=None, provenance=None, validate=
     return code
 
 
+def _from_checks(H: MatrixGF) -> LinearCode:
+    """The code whose check matrix is H, as a bundle gives it: one
+    elimination yields the generator, whose row count is k."""
+    G = nullspace(H)
+    return LinearCode(H.field, H.cols, G.rows, G, H, provenance={"origin": "bundle"})
+
+
 # ------------------------------------------------------------ enumeration
 
 def min_weight(G: MatrixGF, cap: int = 2**22) -> int:

@@ -28,7 +28,7 @@ from dataclasses import InitVar, dataclass, field as dc_field
 
 import numpy as np
 
-from .codes import LinearCode, lift_block, make_expander, make_repetition
+from .codes import LinearCode, _from_checks, lift_block, make_expander, make_repetition
 from .galois import GF2, FieldSpec, _prime_factors, is_irreducible
 from .matgf import (
     MatrixGF,
@@ -588,19 +588,6 @@ def css_to_text(q: CssCode) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _outer_from_hx(hx: MatrixGF, n0: int) -> LinearCode:
-    h2 = MatrixGF(hx.field, hx.data[:, ::n0])
-    G = nullspace(h2)
-    return LinearCode(
-        field=h2.field,
-        n=h2.cols,
-        k=G.rows,
-        G=G,
-        H=h2,
-        provenance={"origin": "bundle"},
-    )
-
-
 # the key lines a csscode bundle may carry, with the types of their values
 _CSS_KEYS = {"n0": (int,), "construction": (str,), "dx": (int, str), "dz": (int, str)}
 
@@ -632,7 +619,7 @@ def css_from_text(text: str, validate: bool = True) -> CssCode:
     bundle_columns(hz, n, "hz")
     if n0 is not None and (n0 < 2 or n % n0):
         raise ValueError(f"n0 {n0} must be at least 2 and divide n = {n}")
-    outer = _outer_from_hx(hx, n0) if n0 else None
+    outer = _from_checks(MatrixGF(hx.field, hx.data[:, ::n0])) if n0 else None
     prov = {"construction": construction} if construction else {}
     return CssCode(
         n=n,

@@ -1,10 +1,9 @@
 """Syndrome decoders: exhaustive coset-leader search, bounded-distance
 decoding of alternant codes, bit-flip decoding on sparse graphs, one-step
 majority-logic for the repetition blocks, and the two-sided decoder for the
-product-construction CSS family.  The two small-code decoders keep state
-per code: exhaustive search scans a binary code's codewords packed one per
-integer word, and bounded-distance decoding keeps the recipe's tables and
-the extension field's log tables in one context.
+product-construction CSS family.  What a decoder keeps per code lives in
+one memo, _per_code, freed with the code; the two-sided decoder's outer
+decoders are named once, in _OUTER_DECODERS.
 
 Status vocabulary for every decoder: "corrected" means the returned estimate
 reproduces the input syndrome exactly; "detected-uncorrectable" means the
@@ -69,6 +68,20 @@ def syndrome_of(M: MatrixGF, e: np.ndarray) -> np.ndarray:
     return mul(M, _column(M.field, e)).data.reshape(-1)
 
 
+# Per code object, what each builder made of it; an entry lives as long as
+# its code, so it must not refer to the code.
+_MEMO = weakref.WeakKeyDictionary()
+
+
+def _per_code(code, build):
+    """build(code), made once per code.  build is a private module-level
+    function: a lambda or closure made per call misses every time."""
+    entries = _MEMO.setdefault(code, {})
+    if build not in entries:
+        entries[build] = build(code)
+    return entries[build]
+
+
 # --------------------------------------------------------------- exhaustive
 
 _EXHAUSTIVE_CAP = 2 ** 18
@@ -84,32 +97,18 @@ def _exhaustive_refusal(code) -> str | None:
     return None
 
 
-def _check_exhaustive_size(code) -> None:
-    reason = _exhaustive_refusal(code)
-    if reason is not None:
-        raise ValueError(reason)
-
-
-# Per code: its factored check matrix and its codewords.  A binary code
-# packs each codeword into one word, position 0 as the most significant of
-# n bits, so numeric order is the lexicographic order of 0/1 tuples; any
-# other code keeps its codewords when they fit in one _span_chunks chunk.
-# Keyed by the code object, which is frozen over write-protected matrices,
-# so an entry lives exactly as long as its code.
-_EXHAUSTIVE_CACHE = weakref.WeakKeyDictionary()
-
-
-def _exhaustive_setup(code):
-    setup = _EXHAUSTIVE_CACHE.get(code)
-    if setup is None:
-        table = bits = None
-        if code.field.size == 2:
-            bits = np.uint32(1) << np.arange(code.n - 1, -1, -1, dtype=np.uint32)
-            table = np.concatenate([cw @ bits for cw in _span_chunks(code.G)])
-        elif code.field.size ** code.G.rows <= _SPAN_CHUNK:
-            (table,) = _span_chunks(code.G)
-        setup = _EXHAUSTIVE_CACHE[code] = (solver(code.H), table, bits)
-    return setup
+def _exhaustive_tables(code):
+    """A code's factored checks and codewords, for _per_code.  A binary code
+    packs each codeword into one word, position 0 the most significant of n
+    bits, so numeric order is lexicographic order; any other code keeps its
+    codewords when they fit in one _span_chunks chunk."""
+    table = bits = None
+    if code.field.size == 2:
+        bits = np.uint32(1) << np.arange(code.n - 1, -1, -1, dtype=np.uint32)
+        table = np.concatenate([cw @ bits for cw in _span_chunks(code.G)])
+    elif code.field.size ** code.G.rows <= _SPAN_CHUNK:
+        (table,) = _span_chunks(code.G)
+    return solver(code.H), table, bits
 
 
 def exhaustive_decode(code, s) -> DecodeOutcome:
@@ -117,7 +116,7 @@ def exhaustive_decode(code, s) -> DecodeOutcome:
 
     Only intended for small codes; refuses n > 24 or more than 2^18 codewords.
     The check matrix is factored once per code (matgf.solver).  A binary
-    code scans its packed codewords (see _EXHAUSTIVE_CACHE): each coset word
+    code scans its packed codewords (see _exhaustive_tables): each coset word
     is one XOR with the packed x0, and one min over (weight, word) keys
     picks the lightest, lexicographically first.  Other codes keep their
     codewords when they fit in one _span_chunks chunk and enumerate them on
@@ -126,8 +125,9 @@ def exhaustive_decode(code, s) -> DecodeOutcome:
     s = _as_vector(s)
     field = code.field
     q = field.size
-    _check_exhaustive_size(code)
-    factored, table, bits = _exhaustive_setup(code)
+    if reason := _exhaustive_refusal(code):
+        raise ValueError(reason)
+    factored, table, bits = _per_code(code, _exhaustive_tables)
     x0 = factored.solve(s)
     if x0 is None:
         return DecodeOutcome(DETECTED, np.zeros(code.n, dtype=np.uint8), {"cosets": 0})
@@ -203,20 +203,14 @@ def grs_syndrome(field: FieldSpec, a: Sequence[int], y: Sequence[int], r: int, e
     return _grs(field, rows, emb, errors)
 
 
-# Per alternant code: (field, points, multipliers, r, its _alternant_tables),
-# read from its recipe once.  Keyed like _EXHAUSTIVE_CACHE.
-_BDD_CACHE = weakref.WeakKeyDictionary()
-
-
 def _bdd_context(code):
-    ctx = _BDD_CACHE.get(code)
-    if ctx is None:
-        prov = code.provenance
-        if prov.get("origin") != "alternant":
-            raise ValueError("bdd decoding needs an alternant construction recipe")
-        field, a, y, r = prov["ext"], tuple(prov["a"]), tuple(prov["y"]), prov["r"]
-        ctx = _BDD_CACHE[code] = (field, a, y, r, _alternant_tables(field, a, y, r))
-    return ctx
+    """An alternant code's (field, points, multipliers, r, its
+    _alternant_tables), read from its recipe, for _per_code."""
+    prov = code.provenance
+    if prov.get("origin") != "alternant":
+        raise ValueError("bdd decoding needs an alternant construction recipe")
+    field, a, y, r = prov["ext"], tuple(prov["a"]), tuple(prov["y"]), prov["r"]
+    return field, a, y, r, _alternant_tables(field, a, y, r)
 
 
 def _key_equation(s: list[int], r: int, exp, log, sub) -> tuple[list, list, int]:
@@ -272,7 +266,7 @@ def bdd_alternant(code, s, t: int | None = None) -> DecodeOutcome:
     the root search evaluates sigma at every point at once, a log-table row
     per coefficient.
     """
-    field, a, y, r, (rows, inverses, exp, log, chien, emb, proj) = _bdd_context(code)
+    field, a, y, r, (rows, inverses, exp, log, chien, emb, proj) = _per_code(code, _bdd_context)
     s = [int(v) for v in _as_vector(s).tolist()]
     if len(s) != r:
         raise ValueError(f"syndrome length {len(s)} does not match {r} power rows")
@@ -487,19 +481,9 @@ class _FlipKernel:
         return est, flips, unsat
 
 
-# The flip kernel of each binary code, keyed like _EXHAUSTIVE_CACHE.
-_FLIP_CACHE = weakref.WeakKeyDictionary()
-
-
 def _flip_kernel(code) -> _FlipKernel:
-    """The flip kernel of a binary code, built once per code; a bare 0/1
-    check matrix array gets a kernel of its own."""
-    if isinstance(code, np.ndarray):
-        return _FlipKernel(code)
-    kernel = _FLIP_CACHE.get(code)
-    if kernel is None:
-        kernel = _FLIP_CACHE[code] = _FlipKernel(code.H.data)
-    return kernel
+    """The flip kernel of a binary code, for _per_code."""
+    return _FlipKernel(code.H.data)
 
 
 def flip_decode(code, s, max_rounds: int = 100, parallel: bool = False) -> DecodeOutcome:
@@ -526,7 +510,7 @@ def flip_decode(code, s, max_rounds: int = 100, parallel: bool = False) -> Decod
     H = getattr(code, "H", code)
     s = _as_vector(s).astype(np.uint8)
     _check_flip_syndrome(H, s.shape[0])
-    kernel = _flip_kernel(H.data if code is H else code)
+    kernel = _FlipKernel(H.data) if code is H else _per_code(code, _flip_kernel)
     if parallel:
         est, flips, rounds, unsat = kernel.run(s[None, :], max_rounds, parallel=True)
         counters = {"flips": int(flips[0]), "rounds": int(rounds[0])}
@@ -583,24 +567,20 @@ def pccss_decode_x(Q, s_x, max_rounds: int = 100) -> DecodeOutcome:
     return pccss_decode_x_rows(Q, _as_vector(s_x)[None, :], max_rounds=max_rounds)[0]
 
 
-def _outer_decoder(Q, decoder: str, max_rounds: int):
-    """The decoder of Q's outer code for one run: "flip", "exhaustive", or
-    "auto" (exhaustive when the outer code fits its size cap, else flip).
-    It decodes a stack of syndromes, one per row, and returns (estimates,
-    flips, residual syndromes) with one row each; a row is corrected when
-    its residual is zero.  The flip rule runs on every row at once, 64 rows
-    to a word, through the outer code's cached _FlipKernel, each row within
-    max_rounds * (outer length) flips."""
-    if decoder == "auto":
-        decoder = "flip" if _exhaustive_refusal(Q.outer) else "exhaustive"
-    if decoder == "flip":
-        kernel = _flip_kernel(Q.outer)
-        return lambda S: kernel(S, max_rounds * Q.outer.H.cols)
-    # refused here, since a run whose X syndromes are all zero never decodes
-    _check_exhaustive_size(Q.outer)
+def _flip_outer(outer, max_rounds: int):
+    """The outer code's _FlipKernel, within max_rounds * n flips per row."""
+    kernel = _per_code(outer, _flip_kernel)
+    return lambda S: kernel(S, max_rounds * outer.H.cols)
+
+
+def _exhaustive_outer(outer, max_rounds: int):
+    """exhaustive_decode row by row, refusing a code too large for it here,
+    since a run whose X syndromes are all zero never decodes."""
+    if reason := _exhaustive_refusal(outer):
+        raise ValueError(reason)
 
     def decode_exhaustive(S):
-        outs = [exhaustive_decode(Q.outer, s) for s in S]
+        outs = [exhaustive_decode(outer, s) for s in S]
         est = np.array([out.estimate != 0 for out in outs], dtype=np.uint8)
         refused = np.array([out.status != CORRECTED for out in outs], dtype=bool)
         # a refused syndrome keeps the zero estimate, so its residual is itself
@@ -609,15 +589,32 @@ def _outer_decoder(Q, decoder: str, max_rounds: int):
     return decode_exhaustive
 
 
+# The only list of outer decoders: name -> builder(outer code, round cap)
+_OUTER_DECODERS = {"flip": _flip_outer, "exhaustive": _exhaustive_outer}
+
+
+def _outer_decoder(Q, decoder: str, max_rounds: int):
+    """The decoder of Q's outer code for one run: a name in _OUTER_DECODERS,
+    or "auto" (exhaustive when the outer code fits its size cap, else flip).
+    It maps a stack of syndromes to (estimates, flips, residual syndromes),
+    a row each; a row is corrected when its residual is zero."""
+    if decoder == "auto":
+        decoder = "flip" if _exhaustive_refusal(Q.outer) else "exhaustive"
+    build = _OUTER_DECODERS.get(decoder)
+    if build is None:
+        raise ValueError(f"unknown decoder {decoder!r}")
+    return build(Q.outer, max_rounds)
+
+
 def pccss_decode_x_rows(Q, S, max_rounds: int = 100) -> list[DecodeOutcome]:
     """X-side decoding of a stack of syndromes, one per row: the outer code's
-    flip decoder (_outer_decoder) runs on every row at once, and each row's
+    flip decoder (_flip_outer) runs on every row at once, and each row's
     block parities are placed on the blocks' representative (first)
     coordinates.  Returns one outcome per row, as flip_decode words it.
     """
     S = np.asarray(S, dtype=np.uint8)
     _check_flip_syndrome(Q.outer.H, S.shape[1])
-    est, flips, unsat = _outer_decoder(Q, "flip", max_rounds)(S)
+    est, flips, unsat = _flip_outer(Q.outer, max_rounds)(S)
     lifted = np.zeros((len(S), Q.n), dtype=np.uint8)
     lifted[:, :: Q.n0] = est
     return [

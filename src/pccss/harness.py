@@ -36,10 +36,12 @@ from .bounds import pz_upper_bound
 from .channel import PauliError, _Sampler, check_key, make_channel, sample_errors
 from .css import _hz_products, css_from_text, fast_family
 from .decode import (
+    _OUTER_DECODERS,
     CORRECTED,
     DETECTED,
     _flip_kernel,
     _outer_decoder,
+    _per_code,
     _require_gf2,
     pccss_decode_z,
     syndrome_of,
@@ -80,15 +82,12 @@ def wilson_upper(failures: int, trials: int, z: float = 1.6448536269514722) -> f
 
 # ----------------------------------------------------------- logical check
 
-def _cached_rref(q, attr: str, matrix):
-    cache = getattr(q, attr, None)
-    if cache is None:
-        cache = rref(matrix)
-        try:
-            setattr(q, attr, cache)
-        except AttributeError:
-            pass
-    return cache
+def _check_rref(code):  # a classical code's, kept by decode._per_code
+    return rref(code.H)
+
+
+def _css_rrefs(q):  # (hx's, hz's) of a CSS code, kept by decode._per_code
+    return rref(q.hx), rref(q.hz)
 
 
 def logical_check(q, residual: PauliError) -> tuple[bool, bool]:
@@ -108,16 +107,16 @@ def logical_check(q, residual: PauliError) -> tuple[bool, bool]:
             if not w.any():
                 z_failed = False
             else:
-                z_failed = not in_rowspace(_cached_rref(q, "_h2_rref", outer.H), w)
+                z_failed = not in_rowspace(_per_code(outer, _check_rref), w)
         return x_failed, z_failed
 
     sx = syndrome_of(q.hx, residual.x)
     x_failed = not sx.any() and residual.x.any() and not in_rowspace(
-        _cached_rref(q, "_hz_rref", q.hz), residual.x
+        _per_code(q, _css_rrefs)[1], residual.x
     )
     sz = syndrome_of(q.hz, residual.z)
     z_failed = not sz.any() and residual.z.any() and not in_rowspace(
-        _cached_rref(q, "_hx_rref", q.hx), residual.z
+        _per_code(q, _css_rrefs)[0], residual.z
     )
     return bool(x_failed), bool(z_failed)
 
@@ -148,7 +147,7 @@ class ExperimentConfig:
             raise ValueError("trial count must be >= 1")
         check_key("seed", self.seed)
         check_key("trial index", self.trials - 1)
-        if self.decoder not in ("flip", "exhaustive"):
+        if self.decoder not in _OUTER_DECODERS:
             raise ValueError(f"unknown decoder {self.decoder!r}")
         if self.bundle is None and (self.n is None or self.n0 is None):
             raise ValueError("config needs either a bundle path or (n, n0)")
@@ -280,8 +279,10 @@ def _reduce_block(q, x: np.ndarray | None, z: np.ndarray):
     seconds = time.perf_counter() - t0
 
     z_logical = np.zeros(t, dtype=bool)
-    for i in np.flatnonzero(w.any(axis=1)):
-        z_logical[i] = not in_rowspace(_cached_rref(q, "_h2_rref", q.outer.H), w[i])
+    if (hit := np.flatnonzero(w.any(axis=1))).size:
+        rr = _per_code(q.outer, _check_rref)
+        for i in hit:
+            z_logical[i] = not in_rowspace(rr, w[i])
     return parity, wt_x, wt_z, z_logical, seconds
 
 
@@ -366,7 +367,7 @@ def run_trials(cfg: ExperimentConfig, code=None):
     _require_blocks(q, "run_trials")
     ch = make_channel(cfg.p, cfg.zeta)
     decode_outer = _outer_decoder(q, cfg.decoder, cfg.max_rounds)
-    checks = _flip_kernel(q.outer).checks
+    checks = _per_code(q.outer, _flip_kernel).checks
     sampler = _Sampler(ch, q.n, cfg.seed, _block_size(q.n))
     columns = []
     for group in _groups(q, cfg.trials):
@@ -478,7 +479,7 @@ def adversarial_sweep(q, side: str, weights, samples: int = 500, seed: int = 0,
         raise ValueError(f"sampled weights need a sample count >= 1, got {samples}")
     # a Z sweep has no X errors, so it never runs the outer decoder
     decode_outer = _outer_decoder(q, decoder, max_rounds) if side == "x" else None
-    checks = _flip_kernel(q.outer).checks
+    checks = _per_code(q.outer, _flip_kernel).checks
     rng = np.random.default_rng(seed)
     rows = []
     for w in weights:

@@ -357,18 +357,13 @@ def _rref_generic(a: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, int, tup
     return R, cur, tuple(pivots)
 
 
-def rref(M: MatrixGF, method: str = "auto") -> RrefResult:
-    """Reduced row echelon form with rank and pivot columns.
-
-    method="generic" forces the field-ops kernel on GF(2) too; it is the
-    reference the packed kernel is tested against.
-    """
+def rref(M: MatrixGF) -> RrefResult:
+    """Reduced row echelon form with rank and pivot columns: the packed
+    kernel over GF(2), the field-ops kernel otherwise.  The field-ops
+    kernel also runs on GF(2); it is the reference the packed kernel is
+    tested against."""
     field = M.field
-    if method not in ("auto", "packed", "generic"):
-        raise ValueError(f"unknown rref method {method!r}")
-    if method == "packed" and field.size != 2:
-        raise ValueError("packed elimination only applies to GF(2)")
-    if field.size == 2 and method != "generic":
+    if field.size == 2:
         R, rk, piv = _rref_packed(M.data)
     else:
         R, rk, piv = _rref_generic(M.data, field)

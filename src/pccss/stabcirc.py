@@ -287,24 +287,26 @@ def circuit_from_text(text: str) -> Circuit:
     n = None
     stage = "I"
     gates = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if parts[:1] == ["qubits"]:
-                n = int(parts[1])
-            elif parts[:1] == ["stage"]:
-                stage = parts[1]
-            continue
-        parts = line.split()
-        if parts[0] == "H":
-            gates.append(Gate("H", (int(parts[1]),), stage))
-        elif parts[0] == "CX":
-            gates.append(Gate("CX", (int(parts[1]), int(parts[2])), stage))
-        else:
-            raise ValueError(f"unrecognized gate line {line!r}")
+        comment = line.startswith("#")
+        parts = (line[1:] if comment else line).split()
+        try:
+            if comment:
+                if parts[:1] == ["qubits"]:
+                    n = int(parts[1])
+                elif parts[:1] == ["stage"]:
+                    stage = parts[1]
+            elif parts[0] == "H":
+                gates.append(Gate("H", (int(parts[1]),), stage))
+            elif parts[0] == "CX":
+                gates.append(Gate("CX", (int(parts[1]), int(parts[2])), stage))
+            else:
+                raise ValueError(f"unrecognized gate line {line!r}")
+        except IndexError:
+            raise ValueError(f"line {lineno}: {line!r} is missing an operand") from None
     if n is None:
         n = 1 + max((max(g.qubits) for g in gates), default=-1)
     return Circuit(n, tuple(gates))

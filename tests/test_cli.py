@@ -1,5 +1,6 @@
 """Command line surface: bundle round trips, exit codes, frozen help text."""
 
+import argparse
 import contextlib
 import functools
 import io
@@ -1063,3 +1064,14 @@ def test_decode_x_stack_matches_one_syndrome_at_a_time(tmp_path, capsys):
     rc, out, err = run(capsys, "decode", str(bundle), "--side", "x", "--syndrome", str(path))
     assert (rc, out) == (2, "")
     assert err == f"error: syndrome length 2 does not match {q.outer.H.rows} checks\n"
+
+
+def test_decoder_choices_are_read_from_the_decoder_table(monkeypatch):
+    monkeypatch.setattr(cli, "_OUTER_DECODERS", {**cli._OUTER_DECODERS, "bposd": None})
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def choices(command):
+        return next(tuple(a.choices) for a in sub.choices[command]._actions if a.dest == "decoder")
+
+    assert choices("simulate") == ("flip", "exhaustive", "bposd")
+    assert choices("sweep") == ("auto", "flip", "exhaustive", "bposd")

@@ -20,7 +20,9 @@ from pccss.codes import LinearCode, make_alternant, make_expander, make_repetiti
 from pccss.css import fast_family
 from pccss.decode import (
     DecodeOutcome,
+    _FlipKernel,
     _flip_kernel,
+    _per_code,
     bdd_alternant,
     exhaustive_decode,
     flip_decode,
@@ -182,13 +184,60 @@ def test_exhaustive_factors_each_code_once(monkeypatch):
 def test_exhaustive_cache_does_not_outlive_its_code():
     code = code_from_checks(2, np.array([[1, 1, 0, 0], [0, 1, 1, 1]], dtype=np.uint8))
     exhaustive_decode(code, np.array([1, 0], dtype=np.uint8))
-    assert code in decode._EXHAUSTIVE_CACHE
+    assert decode._exhaustive_tables in decode._MEMO[code]
     alive = weakref.ref(code)
-    before = len(decode._EXHAUSTIVE_CACHE)
+    before = len(decode._MEMO)
     del code
     gc.collect()
     assert alive() is None
-    assert len(decode._EXHAUSTIVE_CACHE) == before - 1
+    assert len(decode._MEMO) == before - 1
+
+
+def memo_holds(value) -> bool:
+    """Whether any code's memo entries include value itself."""
+    return any(v is value for entries in list(decode._MEMO.values()) for v in entries.values())
+
+
+def exhaustive_case():
+    code = code_from_checks(2, np.array([[1, 1, 0, 0], [0, 1, 1, 1]], dtype=np.uint8))
+    return code, lambda: exhaustive_decode(code, np.array([1, 0], dtype=np.uint8))
+
+
+def bdd_case():
+    code = hamming_code()
+    return code, lambda: bdd_alternant(code, [1])
+
+
+def flip_case():
+    code, _ = make_expander(64, 3, 6, seed=1)
+    return code, lambda: flip_decode(code, np.zeros(code.H.rows, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("builder, case", [
+    ("_exhaustive_tables", exhaustive_case),
+    ("_bdd_context", bdd_case),
+    ("_flip_kernel", flip_case),
+])
+def test_memo_builds_once_per_code_and_frees_with_it(monkeypatch, builder, case):
+    # the counting wrapper is made once, so every lookup keys on it
+    calls = []
+    real = getattr(decode, builder)
+    monkeypatch.setattr(decode, builder, lambda code: calls.append(code) or real(code))
+    code, run = case()
+    run()
+    run()
+    assert calls == [code]
+    entry = decode._MEMO[code][getattr(decode, builder)]
+    alive = weakref.ref(code)
+    del code, run
+    calls.clear()
+    gc.collect()
+    assert alive() is None
+    assert not memo_holds(entry)
+    # a new code gets an entry of its own
+    other, run = case()
+    run()
+    assert len(calls) == 1 and decode._MEMO[other]
 
 
 # ----------------------------------------------------------- bdd alternant
@@ -439,7 +488,7 @@ def test_flip_rows_matches_reference_search_row_by_row(n, c, d, seed):
         rows.append(s)
     S = np.array(rows)
     for max_rounds in (6400 / n, 1 / n, 3 / n):  # budgets of 6400, 1 and 3 flips
-        est, flips, unsat = _flip_kernel(code.H.data.astype(np.float32))(S, max_rounds * n)
+        est, flips, unsat = _FlipKernel(code.H.data.astype(np.float32))(S, max_rounds * n)
         assert est.shape == (len(S), n) and unsat.shape == S.shape
         for i, s in enumerate(S):
             ref_est, ref_flips, ref_unsat = reference_flip(code.H, s, max_rounds)
@@ -473,7 +522,7 @@ def test_flip_lanes_match_reference_search_across_word_edges(rows):
     code, _ = make_expander(64, 3, 6, seed=1)
     S = mixed_syndromes(code, rows, seed=rows)
     for max_rounds in (100, 1 / 64, 3 / 64):  # budgets of 6400, 1 and 3 flips
-        est, flips, unsat = _flip_kernel(code.H.data)(S, max_rounds * 64)
+        est, flips, unsat = _FlipKernel(code.H.data)(S, max_rounds * 64)
         assert est.shape == (rows, 64) and flips.shape == (rows,) and unsat.shape == S.shape
         for i, s in enumerate(S):
             ref_est, ref_flips, ref_unsat = reference_flip(code.H, s, max_rounds)
@@ -493,7 +542,7 @@ def test_flip_lanes_match_reference_search_on_irregular_graphs(data):
     rows = data.draw(st.integers(1, 70), label="rows")
     S = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(
         0, 2, size=(rows, r)).astype(np.uint8)
-    kernel = _flip_kernel(H.data)
+    kernel = _FlipKernel(H.data)
     for budget in (1, 3, 6400):
         est, flips, unsat = kernel(S, budget / n * n)
         for i, s in enumerate(S):
@@ -566,14 +615,16 @@ def test_flip_kernel_builds_and_runs_without_a_dense_copy_of_the_graph():
 
 def test_flip_kernel_is_built_once_per_code():
     code, _ = make_expander(64, 3, 6, seed=1)
-    kernel = _flip_kernel(code)
-    assert _flip_kernel(code) is kernel
-    assert _flip_kernel(code.H.data) is not kernel
+    kernel = _per_code(code, _flip_kernel)
+    assert _per_code(code, _flip_kernel) is kernel
+    # decoding a bare check matrix keeps nothing
+    flip_decode(code.H, np.zeros(code.H.rows, dtype=np.uint8))
+    assert all(key is not code.H for key in decode._MEMO.keys())
     ref = weakref.ref(code)
     del code
     gc.collect()
     assert ref() is None
-    assert kernel not in decode._FLIP_CACHE.values()
+    assert not memo_holds(kernel)
 
 
 def test_flip_counts_rounds_only_in_parallel_mode():

@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from pccss import harness
+from pccss import decode, harness
 from pccss.channel import PauliError, make_channel, sample_error
 from pccss.codes import lift_block, make_alternant, make_repetition
 from pccss.css import fast_family, make_css, make_pccss
@@ -500,6 +502,64 @@ def test_sweep_validation():
         adversarial_sweep(q, "y", [1])
     with pytest.raises(ValueError):
         adversarial_sweep(q, "x", [10])
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_sweep_refuses_an_unknown_decoder(n):
+    # once, every name but auto and flip fell through to exhaustive search
+    q = fast_family(n, 4, 3, 6, 1, validate=False)
+    with pytest.raises(ValueError, match="unknown decoder 'bposd'"):
+        adversarial_sweep(q, "x", [1], decoder="bposd")
+
+
+def test_run_trials_and_config_refuse_an_unknown_decoder():
+    with pytest.raises(ValueError, match="unknown decoder 'bposd'"):
+        ExperimentConfig(p=0.1, zeta=1.0, trials=3, n=9, n0=3, decoder="bposd")
+    cfg = ExperimentConfig(p=0.1, zeta=1.0, trials=3, n=9, n0=3)
+    cfg.decoder = "bposd"
+    with pytest.raises(ValueError, match="unknown decoder 'bposd'"):
+        run_trials(cfg, code=shor_like_code())
+
+
+def block_logical_z(q):
+    """A Z residual, all ones on the first block, whose check needs the
+    rref of the outer code's checks."""
+    z = np.zeros(q.n, dtype=np.uint8)
+    z[: q.n0] = 1
+    return PauliError(q.n, np.zeros(q.n, dtype=np.uint8), z)
+
+
+def css_logical_x(q):
+    """An X residual, a row of hz, whose check needs the rref of hz."""
+    return PauliError(q.n, q.hz.data[0].copy(), np.zeros(q.n, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("make, builder, residual", [
+    (shor_like_code, "_check_rref", block_logical_z),
+    (steane_like_code, "_css_rrefs", css_logical_x),
+])
+def test_check_rrefs_are_built_once_per_code_and_freed_with_it(monkeypatch, make, builder,
+                                                               residual):
+    calls = []
+    real = getattr(harness, builder)
+    monkeypatch.setattr(harness, builder, lambda code: calls.append(code) or real(code))
+    q = make()
+    attrs = set(vars(q))
+    logical_check(q, residual(q))
+    logical_check(q, residual(q))
+    if q.n0:
+        run_trials(ExperimentConfig(p=0.3, zeta=math.inf, trials=64, n=9, n0=3), code=q)
+    key = q.outer if q.n0 else q
+    assert calls == [key]
+    assert set(vars(q)) == attrs  # nothing is cached on the code itself
+    entry = decode._MEMO[key][getattr(harness, builder)]
+    alive = weakref.ref(key)
+    del q, key
+    calls.clear()
+    gc.collect()
+    assert alive() is None
+    assert not any(v is entry for entries in list(decode._MEMO.values())
+                   for v in entries.values())
 
 
 @pytest.mark.parametrize("samples", [0, -1])

@@ -264,3 +264,9 @@ def test_verify_matches_rowspace_reference_on_encoders_and_mutants():
             assert got == reference_verify(q, v)
             rejected += not got.ok
     assert rejected > 100  # the mutants exercise the failing branch
+
+
+@pytest.mark.parametrize("text, lineno", [("CX 1\n", 1), ("H 0\n# qubits\n", 2)])
+def test_circuit_text_short_line_names_the_line(text, lineno):
+    with pytest.raises(ValueError, match=f"line {lineno}: .* is missing an operand"):
+        circuit_from_text(text)
