@@ -190,7 +190,7 @@ def _cmd_decode(args) -> int:
                 f"{args.syndrome}:{lineno}: expected {check_rows} bits, got {len(s)}"
             )
         if stacked:
-            _check_flip_syndrome(q.outer.H, len(s))
+            _check_flip_syndrome(q.outer.field.size, q.outer.H.rows, len(s))
             stack.append(s)
         else:
             outcomes.append(decoder(s))

@@ -4,10 +4,15 @@ random GV-achieving, and expander codes, with exact-distance bookkeeping.
 Distances are only ever recorded when certified (brute force or construction);
 randomized evidence from probe_min_weight is reported separately and never
 stored as d_certified.
+
+An expander code is built as its Tanner graph alone: its dense H, its G
+(one elimination) and its k are built on first read and then kept, so the
+flip decoder and the Monte Carlo harness, which read only the graph, never
+form them.  Every other code is built with its matrices.
 """
 from __future__ import annotations
 
-import dataclasses
+import copy
 import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
@@ -54,16 +59,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+class _Lazy:
+    """An attribute given as a value or as a builder, a function of the
+    object.  A builder runs on the first read and its result is kept in
+    _<name>; the builder stays in _<name>_builder, so setting _<name> back
+    to None makes the next read build it again.  Builders take the object
+    rather than closing over it, so an object holds no reference cycle and
+    is freed as soon as it is dropped."""
+
+    def __set_name__(self, owner, name):
+        self.value, self.builder = f"_{name}", f"_{name}_builder"
+
+    def __set__(self, obj, given):
+        lazy = callable(given)
+        obj.__dict__[self.builder] = given if lazy else None
+        obj.__dict__[self.value] = None if lazy else given
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.value]
+        if value is None:
+            value = obj.__dict__[self.value] = obj.__dict__[self.builder](obj)
+        return value
+
+
 class LinearCode:
-    field: FieldSpec
-    n: int
-    k: int
-    G: MatrixGF
-    H: MatrixGF
-    d_certified: int | None = None
-    d_method: str | None = None
-    provenance: dict = dc_field(default_factory=dict)
+    """A linear code held as its dimension k, generator G and check matrix H.
+
+    k, G and H may each be given as a value or as a builder, a function of
+    the code run on first read (_Lazy): make_expander gives builders, so a
+    code the decoders reach only through its Tanner graph never forms them.
+    graph is that Tanner graph, set by make_expander; other codes have none.
+    """
+
+    k = _Lazy()
+    G = _Lazy()
+    H = _Lazy()
+    graph = None
+
+    def __init__(self, field: FieldSpec, n: int, k, G, H, d_certified: int | None = None,
+                 d_method: str | None = None, provenance: dict | None = None):
+        self.field = field
+        self.n = n
+        self.k, self.G, self.H = k, G, H
+        self.d_certified = d_certified
+        self.d_method = d_method
+        self.provenance = {} if provenance is None else provenance
 
     @property
     def q(self) -> int:
@@ -123,8 +165,9 @@ def min_weight(G: MatrixGF, cap: int = 2**22) -> int:
 
 
 def certify_distance(code: LinearCode, cap: int = 2**22) -> LinearCode:
-    w = min_weight(code.G, cap)
-    return dataclasses.replace(code, d_certified=w, d_method="exhaustive")
+    certified = copy.copy(code)
+    certified.d_certified, certified.d_method = min_weight(code.G, cap), "exhaustive"
+    return certified
 
 
 def probe_min_weight(code: LinearCode, trials: int = 100000, seed: int = 0) -> int:
@@ -162,8 +205,9 @@ def make_repetition(n0: int) -> LinearCode:
     code on every call, over matrices validated once per n0."""
     if n0 < 2:
         raise ValueError(f"repetition length must be >= 2, got {n0}")
-    code = _repetition_code(n0)
-    return dataclasses.replace(code, provenance=dict(code.provenance))
+    code = copy.copy(_repetition_code(n0))
+    code.provenance = dict(code.provenance)
+    return code
 
 
 @functools.lru_cache(maxsize=64)
@@ -369,6 +413,31 @@ _MATCHINGS = 1000
 _BLOCK_STUBS = 1 << 16
 
 
+# The builders of an expander code's H, G and k (see LinearCode)
+
+def _graph_checks(code: LinearCode) -> MatrixGF:
+    """The dense check matrix of code's graph: row j is one at the bits of
+    check j."""
+    graph = code.graph
+    H = np.zeros((graph.r, graph.n), dtype=np.uint8)
+    H[np.arange(graph.r)[:, None], np.array(graph.right)] = 1
+    return MatrixGF._wrap(code.field, H)
+
+
+def _graph_generator(code: LinearCode) -> MatrixGF:
+    """nullspace(code.H), checked against code's graph: column j of G·Hᵀ is
+    the XOR of G's columns at graph.right[j], taken here over G's columns
+    packed eight rows to a byte."""
+    G = nullspace(code.H)
+    columns = np.ascontiguousarray(np.packbits(G.data, axis=0).T)
+    assert not np.bitwise_xor.reduce(columns[np.array(code.graph.right)], axis=1).any()
+    return G
+
+
+def _generator_rows(code: LinearCode) -> int:
+    return code.G.rows
+
+
 def make_expander(n: int, c: int, d: int, seed: int) -> tuple[LinearCode, ExpanderGraph]:
     """Configuration-model (c, d)-biregular code; resamples until simple.
 
@@ -385,6 +454,11 @@ def make_expander(n: int, c: int, d: int, seed: int) -> tuple[LinearCode, Expand
     vanishing simple-graph probability are rejected rather than silently
     repaired; degrees below 1, and fewer checks than a bit's c (n < d),
     where no simple graph exists, are refused before any draw.
+
+    Only the graph is built here.  The code's H (from the graph's edges),
+    G (nullspace(H), checked against the graph) and k = G.rows are built
+    on first read, so a caller that decodes on the graph alone never pays
+    for the dense elimination (at n = 2^16 its H alone is 2 GB).
     """
     if c < 1 or d < 1:
         raise ValueError(f"degrees ({c},{d}) must both be >= 1")
@@ -412,7 +486,7 @@ def make_expander(n: int, c: int, d: int, seed: int) -> tuple[LinearCode, Expand
             clash |= block[:, :, i] == block[:, :, j]
         simple = np.flatnonzero(~clash.any(axis=1))
         if simple.size:
-            # a copy, so that the block is freed before the dense work below
+            # a copy, so that the whole block is freed
             assign = block[simple[0]].reshape(-1).copy()
             del block
             break
@@ -422,25 +496,16 @@ def make_expander(n: int, c: int, d: int, seed: int) -> tuple[LinearCode, Expand
         raise RuntimeError(f"no simple ({c},{d}) graph on {n} bits in {_MATCHINGS} matchings")
     # row i lists the checks of bit i in order
     bit_checks = np.sort(assign.reshape(n, c), axis=1)
-    f2 = field_of_size(2)
-    Hd = np.zeros((r, n), dtype=np.uint8)
-    Hd[assign, left_nodes] = 1
     # stubs sorted by (check, bit): row j lists the bits of check j in order
     right_bits = left_nodes[np.lexsort((left_nodes, assign))].reshape(r, d)
     left = tuple(map(tuple, bit_checks.tolist()))
     right = tuple(map(tuple, right_bits.tolist()))
     graph = ExpanderGraph(n, r, c, d, left, right, seed)
-    H = MatrixGF(f2, Hd)
-    G = nullspace(H)
-    code = _new_code(
-        f2, n, G.rows, G, H,
+    code = LinearCode(
+        field_of_size(2), n, _generator_rows, _graph_generator, _graph_checks,
         provenance={"origin": "expander", "c": c, "d": d, "seed": seed},
-        validate=False,
     )
-    # G·Hᵀ from the graph: column j is the XOR of G's columns in right[j],
-    # taken here over G's columns packed eight rows to a byte
-    columns = np.ascontiguousarray(np.packbits(G.data, axis=0).T)
-    assert not np.bitwise_xor.reduce(columns[right_bits], axis=1).any()
+    code.graph = graph
     return code, graph
 
 

@@ -18,7 +18,9 @@ each block), so rank(hx) = rank(hx[:, ::n0]) and k = n/n0 - rank(hx[:, ::n0]).
 A code whose hx is built lazily from its outer code (fast_family) has hx
 = outer.H lifted over the blocks by construction, so check_valid forms
 neither hx nor the commutator and takes rank(hx) = rank(outer.H) from the
-outer code.
+outer code.  That reads outer.k, and so forms the outer G, which a
+fast_family code otherwise forms only when a caller reads k, outer.G or
+outer.H: the decoders read the outer graph alone.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from dataclasses import InitVar, dataclass, field as dc_field
 
 import numpy as np
 
-from .codes import LinearCode, _from_checks, lift_block, make_expander, make_repetition
+from .codes import LinearCode, _from_checks, _Lazy, lift_block, make_expander, make_repetition
 from .galois import GF2, FieldSpec, _prime_factors, is_irreducible
 from .matgf import (
     MatrixGF,
@@ -75,19 +77,25 @@ __all__ = [
 class CssCode:
     """A CSS code held as its two check matrices.
 
-    hx and hz may be passed as matrices or as zero-argument builders; a
-    builder runs on first access, so large structured families never pay for
-    a matrix the caller does not touch.  A code with n0 and outer whose hx
-    is a builder must build outer.H with each column repeated over a block
-    of n0 (fast_family's hx); check_valid relies on it and never builds hx.
+    hx, hz and k may each be passed as a value or as a builder, a function
+    of the code (codes._Lazy, as LinearCode's G, H and k); a builder runs
+    on first access, so large structured families never pay for a matrix,
+    or an elimination, the caller does not touch.  A code with n0 and outer
+    whose hx is a builder must build outer.H with each column repeated over
+    a block of n0 (fast_family's hx); check_valid relies on it and never
+    builds hx.
     """
+
+    hx = _Lazy()
+    hz = _Lazy()
+    k = _Lazy()
 
     def __init__(
         self,
         n: int,
         hx,
         hz,
-        k: int | None = None,
+        k=None,
         n0: int | None = None,
         outer: LinearCode | None = None,
         graph=None,
@@ -99,10 +107,7 @@ class CssCode:
         validate: bool = True,
     ):
         self.n = n
-        self._hx = hx if isinstance(hx, MatrixGF) else None
-        self._hx_builder = None if isinstance(hx, MatrixGF) else hx
-        self._hz = hz if isinstance(hz, MatrixGF) else None
-        self._hz_builder = None if isinstance(hz, MatrixGF) else hz
+        self.hx, self.hz = hx, hz
         self.field = field or (self._hx.field if self._hx is not None else GF2)
         self.n0 = n0
         self.outer = outer
@@ -113,9 +118,7 @@ class CssCode:
         self.provenance = provenance or {}
         if n0 is not None and self._hz is not None:
             _check_block_hz(self._hz, n0)
-        if k is None:
-            k = n - rank(self.hx) - rank(self.hz)
-        self.k = k
+        self.k = n - rank(self.hx) - rank(self.hz) if k is None else k
         if validate:
             report = check_valid(self)
             if not report.ok:
@@ -130,18 +133,6 @@ class CssCode:
             self._hx = None
         if self._hz_builder is not None:
             self._hz = None
-
-    @property
-    def hx(self) -> MatrixGF:
-        if self._hx is None:
-            self._hx = self._hx_builder()
-        return self._hx
-
-    @property
-    def hz(self) -> MatrixGF:
-        if self._hz is None:
-            self._hz = self._hz_builder()
-        return self._hz
 
     def __repr__(self):
         return f"CssCode([[{self.n}, {self.k}]], q={self.field.size})"
@@ -212,27 +203,20 @@ def make_pccss(c1: LinearCode, c2: LinearCode) -> CssCode:
 
 def fast_family(N: int, n0: int, c: int, d: int, seed: int, validate: bool = True) -> CssCode:
     """The asymmetric family: lifted repetition blocks inside, a random
-    sparse-graph code outside.  Check matrices are built lazily because at
-    large N only the decoders (which use the block structure and the outer
-    graph directly) ever run.
+    sparse-graph code outside.  Only the outer graph is built here: hx, hz
+    and k (which reads outer.k) are built on first read, as are the outer
+    code's G, H and k (make_expander), because at large N only the decoders
+    run, and they read the block structure and the outer graph alone.
+    validate=True reads k, and so forms the outer G.
     """
     if n0 < 2 or N % n0:
         raise ValueError(f"block length {n0} must divide N = {N}")
-    copies = N // n0
-    outer, graph = make_expander(copies, c, d, seed)
-    inner = make_repetition(n0)
-
-    def build_hx():
-        return MatrixGF(GF2, np.repeat(outer.H.data, n0, axis=1))
-
-    def build_hz():
-        return kron(identity(GF2, copies), inner.H)
-
+    outer, graph = make_expander(N // n0, c, d, seed)
     return CssCode(
         n=N,
-        hx=build_hx,
-        hz=build_hz,
-        k=outer.k,
+        hx=_lifted_outer_checks,
+        hz=_block_checks,
+        k=_outer_k,
         n0=n0,
         outer=outer,
         graph=graph,
@@ -240,6 +224,20 @@ def fast_family(N: int, n0: int, c: int, d: int, seed: int, validate: bool = Tru
         provenance={"construction": "fast-family", "c": c, "d": d, "seed": seed},
         validate=validate,
     )
+
+
+# The builders of a fast_family code's hx, hz and k (see CssCode)
+
+def _lifted_outer_checks(q: CssCode) -> MatrixGF:
+    return MatrixGF(GF2, np.repeat(q.outer.H.data, q.n0, axis=1))
+
+
+def _block_checks(q: CssCode) -> MatrixGF:
+    return kron(identity(GF2, q.n // q.n0), make_repetition(q.n0).H)
+
+
+def _outer_k(q: CssCode) -> int:
+    return q.outer.k
 
 
 # ------------------------------------------------------------- enlargement

@@ -382,8 +382,9 @@ def _padded(owner: np.ndarray, member: np.ndarray, count: int, fill: int) -> np.
 
 
 class _FlipKernel:
-    """The flip rule on the Tanner graph of a binary check matrix H (0/1
-    entries of any dtype), held once as edge arrays:
+    """The flip rule on a Tanner graph of r checks and n bits, given by its
+    (check, bit) edges sorted by check, then bit, as _edges lists them,
+    and held once as edge arrays:
 
     - checks, check to bit, of shape (largest check degree, r): column j
       lists check j's bits, padded with n, the index of a zero bit word;
@@ -398,9 +399,8 @@ class _FlipKernel:
     words", whatever c is, zero and even degrees included.
     """
 
-    def __init__(self, H: np.ndarray):
-        r, n = H.shape
-        check, bit = np.divmod(np.flatnonzero(H), n)
+    def __init__(self, check: np.ndarray, bit: np.ndarray, shape: tuple[int, int]):
+        r, n = shape
         self.shape = (r, n)
         self.checks = np.ascontiguousarray(_padded(check, bit, r, n).T)
         order = np.argsort(bit, kind="stable")
@@ -481,9 +481,23 @@ class _FlipKernel:
         return est, flips, unsat
 
 
+def _edges(H: np.ndarray):
+    """The (check, bit) edges of the Tanner graph of a check matrix H (0/1
+    entries of any dtype), sorted by check, then bit, and its shape: the
+    arguments of _FlipKernel."""
+    return *np.divmod(np.flatnonzero(H), H.shape[1]), H.shape
+
+
 def _flip_kernel(code) -> _FlipKernel:
-    """The flip kernel of a binary code, for _per_code."""
-    return _FlipKernel(code.H.data)
+    """The flip kernel of a binary code, for _per_code: from the edges of
+    its graph when it has one (make_expander's codes), so that its dense H
+    is never formed, else from the nonzeros of H."""
+    graph = code.graph
+    if graph is None:
+        return _FlipKernel(*_edges(code.H.data))
+    right = np.array(graph.right, dtype=np.intp)
+    check = np.repeat(np.arange(graph.r), right.shape[1])
+    return _FlipKernel(check, right.reshape(-1), (graph.r, graph.n))
 
 
 def flip_decode(code, s, max_rounds: int = 100, parallel: bool = False) -> DecodeOutcome:
@@ -507,26 +521,29 @@ def flip_decode(code, s, max_rounds: int = 100, parallel: bool = False) -> Decod
     fast_family(1024, 16, 3, 6, s), s = 0..3, 20-34% of weight-1 errors
     are.
     """
-    H = getattr(code, "H", code)
     s = _as_vector(s).astype(np.uint8)
-    _check_flip_syndrome(H, s.shape[0])
-    kernel = _FlipKernel(H.data) if code is H else _per_code(code, _flip_kernel)
+    if isinstance(code, MatrixGF):
+        kernel = _FlipKernel(*_edges(code.data))
+    else:
+        kernel = _per_code(code, _flip_kernel)
+    _check_flip_syndrome(code.q, kernel.shape[0], s.shape[0])
     if parallel:
         est, flips, rounds, unsat = kernel.run(s[None, :], max_rounds, parallel=True)
         counters = {"flips": int(flips[0]), "rounds": int(rounds[0])}
     else:
-        est, flips, unsat = kernel(s[None, :], max_rounds * H.cols)
+        est, flips, unsat = kernel(s[None, :], max_rounds * kernel.shape[1])
         counters = {"flips": int(flips[0])}
     return _flip_outcome(est[0], counters, unsat[0])
 
 
-def _check_flip_syndrome(H: MatrixGF, length: int) -> None:
-    """Raise the ValueError with which the flip decoder over check matrix H
-    refuses a syndrome of the given length, if it does."""
-    if H.q != 2:
+def _check_flip_syndrome(q: int, checks: int, length: int) -> None:
+    """Raise the ValueError with which the flip decoder over a GF(q) code of
+    the given number of checks refuses a syndrome of the given length, if
+    it does."""
+    if q != 2:
         raise ValueError("flip decoding is defined over GF(2)")
-    if length != H.rows:
-        raise ValueError(f"syndrome length {length} does not match {H.rows} checks")
+    if length != checks:
+        raise ValueError(f"syndrome length {length} does not match {checks} checks")
 
 
 def _flip_outcome(est: np.ndarray, counters: dict, unsat: np.ndarray) -> DecodeOutcome:
@@ -570,7 +587,7 @@ def pccss_decode_x(Q, s_x, max_rounds: int = 100) -> DecodeOutcome:
 def _flip_outer(outer, max_rounds: int):
     """The outer code's _FlipKernel, within max_rounds * n flips per row."""
     kernel = _per_code(outer, _flip_kernel)
-    return lambda S: kernel(S, max_rounds * outer.H.cols)
+    return lambda S: kernel(S, max_rounds * outer.n)
 
 
 def _exhaustive_outer(outer, max_rounds: int):
@@ -598,12 +615,16 @@ def _outer_decoder(Q, decoder: str, max_rounds: int):
     or "auto" (exhaustive when the outer code fits its size cap, else flip).
     It maps a stack of syndromes to (estimates, flips, residual syndromes),
     a row each; a row is corrected when its residual is zero."""
+    _known_decoder(decoder)
     if decoder == "auto":
         decoder = "flip" if _exhaustive_refusal(Q.outer) else "exhaustive"
-    build = _OUTER_DECODERS.get(decoder)
-    if build is None:
+    return _OUTER_DECODERS[decoder](Q.outer, max_rounds)
+
+
+def _known_decoder(decoder: str) -> None:
+    """Refuse a decoder name that is neither in _OUTER_DECODERS nor "auto"."""
+    if decoder != "auto" and decoder not in _OUTER_DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
-    return build(Q.outer, max_rounds)
 
 
 def pccss_decode_x_rows(Q, S, max_rounds: int = 100) -> list[DecodeOutcome]:
@@ -613,7 +634,8 @@ def pccss_decode_x_rows(Q, S, max_rounds: int = 100) -> list[DecodeOutcome]:
     coordinates.  Returns one outcome per row, as flip_decode words it.
     """
     S = np.asarray(S, dtype=np.uint8)
-    _check_flip_syndrome(Q.outer.H, S.shape[1])
+    checks = _per_code(Q.outer, _flip_kernel).shape[0]
+    _check_flip_syndrome(Q.outer.field.size, checks, S.shape[1])
     est, flips, unsat = _flip_outer(Q.outer, max_rounds)(S)
     lifted = np.zeros((len(S), Q.n), dtype=np.uint8)
     lifted[:, :: Q.n0] = est

@@ -40,6 +40,7 @@ from .decode import (
     CORRECTED,
     DETECTED,
     _flip_kernel,
+    _known_decoder,
     _outer_decoder,
     _per_code,
     _require_gf2,
@@ -477,7 +478,9 @@ def adversarial_sweep(q, side: str, weights, samples: int = 500, seed: int = 0,
         raise ValueError("weights must lie in [0, n]")
     if samples < 1 and any(math.comb(q.n, int(w)) > _ENUMERATED for w in weights):
         raise ValueError(f"sampled weights need a sample count >= 1, got {samples}")
-    # a Z sweep has no X errors, so it never runs the outer decoder
+    # a Z sweep has no X errors, so it never runs the outer decoder, but it
+    # refuses an unknown decoder name as an X sweep does
+    _known_decoder(decoder)
     decode_outer = _outer_decoder(q, decoder, max_rounds) if side == "x" else None
     checks = _per_code(q.outer, _flip_kernel).checks
     rng = np.random.default_rng(seed)

@@ -283,7 +283,15 @@ def circuit_to_text(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+# operands per line: the gates', then the keyed comments'
+_OPERANDS = {"H": 1, "CX": 2, "qubits": 1, "stage": 1}
+
+
 def circuit_from_text(text: str) -> Circuit:
+    """The circuit circuit_to_text writes.  A gate line, and a "# qubits" or
+    "# stage" comment, must carry exactly its operands, integers but for
+    the stage name; a line that does not is refused with its line number.
+    Other comments are ignored."""
     n = None
     stage = "I"
     gates = []
@@ -292,21 +300,25 @@ def circuit_from_text(text: str) -> Circuit:
         if not line:
             continue
         comment = line.startswith("#")
-        parts = (line[1:] if comment else line).split()
+        head, *args = (line[1:] if comment else line).split() or [""]
+        if comment and head not in ("qubits", "stage"):
+            continue
+        if not comment and head not in ("H", "CX"):
+            raise ValueError(f"line {lineno}: unrecognized gate line {line!r}")
+        if len(args) != _OPERANDS[head]:
+            wrong = "is missing an operand" if len(args) < _OPERANDS[head] else "has extra operands"
+            raise ValueError(f"line {lineno}: {line!r} {wrong}")
+        if head == "stage":
+            stage = args[0]
+            continue
         try:
-            if comment:
-                if parts[:1] == ["qubits"]:
-                    n = int(parts[1])
-                elif parts[:1] == ["stage"]:
-                    stage = parts[1]
-            elif parts[0] == "H":
-                gates.append(Gate("H", (int(parts[1]),), stage))
-            elif parts[0] == "CX":
-                gates.append(Gate("CX", (int(parts[1]), int(parts[2])), stage))
-            else:
-                raise ValueError(f"unrecognized gate line {line!r}")
-        except IndexError:
-            raise ValueError(f"line {lineno}: {line!r} is missing an operand") from None
+            values = tuple(map(int, args))
+        except ValueError:
+            raise ValueError(f"line {lineno}: {line!r} has a non-integer operand") from None
+        if head == "qubits":
+            (n,) = values
+        else:
+            gates.append(Gate(head, values, stage))
     if n is None:
         n = 1 + max((max(g.qubits) for g in gates), default=-1)
     return Circuit(n, tuple(gates))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -306,6 +307,26 @@ def test_expander_with_fewer_checks_than_bit_degree_is_refused_before_drawing(
     monkeypatch.setattr(np.random, "default_rng", None)
     with pytest.raises(ValueError, match=f"no simple \\({c},{d}\\) graph on {n} bits: "):
         make_expander(n, c, d, seed=0)
+
+
+def test_expander_builds_h_g_and_k_once_on_first_read():
+    code, graph = make_expander(64, 3, 6, seed=1)
+    assert (code._k, code._G, code._H) == (None, None, None) and code.graph is graph
+    built = []
+    for name in ("G", "H"):
+        real = getattr(code, f"_{name}_builder")
+        setattr(code, f"_{name}_builder",
+                lambda c, real=real, name=name: built.append(name) or real(c))
+    assert code.k == 32 and built == ["G", "H"]
+    G, H = code.G, code.H
+    assert (code.k, code.G, code.H) == (32, G, H) and code.G is G and code.H is H
+    assert built == ["G", "H"]
+    # the dense H is the graph's
+    assert [tuple(np.flatnonzero(row)) for row in H.data] == list(graph.right)
+    # builders take the code rather than closing over it: no reference cycle
+    ref = weakref.ref(code)
+    del code, G, H
+    assert ref() is None
 
 
 def test_expander_deterministic_in_seed():

@@ -4,8 +4,10 @@ commutation identities.
 """
 from __future__ import annotations
 
+import io
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -258,7 +260,7 @@ def test_block_code_built_from_outer_is_validated_without_hx(k_offset):
     alone, never building hx, with the report the dense hx would give."""
     q = fast_family(2**10, 16, 3, 6, 0)
 
-    def unbuilt():
+    def unbuilt(code):
         raise AssertionError("hx was built")
 
     k = q.k + k_offset
@@ -578,6 +580,23 @@ def test_css_bundle_round_trip():
     assert np.array_equal(q2.hx.data, q.hx.data)
     assert np.array_equal(q2.hz.data, q.hz.data)
     assert css_to_text(q2) == text
+
+
+def test_bundle_loaded_codes_are_eager_and_pickle():
+    """A code read from a bundle holds its matrices, not builders, so it
+    pickles (MatrixGF pickled from its arguments), as the benchmark's
+    Monte Carlo workload pickles it; a fast_family code builds its outer
+    G, H and k on first read."""
+    q = css_from_text(css_to_text(fast_family(2**10, 16, 3, 6, 0, validate=False)))
+    for code, names in ((q, ("hx", "hz", "k")), (q.outer, ("G", "H", "k"))):
+        assert all(getattr(code, f"_{name}_builder") is None for name in names)
+    buf = io.BytesIO()
+    pickler = pickle.Pickler(buf)
+    pickler.dispatch_table = {MatrixGF: lambda m: (MatrixGF, (m.field, m.data))}
+    pickler.dump(q)
+    back = pickle.loads(buf.getvalue())
+    assert css_to_text(back) == css_to_text(q) and back.outer.k == q.outer.k
+    assert np.array_equal(back.outer.G.data, q.outer.G.data)
 
 
 def test_stab_bundle_round_trip():

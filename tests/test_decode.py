@@ -21,6 +21,7 @@ from pccss.css import fast_family
 from pccss.decode import (
     DecodeOutcome,
     _FlipKernel,
+    _edges,
     _flip_kernel,
     _per_code,
     bdd_alternant,
@@ -488,7 +489,7 @@ def test_flip_rows_matches_reference_search_row_by_row(n, c, d, seed):
         rows.append(s)
     S = np.array(rows)
     for max_rounds in (6400 / n, 1 / n, 3 / n):  # budgets of 6400, 1 and 3 flips
-        est, flips, unsat = _FlipKernel(code.H.data.astype(np.float32))(S, max_rounds * n)
+        est, flips, unsat = _FlipKernel(*_edges(code.H.data.astype(np.float32)))(S, max_rounds * n)
         assert est.shape == (len(S), n) and unsat.shape == S.shape
         for i, s in enumerate(S):
             ref_est, ref_flips, ref_unsat = reference_flip(code.H, s, max_rounds)
@@ -522,7 +523,7 @@ def test_flip_lanes_match_reference_search_across_word_edges(rows):
     code, _ = make_expander(64, 3, 6, seed=1)
     S = mixed_syndromes(code, rows, seed=rows)
     for max_rounds in (100, 1 / 64, 3 / 64):  # budgets of 6400, 1 and 3 flips
-        est, flips, unsat = _FlipKernel(code.H.data)(S, max_rounds * 64)
+        est, flips, unsat = _FlipKernel(*_edges(code.H.data))(S, max_rounds * 64)
         assert est.shape == (rows, 64) and flips.shape == (rows,) and unsat.shape == S.shape
         for i, s in enumerate(S):
             ref_est, ref_flips, ref_unsat = reference_flip(code.H, s, max_rounds)
@@ -542,7 +543,7 @@ def test_flip_lanes_match_reference_search_on_irregular_graphs(data):
     rows = data.draw(st.integers(1, 70), label="rows")
     S = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(
         0, 2, size=(rows, r)).astype(np.uint8)
-    kernel = _FlipKernel(H.data)
+    kernel = _FlipKernel(*_edges(H.data))
     for budget in (1, 3, 6400):
         est, flips, unsat = kernel(S, budget / n * n)
         for i, s in enumerate(S):
@@ -602,7 +603,7 @@ def test_flip_kernel_builds_and_runs_without_a_dense_copy_of_the_graph():
     peaks = []
     tracemalloc.start()
     try:
-        kernel = decode._FlipKernel(H)
+        kernel = decode._FlipKernel(*decode._edges(H))
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.reset_peak()
         _, flips, _ = kernel(S, 6400 * H.shape[1])
@@ -611,6 +612,19 @@ def test_flip_kernel_builds_and_runs_without_a_dense_copy_of_the_graph():
         tracemalloc.stop()
     assert flips.max() > 100
     assert max(peaks) < H.size
+
+
+@pytest.mark.parametrize("N", [2**10, 2**14])
+@pytest.mark.parametrize("seed", range(4))
+def test_flip_kernel_from_the_graph_equals_the_one_from_dense_h(N, seed):
+    outer = fast_family(N, 16, 3, 6, seed, validate=False).outer
+    from_graph = _flip_kernel(outer)
+    assert outer._H is None  # built from the graph alone
+    from_h = _FlipKernel(*_edges(outer.H.data))
+    assert from_graph.shape == from_h.shape
+    assert np.array_equal(from_graph.checks, from_h.checks)
+    assert np.array_equal(from_graph.bits, from_h.bits)
+    assert (from_graph.threshold, from_graph._plan) == (from_h.threshold, from_h._plan)
 
 
 def test_flip_kernel_is_built_once_per_code():

@@ -512,6 +512,36 @@ def test_sweep_refuses_an_unknown_decoder(n):
         adversarial_sweep(q, "x", [1], decoder="bposd")
 
 
+def test_z_sweep_refuses_an_unknown_decoder():
+    # a Z sweep never runs the outer decoder, yet it names the same decoders
+    q = fast_family(64, 4, 3, 6, 1)
+    with pytest.raises(ValueError, match="unknown decoder 'bposd'"):
+        adversarial_sweep(q, "z", [1], decoder="bposd")
+    assert adversarial_sweep(q, "z", [1], decoder="flip") == adversarial_sweep(q, "z", [1])
+
+
+def test_monte_carlo_path_never_forms_the_outer_g_h_or_k():
+    """The outer code of fast_family is reached through its graph alone:
+    building forms nothing, and with the G and dense-H builders made to
+    raise, choosing the decoder ("auto" reads n > 24 before k) and a run of
+    trials still form neither G nor H, nor so k."""
+    q = fast_family(2**16, 16, 3, 6, 0, validate=False)
+    outer = q.outer
+    assert (outer._G, outer._H, outer._k, q._k) == (None, None, None, None)
+
+    def unbuilt(code):
+        raise AssertionError("a dense outer matrix was formed")
+
+    outer._G_builder = outer._H_builder = unbuilt
+    assert harness._outer_decoder(q, "auto", 100) is not None
+    cfg = ExperimentConfig(p=0.01, zeta=10.0, trials=64, n=2**16, n0=16, seed=3)
+    records, summary = run_trials(cfg, code=q)
+    assert len(records) == 64 and summary["x_failures"] > 0
+    assert (outer._G, outer._H, outer._k, q._k) == (None, None, None, None)
+    with pytest.raises(AssertionError, match="dense outer matrix"):
+        q.k
+
+
 def test_run_trials_and_config_refuse_an_unknown_decoder():
     with pytest.raises(ValueError, match="unknown decoder 'bposd'"):
         ExperimentConfig(p=0.1, zeta=1.0, trials=3, n=9, n0=3, decoder="bposd")

@@ -270,3 +270,14 @@ def test_verify_matches_rowspace_reference_on_encoders_and_mutants():
 def test_circuit_text_short_line_names_the_line(text, lineno):
     with pytest.raises(ValueError, match=f"line {lineno}: .* is missing an operand"):
         circuit_from_text(text)
+
+
+@pytest.mark.parametrize("text, lineno, problem", [
+    ("CX 1 2 3\n", 1, "has extra operands"),
+    ("H 2\nH 0 1\n", 2, "has extra operands"),
+    ("# qubits 3\nCX a b\n", 2, "has a non-integer operand"),
+    ("# qubits x\nH 0\n", 1, "has a non-integer operand"),
+])
+def test_circuit_text_wrong_operands_name_the_line(text, lineno, problem):
+    with pytest.raises(ValueError, match=f"line {lineno}: .* {problem}"):
+        circuit_from_text(text)
