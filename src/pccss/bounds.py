@@ -2,7 +2,8 @@
 
 Entropy-based curves are binary64 floats; everything combinatorial (ball
 volumes, block failure sums) is exact big-integer or big-rational arithmetic
-so that inequality checks never hinge on rounding.
+so that inequality checks never hinge on rounding.  Channel rates are evaluated
+by one function, _split_rate, on channel's one split, in rate_curves' table too.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channel import check_asymmetry, make_channel
+from .channel import _split, check_asymmetry, make_channel
 
 __all__ = [
     "RateCurve",
@@ -105,10 +106,18 @@ def hashing_rate(p: float) -> float:
 
 def pccss_channel_rate(p: float, zeta: float) -> float:
     """Achievable-rate limit 1 - H2(4 p_X) - H2(p_Z + p_Y) on the split channel."""
-    px, py, pz = channel_split(p, zeta)
+    px, _, pz = channel_split(p, zeta)
     if 4 * px > 1 + _FUZZ:
         raise ValueError(f"4 p_X = {4 * px} exceeds 1; rate formula undefined")
-    return 1.0 - entropy_q(4 * px, 2) - entropy_q(pz + py, 2)
+    return _split_rate(px, pz)
+
+
+def _split_rate(px: float, pz: float) -> float:
+    """1 - H2(4 p_X) - H2(p_Z + p_Y), p_Y being p_X; NaN where 4 p_X > 1."""
+    if 4 * px > 1 + _FUZZ:
+        return float("nan")
+    h_x = _entropy(_clip01(4 * px, "entropy argument"), 2)
+    return 1.0 - h_x - _entropy(_clip01(pz + px, "entropy argument"), 2)
 
 
 def _check_grid(pmax: float, step: float) -> None:
@@ -177,8 +186,8 @@ def rate_curves(zetas, pmax: float = 0.5, step: float = 1e-3) -> list[RateCurve]
     """Hashing bound plus one achievable-rate curve per asymmetry value.
 
     Each point is hashing_rate(p) or pccss_channel_rate(p, zeta), NaN where
-    4 p_X > 1: the same float expressions in the same order, in one loop
-    without their per-point channel objects and checks."""
+    4 p_X > 1: the same split and rate functions, in one loop without their
+    per-point channel objects and checks."""
     _check_grid(pmax, step)
     grid = []
     k = 1
@@ -192,16 +201,8 @@ def rate_curves(zetas, pmax: float = 0.5, step: float = 1e-3) -> list[RateCurve]
     curves = [RateCurve("hashing", tuple(grid), tuple(1.0 - _entropy(p, 2) for p in ps))]
     for z in zetas:
         check_asymmetry(z)  # a bad zeta is an input error, not a NaN column
-        ys = []
-        for p in ps:
-            px = 0.0 if math.isinf(z) else p / (2.0 * z + 1.0)  # channel.make_channel's split
-            if 4 * px > 1 + _FUZZ:
-                ys.append(float("nan"))
-            else:
-                h_x = _entropy(_clip01(4 * px, "entropy argument"), 2)
-                h_z = _entropy(_clip01((p - 2.0 * px) + px, "entropy argument"), 2)
-                ys.append(1.0 - h_x - h_z)
-        curves.append(RateCurve(f"pccss zeta={z:g}", tuple(grid), tuple(ys)))
+        ys = tuple(_split_rate(*_split(p, z)) for p in ps)
+        curves.append(RateCurve(f"pccss zeta={z:g}", tuple(grid), ys))
     return curves
 
 

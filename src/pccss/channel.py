@@ -43,8 +43,15 @@ def make_channel(p: float, zeta: float) -> PauliChannel:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"total error probability {p} outside [0, 1]")
     check_asymmetry(zeta)
+    p_x, p_z = _split(p, zeta)
+    return PauliChannel(p=p, zeta=zeta, p_x=p_x, p_y=p_x, p_z=p_z)
+
+
+def _split(p: float, zeta: float) -> tuple[float, float]:
+    """(p_X, p_Z) of an already checked p and zeta, p_Y being p_X: the one
+    place the split is computed, for make_channel and bounds.rate_curves."""
     p_x = 0.0 if math.isinf(zeta) else p / (2.0 * zeta + 1.0)
-    return PauliChannel(p=p, zeta=zeta, p_x=p_x, p_y=p_x, p_z=p - 2.0 * p_x)
+    return p_x, p - 2.0 * p_x
 
 
 def check_asymmetry(zeta: float) -> None:

@@ -35,7 +35,7 @@ from .decode import (
     pccss_decode_x_rows,
     pccss_decode_z,
 )
-from .harness import ExperimentConfig, adversarial_sweep, run_trials
+from .harness import ExperimentConfig, _build_code, adversarial_sweep, run_trials
 from .matgf import rows_to_text
 from .stabcirc import build_encoder, circuit_to_text
 
@@ -242,17 +242,6 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _experiment_code(args):
-    if args.bundle:
-        text = _read_text(args.bundle)
-        if _bundle_kind(args.bundle, text) != "csscode":
-            raise ValueError("experiments need a csscode bundle")
-        return css_from_text(text)
-    if args.N is None or args.n0 is None:
-        raise ValueError("need either --bundle or both --N and --n0")
-    return fast_family(args.N, args.n0, args.c, args.d, args.code_seed, validate=False)
-
-
 def _cmd_simulate(args) -> int:
     cfg = ExperimentConfig(
         p=args.p,
@@ -276,7 +265,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    q = _experiment_code(args)
+    if not args.bundle and (args.N is None or args.n0 is None):
+        raise ValueError("need either --bundle or both --N and --n0")
+    q = _build_code(args.bundle, args.N, args.n0, args.c, args.d, args.code_seed)
     weights = [int(w) for w in args.weights.split(",") if w.strip()]
     if not weights:
         raise ValueError("no weights given")

@@ -3,7 +3,8 @@ random GV-achieving, and expander codes, with exact-distance bookkeeping.
 
 Distances are only ever recorded when certified (brute force or construction);
 randomized evidence from probe_min_weight is reported separately and never
-stored as d_certified.
+stored as d_certified.  A binary code's exact minimum weight comes from
+matgf's enumeration, the one behind css's distance oracles.
 
 An expander code is built as its Tanner graph alone: its dense H, its G
 (one elimination) and its k are built on first read and then kept, so the
@@ -23,6 +24,7 @@ from .bounds import vol_q
 from .galois import FieldSpec, field_of_size
 from .matgf import (
     MatrixGF,
+    _min_weight_outside,
     _span_chunks,
     bundle_columns,
     bundle_header,
@@ -138,9 +140,9 @@ def _from_checks(H: MatrixGF) -> LinearCode:
 # ------------------------------------------------------------ enumeration
 
 def min_weight(G: MatrixGF, cap: int = 2**22) -> int:
-    """Exact minimum weight of the row space: over GF(2) by the distance
-    oracles' weight-bounded enumeration, otherwise over every codeword. cap
-    bounds the codeword count either way."""
+    """Exact minimum weight of the row space: over GF(2) by matgf's
+    weight-bounded enumeration, the one the distance oracles run, otherwise
+    over every codeword. cap bounds the codeword count either way."""
     field = G.field
     k, n = G.rows, G.cols
     if k == 0:
@@ -149,16 +151,12 @@ def min_weight(G: MatrixGF, cap: int = 2**22) -> int:
     if total > cap:
         raise ValueError(f"{total} codewords exceed enumeration cap {cap}")
     if field.size == 2:
-        from .css import _min_weight_outside  # css builds on this module
-
-        best = _min_weight_outside(G, zeros(field, 0, n))
-        if best is None:
-            raise ValueError("zero-dimensional code has no nonzero codeword")
-        return best
-    best = n + 1
-    for cw in _span_chunks(G):
-        weights = np.count_nonzero(cw, axis=1)
-        best = min(best, int(weights[weights > 0].min(initial=best)))
+        best = _min_weight_outside(G, zeros(field, 0, n)) or n + 1  # None: no such codeword
+    else:
+        best = n + 1
+        for cw in _span_chunks(G):
+            weights = np.count_nonzero(cw, axis=1)
+            best = min(best, int(weights[weights > 0].min(initial=best)))
     if best > n:
         raise ValueError("zero-dimensional code has no nonzero codeword")
     return best

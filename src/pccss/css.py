@@ -1,6 +1,6 @@
 """Quantum code constructions: CSS pairs, the partially concatenated family,
 Steane-style enlargement, validity reports, and brute-force degenerate
-distance oracles.
+distance oracles, which run matgf's minimum-weight enumeration.
 
 Check-matrix convention throughout: hx multiplies X-error vectors and hz
 multiplies Z-error vectors, so commutation is hx · hzᵀ = 0 and the degenerate
@@ -24,7 +24,6 @@ outer.H: the decoders read the outer graph alone.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import InitVar, dataclass, field as dc_field
 
@@ -35,7 +34,7 @@ from .galois import GF2, FieldSpec, _prime_factors, is_irreducible
 from .matgf import (
     MatrixGF,
     _field_ops,
-    _pack_rows,
+    _min_weight_outside,
     bundle_columns,
     bundle_header,
     bundle_key,
@@ -98,7 +97,6 @@ class CssCode:
         k=None,
         n0: int | None = None,
         outer: LinearCode | None = None,
-        graph=None,
         d_x: int | None = None,
         d_z: int | None = None,
         d_method: str | None = None,
@@ -111,7 +109,6 @@ class CssCode:
         self.field = field or (self._hx.field if self._hx is not None else GF2)
         self.n0 = n0
         self.outer = outer
-        self.graph = graph
         self.d_x = d_x
         self.d_z = d_z
         self.d_method = d_method
@@ -211,7 +208,7 @@ def fast_family(N: int, n0: int, c: int, d: int, seed: int, validate: bool = Tru
     """
     if n0 < 2 or N % n0:
         raise ValueError(f"block length {n0} must divide N = {N}")
-    outer, graph = make_expander(N // n0, c, d, seed)
+    outer, _ = make_expander(N // n0, c, d, seed)
     return CssCode(
         n=N,
         hx=_lifted_outer_checks,
@@ -219,7 +216,6 @@ def fast_family(N: int, n0: int, c: int, d: int, seed: int, validate: bool = Tru
         k=_outer_k,
         n0=n0,
         outer=outer,
-        graph=graph,
         field=GF2,
         provenance={"construction": "fast-family", "c": c, "d": d, "seed": seed},
         validate=validate,
@@ -430,77 +426,10 @@ def check_valid_stabilizer(s: StabilizerCode) -> ValidityReport:
 
 # --------------------------------------------------------- distance oracles
 
-# Candidates per vectorised step of the enumeration; bounds its memory.
-_BLOCK = 1 << 20
-
-
-def _weights(v: np.ndarray, halves: int) -> np.ndarray:
-    """Weights of packed rows; with halves=2 a row is (x words | z words)
-    and its weight counts the positions where x or z is set."""
-    if halves == 2:
-        h = v.shape[1] // 2
-        v = v[:, :h] | v[:, h:]
-    return np.bitwise_count(v).sum(axis=1, dtype=np.int64)
-
-
-def _min_weight_outside(basis: MatrixGF, exclude: MatrixGF, halves: int = 1) -> int | None:
-    """Minimum weight over span(basis) minus rowspace(exclude), or None when
-    the first lies inside the second; with halves=2 rows are symplectic
-    (x | z) and the weight is the symplectic weight.
-
-    The basis is row-reduced, so a combination of t rows has at least t ones
-    on its pivot columns, hence weight at least ceil(t / halves). Each row is
-    reduced once against rref(exclude): a combination lies in that row space
-    exactly when the XOR of its rows' residuals is zero. Combinations are
-    enumerated by size t = 1, 2, ... as XORs of packed words until the best
-    weight found is at most the bound for t + 1 rows: a table of every
-    s-subset sorted by its largest index (s as large as fits in _BLOCK) is
-    XORed with each (t - s)-subset of larger indices.
-    """
-    rr = rref(basis)
-    B = rr.matrix.data[: rr.rank]
-    ex = rref(exclude)
-    part = mul(MatrixGF(GF2, B[:, list(ex.pivots)]), MatrixGF(GF2, ex.matrix.data[: ex.rank]))
-    residual = B ^ part.data
-    if not residual.any():
-        return None
-    words = np.hstack([_pack_rows(half) for half in np.hsplit(B, halves)])
-    res = _pack_rows(residual)
-    k = len(words)
-    table_w = np.zeros((1, words.shape[1]), dtype=np.uint64)  # the empty subset
-    table_r = np.zeros((1, res.shape[1]), dtype=np.uint64)
-    s = 0
-    best = B.shape[1] + 1
-    for t in range(1, k + 1):
-        while s < t and math.comb(k, s + 1) <= _BLOCK:
-            table_w = np.concatenate([table_w[: math.comb(j, s)] ^ words[j] for j in range(k)])
-            table_r = np.concatenate([table_r[: math.comb(j, s)] ^ res[j] for j in range(k)])
-            s += 1
-        for top in itertools.combinations(range(k), t - s):
-            size = math.comb(top[0] if top else k, s)
-            if not size:
-                continue
-            rows = list(top)
-            w = _weights(table_w[:size] ^ np.bitwise_xor.reduce(words[rows]), halves)
-            low = np.flatnonzero(w < best)
-            if low.size:
-                hit = (table_r[low] ^ np.bitwise_xor.reduce(res[rows])).any(axis=1)
-                if hit.any():
-                    best = int(w[low[hit]].min())
-        if best <= -(-(t + 1) // halves):
-            break
-    return best
-
-
 def distance_css(q: CssCode, side: str, cap: int = 26) -> int:
     """Exact degenerate distance on one side: the minimum weight over
-    null(a) minus rowspace(b), with (a, b) = (hx, hz) for side x.
-
-    Combinations of t kernel basis rows are enumerated for t = 1, 2, ...,
-    stopping once the best weight found is at most t + 1 (no combination of
-    more rows can weigh less) or every combination has been seen. cap bounds
-    the kernel dimension.
-    """
+    null(a) minus rowspace(b), with (a, b) = (hx, hz) for side x, by
+    matgf._min_weight_outside.  cap bounds the kernel dimension."""
     if q.field.size != 2:
         raise ValueError("distance oracle implemented over GF(2)")
     side = side.lower()
@@ -520,12 +449,8 @@ def distance_css(q: CssCode, side: str, cap: int = 26) -> int:
 
 
 def distance_stabilizer(s: StabilizerCode, cap: int = 12) -> int:
-    """Minimum symplectic weight over the normalizer minus the stabilizer.
-
-    Combinations of t normalizer basis rows are enumerated for t = 1, 2, ...,
-    stopping once the best weight found is at most ceil((t + 1) / 2) or every
-    combination has been seen. cap bounds n.
-    """
+    """Minimum symplectic weight over the normalizer minus the stabilizer,
+    by matgf._min_weight_outside.  cap bounds n."""
     n = s.n
     if n > cap:
         raise ValueError(f"n = {n} exceeds cap {cap}")

@@ -8,8 +8,7 @@ decoders are named once, in _OUTER_DECODERS.
 Status vocabulary for every decoder: "corrected" means the returned estimate
 reproduces the input syndrome exactly; "detected-uncorrectable" means the
 decoder gave up with a certificate (non-convergence, inconsistent locator,
-out-of-field value); "failure" is reserved for callers that discover a
-miscorrection after the fact.
+out-of-field value).
 """
 from __future__ import annotations
 
@@ -39,7 +38,6 @@ __all__ = [
 
 CORRECTED = "corrected"
 DETECTED = "detected-uncorrectable"
-FAILURE = "failure"
 
 
 @dataclass
@@ -521,6 +519,7 @@ def flip_decode(code, s, max_rounds: int = 100, parallel: bool = False) -> Decod
     fast_family(1024, 16, 3, 6, s), s = 0..3, 20-34% of weight-1 errors
     are.
     """
+    _check_round_cap(max_rounds)
     s = _as_vector(s).astype(np.uint8)
     if isinstance(code, MatrixGF):
         kernel = _FlipKernel(*_edges(code.data))
@@ -534,6 +533,12 @@ def flip_decode(code, s, max_rounds: int = 100, parallel: bool = False) -> Decod
         est, flips, unsat = kernel(s[None, :], max_rounds * kernel.shape[1])
         counters = {"flips": int(flips[0])}
     return _flip_outcome(est[0], counters, unsat[0])
+
+
+def _check_round_cap(max_rounds: int) -> None:
+    """Refuse a round cap that is not positive (a cap of 1/n buys one flip)."""
+    if not max_rounds > 0:
+        raise ValueError(f"round cap must be >= 1, got {max_rounds}")
 
 
 def _check_flip_syndrome(q: int, checks: int, length: int) -> None:
@@ -616,6 +621,7 @@ def _outer_decoder(Q, decoder: str, max_rounds: int):
     It maps a stack of syndromes to (estimates, flips, residual syndromes),
     a row each; a row is corrected when its residual is zero."""
     _known_decoder(decoder)
+    _check_round_cap(max_rounds)
     if decoder == "auto":
         decoder = "flip" if _exhaustive_refusal(Q.outer) else "exhaustive"
     return _OUTER_DECODERS[decoder](Q.outer, max_rounds)
@@ -633,6 +639,7 @@ def pccss_decode_x_rows(Q, S, max_rounds: int = 100) -> list[DecodeOutcome]:
     block parities are placed on the blocks' representative (first)
     coordinates.  Returns one outcome per row, as flip_decode words it.
     """
+    _check_round_cap(max_rounds)
     S = np.asarray(S, dtype=np.uint8)
     checks = _per_code(Q.outer, _flip_kernel).shape[0]
     _check_flip_syndrome(Q.outer.field.size, checks, S.shape[1])

@@ -39,6 +39,7 @@ from .decode import (
     _OUTER_DECODERS,
     CORRECTED,
     DETECTED,
+    _check_round_cap,
     _flip_kernel,
     _known_decoder,
     _outer_decoder,
@@ -150,6 +151,7 @@ class ExperimentConfig:
         check_key("trial index", self.trials - 1)
         if self.decoder not in _OUTER_DECODERS:
             raise ValueError(f"unknown decoder {self.decoder!r}")
+        _check_round_cap(self.max_rounds)
         if self.bundle is None and (self.n is None or self.n0 is None):
             raise ValueError("config needs either a bundle path or (n, n0)")
         if self.bundle is not None and not os.path.exists(self.bundle):
@@ -191,11 +193,13 @@ def _records(*columns) -> list[TrialRecord]:
     return records
 
 
-def _build_code(cfg: ExperimentConfig):
-    if cfg.bundle is not None:
-        with open(cfg.bundle) as fh:
+def _build_code(bundle, n, n0, c, d, code_seed):
+    """An experiment's code, for run_trials and the CLI's sweep: the csscode
+    bundle at path bundle, read as UTF-8, else an unvalidated fast_family."""
+    if bundle:
+        with open(bundle, encoding="utf-8") as fh:
             return css_from_text(fh.read())
-    return fast_family(cfg.n, cfg.n0, c=cfg.c, d=cfg.d, seed=cfg.code_seed, validate=False)
+    return fast_family(n, n0, c=c, d=d, seed=code_seed, validate=False)
 
 
 # Trials per sampling block.  The block's arrays grow with block size
@@ -364,7 +368,8 @@ def run_trials(cfg: ExperimentConfig, code=None):
     time (the X and Z decoders, not sampling, syndromes or the logical
     check): the group's time divided by its trial count.
     """
-    q = code if code is not None else _build_code(cfg)
+    q = code if code is not None else _build_code(
+        cfg.bundle, cfg.n, cfg.n0, cfg.c, cfg.d, cfg.code_seed)
     _require_blocks(q, "run_trials")
     ch = make_channel(cfg.p, cfg.zeta)
     decode_outer = _outer_decoder(q, cfg.decoder, cfg.max_rounds)

@@ -1,4 +1,5 @@
-"""Dense matrices over GF(q): echelon forms, nullspaces, products, standard form.
+"""Dense matrices over GF(q): echelon forms, nullspaces, products, standard form,
+and the minimum-weight enumeration behind every exact GF(2) distance.
 
 Entries are stored as element indices in a numpy array (uint8 when q <= 256,
 int64 above). Arithmetic takes one of two paths:
@@ -23,11 +24,13 @@ converts a chunk of rows at a time; any other spacing is read row by row.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .galois import FieldSpec, field_of_size
+from .galois import GF2, FieldSpec, field_of_size
 
 __all__ = [
     "MatrixGF",
@@ -461,6 +464,68 @@ def _span_chunks(G: MatrixGF):
         idx = np.arange(lo, min(lo + _SPAN_CHUNK, total), dtype=np.int64)
         msgs = ((idx[:, None] // pows[None, :]) % q).astype(G.data.dtype)
         yield mul(MatrixGF(G.field, msgs), G).data
+
+
+# Candidates per vectorised step of the enumeration; bounds its memory.
+_BLOCK = 1 << 20
+
+
+def _weights(v: np.ndarray, halves: int) -> np.ndarray:
+    """Weights of packed rows; with halves=2 a row is (x words | z words)
+    and its weight counts the positions where x or z is set."""
+    if halves == 2:
+        h = v.shape[1] // 2
+        v = v[:, :h] | v[:, h:]
+    return np.bitwise_count(v).sum(axis=1, dtype=np.int64)
+
+
+def _min_weight_outside(basis: MatrixGF, exclude: MatrixGF, halves: int = 1) -> int | None:
+    """Minimum weight over span(basis) minus rowspace(exclude), GF(2) matrices,
+    or None when the first lies inside the second; with halves=2 rows are
+    symplectic (x | z) and the weight is the symplectic weight.
+
+    The basis is row-reduced, so a combination of t rows has at least t ones
+    on its pivot columns, hence weight at least ceil(t / halves). Each row is
+    reduced once against rref(exclude): a combination lies in that row space
+    exactly when the XOR of its rows' residuals is zero. Combinations are
+    enumerated by size t = 1, 2, ... as XORs of packed words until the best
+    weight found is at most the bound for t + 1 rows: a table of every
+    s-subset sorted by its largest index (s as large as fits in _BLOCK) is
+    XORed with each (t - s)-subset of larger indices.
+    """
+    rr = rref(basis)
+    B = rr.matrix.data[: rr.rank]
+    ex = rref(exclude)
+    part = mul(MatrixGF(GF2, B[:, list(ex.pivots)]), MatrixGF(GF2, ex.matrix.data[: ex.rank]))
+    residual = B ^ part.data
+    if not residual.any():
+        return None
+    words = np.hstack([_pack_rows(half) for half in np.hsplit(B, halves)])
+    res = _pack_rows(residual)
+    k = len(words)
+    table_w = np.zeros((1, words.shape[1]), dtype=np.uint64)  # the empty subset
+    table_r = np.zeros((1, res.shape[1]), dtype=np.uint64)
+    s = 0
+    best = B.shape[1] + 1
+    for t in range(1, k + 1):
+        while s < t and math.comb(k, s + 1) <= _BLOCK:
+            table_w = np.concatenate([table_w[: math.comb(j, s)] ^ words[j] for j in range(k)])
+            table_r = np.concatenate([table_r[: math.comb(j, s)] ^ res[j] for j in range(k)])
+            s += 1
+        for top in itertools.combinations(range(k), t - s):
+            size = math.comb(top[0] if top else k, s)
+            if not size:
+                continue
+            rows = list(top)
+            w = _weights(table_w[:size] ^ np.bitwise_xor.reduce(words[rows]), halves)
+            low = np.flatnonzero(w < best)
+            if low.size:
+                hit = (table_r[low] ^ np.bitwise_xor.reduce(res[rows])).any(axis=1)
+                if hit.any():
+                    best = int(w[low[hit]].min())
+        if best <= -(-(t + 1) // halves):
+            break
+    return best
 
 
 def transpose(A: MatrixGF) -> MatrixGF:

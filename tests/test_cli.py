@@ -708,6 +708,20 @@ def test_max_rounds_below_one_exits_two(shor_bundle, tmp_path, capsys, command, 
     assert err == f"error: round cap must be >= 1, got {rounds}\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("stabcode 2 3 1\n", "not a csscode bundle: 'stabcode 2 3 1'"),
+    ("", "text ends before the csscode header (line 1)"),
+])
+def test_simulate_and_sweep_refuse_a_bundle_with_one_message(tmp_path, capsys, text, message):
+    # both build their code through one reader; sweep once worded it its own way
+    bundle = tmp_path / "bundle.txt"
+    bundle.write_text(text)
+    for argv in (["simulate", "--p", "0.1", "--zeta", "2", "--trials", "4"],
+                 ["sweep", "--side", "x", "--weights", "1"]):
+        rc, out, err = run(capsys, *argv, "--bundle", str(bundle))
+        assert (rc, out, err) == (2, "", f"error: {message}\n"), argv[0]
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 @pytest.mark.parametrize("command", ["distance", "decode", "simulate"])
 def test_workers_below_one_exits_two(shor_bundle, tmp_path, capsys, command, workers):

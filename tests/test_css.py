@@ -22,7 +22,6 @@ from pccss.codes import (
     make_repetition,
     min_weight,
 )
-import pccss.css as css_module
 from pccss.css import (
     CssCode,
     StabilizerCode,
@@ -41,6 +40,7 @@ from pccss.css import (
     stab_to_text,
 )
 from pccss.galois import FieldSpec, field_of_size
+import pccss.matgf as matgf_module
 from pccss.matgf import MatrixGF, _field_ops, mul, nullspace, rank, rref, zeros
 
 
@@ -171,7 +171,7 @@ def test_pccss_commutation_generic():
 def test_fast_family_structure():
     q = fast_family(64, 4, c=3, d=6, seed=2)
     assert (q.n, q.n0) == (64, 4)
-    assert q.graph is not None
+    assert q.outer.graph is not None
     outer_h = q.outer.H.data
     assert np.array_equal(q.hx.data, np.repeat(outer_h, 4, axis=1))
     ref_hz = lift_block(make_repetition(4), 16).H
@@ -500,7 +500,7 @@ def test_blocked_enumeration_matches_one_block(block, monkeypatch):
         return out
 
     whole = outcomes()
-    monkeypatch.setattr(css_module, "_BLOCK", block)
+    monkeypatch.setattr(matgf_module, "_BLOCK", block)
     assert outcomes() == whole
 
 

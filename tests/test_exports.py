@@ -1,5 +1,6 @@
 """Every exported name resolves: the package's __all__ and each module's.
-And the package keeps its per-code state in one place.
+And the package keeps its per-code state and its minimum-weight enumeration
+in one place each, with no module importing another inside a function.
 
 The benchmark's span tracer looks up every name in each module's __all__,
 so a stale entry breaks traced runs."""
@@ -39,3 +40,34 @@ def test_per_code_state_lives_in_the_decoders_memo_alone():
     assert {name: count for name, count in makers.items() if count} == {"decode.py": 1}
     harness_calls = called_names(next(p for p in SOURCES if p.name == "harness.py"))
     assert not {"setattr", "__setattr__"} & set(harness_calls)
+
+
+def imports_inside_functions(path: Path) -> list[int]:
+    """The lines at which a function in path imports a pccss module."""
+    lines = []
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if not node.level else ["pccss"]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "pccss" for name in names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_modules_import_each_other_only_at_module_top():
+    # a deferred import hides a cycle between modules; the package has none
+    found = {p.name: imports_inside_functions(p) for p in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_minimum_weight_enumeration_lives_in_matgf_alone():
+    # codes.min_weight and both css distance oracles run the one enumeration
+    defined = [p.name for p in SOURCES for node in ast.parse(p.read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name == "_min_weight_outside"]
+    assert defined == ["matgf.py"]

@@ -551,6 +551,27 @@ def test_run_trials_and_config_refuse_an_unknown_decoder():
         run_trials(cfg, code=shor_like_code())
 
 
+@pytest.mark.parametrize("rounds", [0, -3])
+def test_library_refuses_a_round_cap_below_one(rounds):
+    # once, max_rounds=0 ran every X syndrome undecoded: 167 of 200 trials
+    # failed against 108 at the default cap, and a -3 sweep corrected nothing
+    message = f"round cap must be >= 1, got {rounds}"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(p=0.02, zeta=10, trials=200, n=1024, n0=16, max_rounds=rounds)
+    cfg = ExperimentConfig(p=0.02, zeta=10, trials=8, n=64, n0=4)
+    cfg.max_rounds = rounds
+    q = fast_family(64, 4, 3, 6, 1)
+    with pytest.raises(ValueError, match=message):
+        run_trials(cfg, code=q)
+    with pytest.raises(ValueError, match=message):
+        adversarial_sweep(q, "x", [1], decoder="flip", max_rounds=rounds)
+    s = np.zeros(q.outer.graph.r, dtype=np.uint8)
+    with pytest.raises(ValueError, match=message):
+        decode.flip_decode(q.outer, s, max_rounds=rounds)
+    with pytest.raises(ValueError, match=message):
+        decode.pccss_decode_x_rows(q, s[None, :], max_rounds=rounds)
+
+
 def block_logical_z(q):
     """A Z residual, all ones on the first block, whose check needs the
     rref of the outer code's checks."""
