@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from .bounds import curves_to_csv, gap_curves, max_gap, rate_curves
+from .bundle import bundle_tag, rows_to_text
 from .codes import LinearCode, _from_checks, code_from_text, lift_block, make_repetition
 from .css import (
     check_valid,
@@ -36,7 +37,6 @@ from .decode import (
     pccss_decode_z,
 )
 from .harness import ExperimentConfig, _build_code, adversarial_sweep, run_trials
-from .matgf import rows_to_text
 from .stabcirc import build_encoder, circuit_to_text
 
 __all__ = ["build_parser", "main"]
@@ -56,14 +56,6 @@ def _read_text(path: str) -> str:
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _bundle_kind(path: str, text: str) -> str:
-    head = text.split(None, 1)
-    kind = head[0] if head else ""
-    if kind not in ("csscode", "stabcode"):
-        raise ValueError(f"{path}: unrecognized bundle header {kind!r}")
-    return kind
 
 
 def _load_component(path: str) -> LinearCode:
@@ -107,7 +99,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_check(args) -> int:
     text = _read_text(args.bundle)
-    if _bundle_kind(args.bundle, text) == "csscode":
+    if bundle_tag(text, args.bundle) == "csscode":
         report = check_valid(css_from_text(text, validate=False))
     else:
         report = check_valid_stabilizer(stab_from_text(text, validate=False))
@@ -121,7 +113,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_distance(args) -> int:
     text = _read_text(args.bundle)
-    if _bundle_kind(args.bundle, text) == "csscode":
+    if bundle_tag(text, args.bundle) == "csscode":
         q = css_from_text(text, validate=False)
         cap = args.cap if args.cap is not None else 26
         sides = ("x", "z") if args.side == "both" else (args.side,)
@@ -168,7 +160,7 @@ def _syndrome_entries(tokens: list[str], q: int, where: str) -> np.ndarray:
 
 def _cmd_decode(args) -> int:
     text = _read_text(args.bundle)
-    if _bundle_kind(args.bundle, text) != "csscode":
+    if bundle_tag(text, args.bundle) != "csscode":
         raise ValueError("decode needs a csscode bundle")
     q = css_from_text(text)
     max_rounds = _at_least_one("round cap", args.max_rounds)
@@ -211,7 +203,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_encode_circuit(args) -> int:
     text = _read_text(args.bundle)
-    if _bundle_kind(args.bundle, text) != "csscode":
+    if bundle_tag(text, args.bundle) != "csscode":
         raise ValueError("encode-circuit needs a csscode bundle")
     q = css_from_text(text)
     circuit = build_encoder(q)

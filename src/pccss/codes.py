@@ -10,6 +10,9 @@ An expander code is built as its Tanner graph alone: its dense H, its G
 (one elimination) and its k are built on first read and then kept, so the
 flip decoder and the Monte Carlo harness, which read only the graph, never
 form them.  Every other code is built with its matrices.
+
+code_to_text and code_from_text map a code to and from the parts of its
+linearcode bundle; bundle reads and writes the text.
 """
 from __future__ import annotations
 
@@ -21,23 +24,18 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .bounds import vol_q
+from .bundle import read_bundle, write_bundle
 from .galois import FieldSpec, field_of_size
 from .matgf import (
     MatrixGF,
     _min_weight_outside,
     _span_chunks,
-    bundle_columns,
-    bundle_header,
-    bundle_key,
-    bundle_line,
     identity,
     kron,
-    mat_to_text,
     mul,
     nullspace,
     rank,
     rref,
-    take_matrix,
     transpose,
     zeros,
 )
@@ -530,63 +528,38 @@ def dual(C: LinearCode) -> LinearCode:
 # ---------------------------------------------------------------- bundles
 
 def code_to_text(code: LinearCode, graph: ExpanderGraph | None = None) -> str:
-    """Bundle: header, optional distance line, optional alternant recipe,
-    G and H in the matrix text format, optional expander adjacency block."""
-    parts = [f"linearcode {code.q} {code.n} {code.k}\n"]
+    """code's linearcode bundle (see bundle): its certified distance, an
+    alternant code's recipe, G, H and graph's adjacency block."""
+    keys = {}
     if code.d_certified is not None:
-        parts.append(f"d {code.d_certified} {code.d_method}\n")
-    if code.provenance.get("origin") == "alternant":
-        ext: FieldSpec = code.provenance["ext"]
-        parts.append(f"alternant {ext.p} {ext.m0} {ext.m} {code.provenance['r']}\n")
-        parts.append("points " + " ".join(map(str, code.provenance["a"])) + "\n")
-        parts.append("mults " + " ".join(map(str, code.provenance["y"])) + "\n")
-    parts.append(mat_to_text(code.G))
-    parts.append(mat_to_text(code.H))
-    if graph is not None:
-        parts.append(f"expander {graph.n} {graph.r} {graph.c} {graph.d} {graph.seed}\n")
-        for nb in graph.left:
-            parts.append(" ".join(map(str, nb)) + "\n")
-        for nb in graph.right:
-            parts.append(" ".join(map(str, nb)) + "\n")
-    return "".join(parts)
+        keys["d"] = [code.d_certified, code.d_method]
+    prov = code.provenance
+    if prov.get("origin") == "alternant":
+        ext: FieldSpec = prov["ext"]
+        keys.update(alternant=[ext.p, ext.m0, ext.m, prov["r"]], points=prov["a"], mults=prov["y"])
+    expander = None if graph is None else (
+        (graph.n, graph.r, graph.c, graph.d, graph.seed), graph.left, graph.right)
+    return write_bundle("linearcode", (code.q, code.n, code.k), keys,
+                        {"G": code.G, "H": code.H}, expander)
 
 
 def code_from_text(text: str) -> tuple[LinearCode, ExpanderGraph | None]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    q, n, k = bundle_header(lines, "linearcode")
-    pos = 1
-    d_val = None
-    d_method = None
-    provenance: dict = {}
-    if pos < len(lines) and lines[pos].startswith("d "):
-        _, (d_val, d_method) = bundle_key(lines, pos, {"d": (int, str)})
-        pos += 1
-    if pos < len(lines) and lines[pos].startswith("alternant "):
-        _, (p, m0, m, r) = bundle_key(lines, pos, {"alternant": (int,) * 4})
-        ext = FieldSpec(p, m0, m)
-        _, pts = bundle_key(lines, pos + 1, {"points": (int,) * n})
-        _, mults = bundle_key(lines, pos + 2, {"mults": (int,) * n})
-        provenance = {
-            "origin": "alternant", "ext": ext, "a": tuple(pts), "y": tuple(mults),
-            "r": r, "d_lower": r + 1,
-        }
-        pos += 3
-    G, pos = take_matrix(lines, pos, "G")
-    bundle_columns(G, n, "G")
+    (_, n, k), keys, matrices, expander = read_bundle(text, "linearcode")
+    G = matrices["G"]
     if G.rows != k:
         raise ValueError(f"G has {G.rows} rows, expected {k} from the header")
-    H, pos = take_matrix(lines, pos, "H")
-    bundle_columns(H, n, "H")
+    provenance: dict = {}
+    if "alternant" in keys:
+        p, m0, m, r = keys["alternant"]
+        provenance = {
+            "origin": "alternant", "ext": FieldSpec(p, m0, m), "a": tuple(keys["points"]),
+            "y": tuple(keys["mults"]), "r": r, "d_lower": r + 1,
+        }
     graph = None
-    if pos < len(lines) and lines[pos].startswith("expander "):
-        _, (gn, gr, gc, gd, gseed) = bundle_key(lines, pos, {"expander": (int,) * 5})
-        adjacency = tuple(
-            tuple(int(v) for v in bundle_line(lines, pos + 1 + i, f"adjacency row {i}").split())
-            for i in range(gn + gr)
-        )
-        graph = ExpanderGraph(gn, gr, gc, gd, adjacency[:gn], adjacency[gn:], gseed)
+    if expander is not None:
+        (gn, gr, gc, gd, gseed), left, right = expander
+        graph = ExpanderGraph(gn, gr, gc, gd, left, right, gseed)
         if not provenance:
             provenance = {"origin": "expander", "c": gc, "d": gd, "seed": gseed}
-    field = field_of_size(q)
-    code = LinearCode(field, n, k, G, H, d_val, d_method, provenance)
-    return code, graph
+    d_val, d_method = keys.get("d", (None, None))
+    return LinearCode(G.field, n, k, G, matrices["H"], d_val, d_method, provenance), graph

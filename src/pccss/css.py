@@ -21,6 +21,9 @@ neither hx nor the commutator and takes rank(hx) = rank(outer.H) from the
 outer code.  That reads outer.k, and so forms the outer G, which a
 fast_family code otherwise forms only when a caller reads k, outer.G or
 outer.H: the decoders read the outer graph alone.
+
+The css_ and stab_ text functions map a code to and from the parts of its
+csscode or stabcode bundle; bundle reads and writes the text.
 """
 from __future__ import annotations
 
@@ -29,25 +32,20 @@ from dataclasses import InitVar, dataclass, field as dc_field
 
 import numpy as np
 
+from .bundle import read_bundle, write_bundle
 from .codes import LinearCode, _from_checks, _Lazy, lift_block, make_expander, make_repetition
 from .galois import GF2, FieldSpec, _prime_factors, is_irreducible
 from .matgf import (
     MatrixGF,
     _field_ops,
     _min_weight_outside,
-    bundle_columns,
-    bundle_header,
-    bundle_key,
-    bundle_line,
     hstack,
     identity,
     kron,
-    mat_to_text,
     mul,
     nullspace,
     rank,
     rref,
-    take_matrix,
     vstack,
     zeros,
 )
@@ -494,52 +492,28 @@ def counting_check_enlarged(n1: int, r1: int, f_a: int, m: int, lam_a: int, q: i
 # ----------------------------------------------------------------- bundles
 
 def css_to_text(q: CssCode) -> str:
-    lines = [f"csscode {q.field.size} {q.n} {q.k}"]
+    """q's csscode bundle (see bundle)."""
+    keys = {}
     if q.n0 is not None:
-        lines.append(f"n0 {q.n0}")
+        keys["n0"] = [q.n0]
     name = q.provenance.get("construction")
     if name:
-        lines.append(f"construction {name}")
+        keys["construction"] = [name]
+    method = q.d_method or "uncertified"
     if q.d_x is not None:
-        lines.append(f"dx {q.d_x} {q.d_method or 'uncertified'}")
+        keys["dx"] = [q.d_x, method]
     if q.d_z is not None:
-        lines.append(f"dz {q.d_z} {q.d_method or 'uncertified'}")
-    lines.append("hx")
-    lines.append(mat_to_text(q.hx).rstrip("\n"))
-    lines.append("hz")
-    lines.append(mat_to_text(q.hz).rstrip("\n"))
-    return "\n".join(lines) + "\n"
-
-
-# the key lines a csscode bundle may carry, with the types of their values
-_CSS_KEYS = {"n0": (int,), "construction": (str,), "dx": (int, str), "dz": (int, str)}
+        keys["dz"] = [q.d_z, method]
+    return write_bundle("csscode", (q.field.size, q.n, q.k), keys, {"hx": q.hx, "hz": q.hz})
 
 
 def css_from_text(text: str, validate: bool = True) -> CssCode:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    _, n, k = bundle_header(lines, "csscode")
-    n0 = None
-    construction = None
-    d_x = d_z = None
-    d_method = None
-    at = 1
-    while bundle_line(lines, at, "the hx section") != "hx":
-        key, values = bundle_key(lines, at, _CSS_KEYS)
-        if key == "n0":
-            (n0,) = values
-        elif key == "construction":
-            (construction,) = values
-        elif key == "dx":
-            d_x, d_method = values
-        else:
-            d_z, d_method = values
-        at += 1
-    hx, at = take_matrix(lines, at + 1, "hx")
-    bundle_columns(hx, n, "hx")
-    if bundle_line(lines, at, "the hz section") != "hz":
-        raise ValueError(f"line {at + 1}: expected the hz section, got {lines[at]!r}")
-    hz, _ = take_matrix(lines, at + 1, "hz")
-    bundle_columns(hz, n, "hz")
+    (_, n, k), keys, matrices, _ = read_bundle(text, "csscode")
+    (n0,) = keys.get("n0", [None])
+    (construction,) = keys.get("construction", [None])
+    d_x, method_x = keys.get("dx", (None, None))
+    d_z, method_z = keys.get("dz", (None, None))
+    hx = matrices["hx"]
     if n0 is not None and (n0 < 2 or n % n0):
         raise ValueError(f"n0 {n0} must be at least 2 and divide n = {n}")
     outer = _from_checks(MatrixGF(hx.field, hx.data[:, ::n0])) if n0 else None
@@ -547,38 +521,25 @@ def css_from_text(text: str, validate: bool = True) -> CssCode:
     return CssCode(
         n=n,
         hx=hx,
-        hz=hz,
+        hz=matrices["hz"],
         k=k,
         n0=n0,
         outer=outer,
         d_x=d_x,
         d_z=d_z,
-        d_method=d_method,
+        d_method=method_x or method_z,
         provenance=prov,
         validate=validate,
     )
 
 
 def stab_to_text(s: StabilizerCode) -> str:
-    lines = [f"stabcode {s.gens.field.size} {s.n} {s.k}"]
-    if s.d is not None:
-        lines.append(f"d {s.d} {s.d_method or 'uncertified'}")
-    lines.append("gens")
-    lines.append(mat_to_text(s.gens).rstrip("\n"))
-    return "\n".join(lines) + "\n"
+    """s's stabcode bundle (see bundle)."""
+    keys = {} if s.d is None else {"d": [s.d, s.d_method or "uncertified"]}
+    return write_bundle("stabcode", (s.gens.field.size, s.n, s.k), keys, {"gens": s.gens})
 
 
 def stab_from_text(text: str, validate: bool = True) -> StabilizerCode:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    _, n, k = bundle_header(lines, "stabcode")
-    d = None
-    d_method = None
-    at = 1
-    while bundle_line(lines, at, "the gens section") != "gens":
-        _, (d, d_method) = bundle_key(lines, at, {"d": (int, str)})
-        at += 1
-    gens, _ = take_matrix(lines, at + 1, "gens")
-    bundle_columns(gens, 2 * n, "gens")
-    return StabilizerCode(
-        n=n, gens=gens, k=k, d=d, d_method=d_method, validate=validate
-    )
+    (_, n, k), keys, matrices, _ = read_bundle(text, "stabcode")
+    d, d_method = keys.get("d", (None, None))
+    return StabilizerCode(n=n, gens=matrices["gens"], k=k, d=d, d_method=d_method, validate=validate)

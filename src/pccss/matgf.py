@@ -14,12 +14,8 @@ int64 above). Arithmetic takes one of two paths:
   scalar FieldSpec calls above that (only small matrices live there).
 
 Both paths return the reduced row echelon form, which a matrix has only
-one of, so echelon forms are canonical and golden-file comparable.
-
-The text format is a "q rows cols" header line followed by one line of
-entries per row; the bundle readers share its block reader, take_matrix.
-The writer emits one canonical layout (rows_to_text), which the reader
-converts a chunk of rows at a time; any other spacing is read row by row.
+one of, so echelon forms are canonical and golden-file comparable.  The
+matrix text block lives with the rest of the bundle format, in bundle.
 """
 from __future__ import annotations
 
@@ -30,31 +26,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galois import GF2, FieldSpec, field_of_size
+from .galois import GF2, FieldSpec
 
 __all__ = [
     "MatrixGF",
     "RrefResult",
-    "bundle_columns",
-    "bundle_header",
-    "bundle_key",
-    "bundle_line",
     "identity",
     "in_rowspace",
     "kron",
-    "mat_from_text",
-    "mat_to_text",
     "mul",
     "nullspace",
     "rank",
     "reduce_vector",
-    "rows_to_text",
     "rref",
     "solve",
     "Solver",
     "solver",
     "standard_form",
-    "take_matrix",
     "transpose",
     "vstack",
     "hstack",
@@ -652,161 +640,3 @@ def solve(A: MatrixGF, b: np.ndarray):
     """One solution x of A x = b, or None if the system is inconsistent:
     solver(A).solve(b), for a single right-hand side."""
     return solver(A).solve(b)
-
-
-# ----------------------------------------------------------- text format
-
-def rows_to_text(data: np.ndarray, q: int) -> str:
-    """The canonical text of a stack of rows of GF(q) element indices: each
-    row on its own line, entries in decimal one space apart, every line
-    ending in a newline.
-
-    With single-digit entries (q <= 10) the text is built as one byte array,
-    entry + '0' in the even positions and a space or newline in the odd
-    ones, and decoded once; wider entries are joined row by row.
-    """
-    rows, cols = data.shape
-    if q > 10 or cols == 0:
-        digits = [str(v) for v in range(q)]
-        return "".join(" ".join(map(digits.__getitem__, row)) + "\n" for row in data.tolist())
-    buf = np.empty((rows, 2 * cols), dtype=np.uint8)
-    np.add(data, ord("0"), out=buf[:, ::2], casting="unsafe")
-    buf[:, 1::2] = ord(" ")
-    buf[:, -1] = ord("\n")
-    return str(buf.data, "ascii")
-
-
-def mat_to_text(M: MatrixGF) -> str:
-    return f"{M.q} {M.rows} {M.cols}\n" + rows_to_text(M.data, M.q)
-
-
-def bundle_line(lines: list[str], at: int, section: str) -> str:
-    """lines[at], or a ValueError naming the section the text ends before.
-
-    Line numbers in messages count the non-blank lines the readers keep.
-    """
-    if at >= len(lines):
-        raise ValueError(f"text ends before {section} (line {at + 1})")
-    return lines[at]
-
-
-def bundle_key(lines: list[str], at: int, keys: dict) -> tuple[str, list]:
-    """The key line lines[at], "key v1 ... vm", as (key, [v1, ..., vm]).
-
-    keys maps each key the bundle allows to the types of its values; any
-    other key, value count or value is a ValueError naming the line.
-    """
-    key, *values = bundle_line(lines, at, f"the {' or '.join(keys)} line").split()
-    types = keys.get(key)
-    if types is None:
-        raise ValueError(f"line {at + 1}: unknown bundle key {key!r}")
-    if len(values) != len(types):
-        raise ValueError(f"line {at + 1}: expected {len(types)} value(s) after {key}, "
-                         f"got {len(values)}")
-    try:
-        return key, [kind(v) for kind, v in zip(types, values)]
-    except ValueError:
-        raise ValueError(f"line {at + 1}: bad {key} line {lines[at]!r}") from None
-
-
-def bundle_header(lines: list[str], tag: str) -> tuple[int, int, int]:
-    """(q, n, k) from a bundle's first line, which must read "tag q n k"."""
-    if bundle_line(lines, 0, f"the {tag} header").split()[0] != tag:
-        raise ValueError(f"not a {tag} bundle: {lines[0]!r}")
-    _, (q, n, k) = bundle_key(lines, 0, {tag: (int,) * 3})
-    return q, n, k
-
-
-def bundle_columns(M: MatrixGF, width: int, section: str) -> None:
-    """ValueError unless M, read as section, has the width that the bundle
-    header's length calls for."""
-    if M.cols != width:
-        raise ValueError(f"{section} has {M.cols} columns, expected {width} from the header")
-
-
-# bytes of row text converted at once by take_matrix's canonical path, which
-# bounds its transient memory
-_TEXT_CHUNK_BYTES = 1 << 17
-
-
-def take_matrix(lines: list[str], at: int, section: str) -> tuple[MatrixGF, int]:
-    """Read the matrix block starting at lines[at]: a "q rows cols" header,
-    then one line of entries per row. Returns the matrix and the index of
-    the line after the block."""
-    head = bundle_line(lines, at, f"the {section} header").split()
-    try:
-        q, rows, cols = map(int, head)
-    except ValueError:
-        raise ValueError(f"line {at + 1}: {section} header must read 'q rows cols', "
-                         f"got {lines[at]!r}") from None
-    if rows < 0 or cols < 0:
-        raise ValueError(f"line {at + 1}: {section} has negative shape {rows} x {cols}")
-    try:
-        field = field_of_size(q)
-    except ValueError as exc:
-        raise ValueError(f"line {at + 1}: {section}: {exc}") from None
-    try:
-        data = np.empty((rows, cols), dtype=_dtype_for(q))
-    except (MemoryError, ValueError):
-        raise ValueError(f"line {at + 1}: {section} shape {rows} x {cols} is too large") from None
-    # canonical rows (see rows_to_text) convert a chunk at a time; any other
-    # chunk goes through the row-by-row reader, which also words every error
-    canonical = q <= 10 and cols > 0
-    step = max(1, _TEXT_CHUNK_BYTES // (2 * cols)) if canonical else max(1, rows)
-    for lo in range(0, rows, step):
-        hi = min(rows, lo + step)
-        block = lines[at + 1 + lo : at + 1 + hi]
-        if not (canonical and _take_canonical(block, data[lo:hi], q)):
-            _take_rows(lines, at, section, field, data, lo, hi)
-    return MatrixGF(field, data), at + 1 + rows
-
-
-def _take_canonical(block: list[str], out: np.ndarray, q: int) -> bool:
-    """Convert block, one line per row of out, into out when every line is
-    canonical: exactly 2 * cols - 1 characters, a space at each odd
-    position and a digit below q at each even one.  Returns False, leaving
-    out in an unspecified state, when any line is not."""
-    rows, cols = out.shape
-    width = 2 * cols - 1
-    if len(block) != rows or any(len(line) != width for line in block):
-        return False
-    try:
-        raw = "".join(block).encode("ascii")
-    except UnicodeEncodeError:
-        return False
-    chars = np.frombuffer(raw, dtype=np.uint8).reshape(rows, width)
-    if (chars[:, 1::2] != ord(" ")).any():
-        return False
-    # uint8 wraps below '0', so one bound test rejects every non-digit
-    np.subtract(chars[:, ::2], ord("0"), out=out)
-    return not (out >= q).any()
-
-
-def _take_rows(lines: list[str], at: int, section: str, field: FieldSpec,
-               data: np.ndarray, lo: int, hi: int) -> None:
-    """Parse rows lo..hi of the block whose header is lines[at] into data,
-    one line at a time, accepting any whitespace between entries."""
-    q = field.size
-    cols = data.shape[1]
-    for i in range(lo, hi):
-        text = bundle_line(lines, at + 1 + i, f"{section} row {i}")
-        where = f"line {at + 2 + i}: {section} row {i}"
-        # parse as int64 and range-check before narrowing to the storage dtype
-        try:
-            row = np.fromstring(text, dtype=np.int64, sep=" ")
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-        if row.size != cols:
-            raise ValueError(f"{where} has {row.size} entries, expected {cols}")
-        bad = row[(row < 0) | (row >= q)]
-        if bad.size:
-            raise ValueError(f"{where}: entry {bad[0]} out of range for {field}")
-        data[i] = row
-
-
-def mat_from_text(text: str) -> MatrixGF:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    M, end = take_matrix(lines, 0, "matrix")
-    if end != len(lines):
-        raise ValueError(f"expected {M.rows} rows, found {len(lines) - 1}")
-    return M

@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from pccss.cli import main
 from pccss.codes import (
     certify_distance,
     code_from_text,
@@ -74,3 +75,89 @@ def test_golden_bundle_bytes_and_round_trip(tag):
     assert text.startswith(f"{tag} ")
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert round_trip(text) == text
+
+
+READERS = {"linearcode": code_from_text, "csscode": css_from_text, "stabcode": stab_from_text}
+
+
+def edited(tag: str, edit) -> str:
+    """The golden bundle of tag with edit applied to its list of lines."""
+    lines = GOLDEN[tag][0]().splitlines()
+    edit(lines)
+    return "\n".join(lines) + "\n"
+
+
+def set_line(number: int, text: str):
+    def edit(lines):
+        lines[number - 1] = text
+    return edit
+
+
+def insert_line(number: int, text: str):
+    return lambda lines: lines.insert(number - 1, text)
+
+
+# (tag, edit, message): each bundle is refused with a message naming its
+# line; the per-tag readers once accepted these, crashed on them or named
+# no line
+REFUSED = [
+    # the header and the body disagree
+    ("linearcode", set_line(1, "linearcode 3 12 6"),
+     "line 6: G is over GF(2), expected GF(3) from the header"),
+    ("csscode", set_line(1, "csscode 3 9 1"),
+     "line 7: hx is over GF(2), expected GF(3) from the header"),
+    ("stabcode", set_line(1, "stabcode 5 7 3"),
+     "line 4: gens is over GF(2), expected GF(5) from the header"),
+    # lines after the last section
+    ("csscode", lambda lines: lines.append("junk"),
+     "line 18: expected the end of the bundle, got 'junk'"),
+    ("csscode", lambda lines: lines.extend(lines[9:]),
+     "line 18: expected the end of the bundle, got 'hz'"),
+    ("stabcode", lambda lines: lines.append("0 1"),
+     "line 9: expected the end of the bundle, got '0 1'"),
+    ("linearcode", lambda lines: lines.append("junk"),
+     "line 39: expected the end of the bundle, got 'junk'"),
+    ("linearcode", lambda lines: lines.__setitem__(slice(19, None), ["junk"]),
+     "line 20: expected the end of the bundle, got 'junk'"),
+    # expander rows: typed, sized, in range and in agreement with H
+    ("linearcode", set_line(21, "a b c"),
+     "line 21: adjacency row 0 must list integers, got 'a b c'"),
+    ("linearcode", set_line(21, "0 3"), "line 21: adjacency row 0 has 2 entries, expected 3"),
+    ("linearcode", set_line(33, "0 2 4 5 8"), "line 33: adjacency row 12 has 5 entries, expected 6"),
+    ("linearcode", set_line(21, "0 3 6"), "line 21: adjacency row 0 has an index outside 0..5"),
+    ("linearcode", set_line(33, "0 2 4 5 8 12"),
+     "line 33: adjacency row 12 has an index outside 0..11"),
+    ("linearcode", set_line(20, "expander 11 6 3 6 0"),
+     "line 20: expander has 11 bits, expected 12 from the header"),
+    ("linearcode", set_line(20, "expander 12 5 3 6 0"),
+     "line 20: expander has 5 checks, expected 6 from H"),
+    ("linearcode", set_line(21, "0 3 4"), "line 21: adjacency row 0 disagrees with H's column 0"),
+    ("linearcode", set_line(21, "0 3 3"), "line 21: adjacency row 0 disagrees with H's column 0"),
+    ("linearcode", set_line(33, "0 2 4 5 8 10"),
+     "line 33: adjacency row 12 disagrees with H's row 0"),
+    # a key at most once, and one method for dx and dz
+    ("csscode", insert_line(5, "dx 3 exhaustive"), "line 5: repeated bundle key 'dx'"),
+    ("stabcode", insert_line(3, "d 2 exhaustive"), "line 3: repeated bundle key 'd'"),
+    ("linearcode", insert_line(3, "d 2 exhaustive"), "line 3: repeated bundle key 'd'"),
+    ("csscode", set_line(5, "dz 3 uncertified"),
+     "line 5: dz method 'uncertified' differs from dx's 'exhaustive'"),
+    ("csscode", lambda lines: lines.__setitem__(slice(3, 5), ["dz 3 exhaustive", "dx 3 uncertified"]),
+     "line 5: dx method 'uncertified' differs from dz's 'exhaustive'"),
+]
+
+
+@pytest.mark.parametrize("tag, edit, message", REFUSED)
+def test_reader_refuses_naming_the_line(tag, edit, message):
+    with pytest.raises(ValueError) as info:
+        READERS[tag](edited(tag, edit))
+    assert str(info.value) == message
+
+
+def test_huge_header_length_is_refused_before_values_are_typed(tmp_path, capsys):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("linearcode 2 1000000000000 1\nalternant 2 1 4 4\npoints 1\nmults 1\n")
+    rc = main(["construct", "css", "--code1", str(huge), "--code2", str(huge),
+               "--out", str(tmp_path / "out.txt")])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == "error: line 3: expected 1000000000000 value(s) after points, got 1\n"

@@ -1,6 +1,7 @@
 """Every exported name resolves: the package's __all__ and each module's.
 And the package keeps its per-code state and its minimum-weight enumeration
-in one place each, with no module importing another inside a function.
+in one place each, with no module importing another inside a function, and
+the bundle text format in one module.
 
 The benchmark's span tracer looks up every name in each module's __all__,
 so a stale entry breaks traced runs."""
@@ -71,3 +72,18 @@ def test_minimum_weight_enumeration_lives_in_matgf_alone():
     defined = [p.name for p in SOURCES for node in ast.parse(p.read_text()).body
                if isinstance(node, ast.FunctionDef) and node.name == "_min_weight_outside"]
     assert defined == ["matgf.py"]
+
+
+def top_level_functions(path: Path) -> list[str]:
+    return [node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef)]
+
+
+def test_bundle_format_lives_in_bundle_alone():
+    # one module reads and writes every bundle; matgf keeps matrix arithmetic
+    names = ("take_matrix", "bundle_key", "rows_to_text", "read_bundle", "write_bundle")
+    defined = {name: [p.name for p in SOURCES if name in top_level_functions(p)] for name in names}
+    assert defined == {name: ["bundle.py"] for name in names}
+    matgf = next(p for p in SOURCES if p.name == "matgf.py")
+    assert [name for name in top_level_functions(matgf)
+            if any(word in name for word in ("text", "bundle", "take"))] == []

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pccss import matgf
+from pccss import bundle, matgf
+from pccss.bundle import mat_from_text, mat_to_text
 from pccss.codes import make_expander
 from pccss.decode import syndrome_of
 from pccss.galois import GF2, FieldSpec, field_of_size
@@ -18,8 +19,6 @@ from pccss.matgf import (
     identity,
     in_rowspace,
     kron,
-    mat_from_text,
-    mat_to_text,
     mul,
     nullspace,
     rank,
@@ -530,7 +529,7 @@ def reference_mat_to_text(M: MatrixGF) -> str:
 
 def reference_take_matrix(lines: list[str], at: int, section: str):
     """The block reader before its canonical path: one parse per row."""
-    head = matgf.bundle_line(lines, at, f"the {section} header").split()
+    head = bundle.bundle_line(lines, at, f"the {section} header").split()
     try:
         q, rows, cols = map(int, head)
     except ValueError:
@@ -547,7 +546,7 @@ def reference_take_matrix(lines: list[str], at: int, section: str):
     except (MemoryError, ValueError):
         raise ValueError(f"line {at + 1}: {section} shape {rows} x {cols} is too large") from None
     for i in range(rows):
-        text = matgf.bundle_line(lines, at + 1 + i, f"{section} row {i}")
+        text = bundle.bundle_line(lines, at + 1 + i, f"{section} row {i}")
         where = f"line {at + 2 + i}: {section} row {i}"
         try:
             row = np.fromstring(text, dtype=np.int64, sep=" ")
@@ -633,8 +632,8 @@ def read_or_message(reader, lines):
 def test_reader_matches_reference_loop(block):
     lines, chunk = block
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matgf, "_TEXT_CHUNK_BYTES", chunk)
-        got = read_or_message(matgf.take_matrix, lines)
+        mp.setattr(bundle, "_TEXT_CHUNK_BYTES", chunk)
+        got = read_or_message(bundle.take_matrix, lines)
     assert got == read_or_message(reference_take_matrix, lines)
 
 
@@ -646,8 +645,8 @@ def test_canonical_text_skips_the_row_reader(monkeypatch):
     def refuse(*args):
         raise AssertionError("canonical rows reached the row-by-row reader")
 
-    monkeypatch.setattr(matgf, "_take_rows", refuse)
-    monkeypatch.setattr(matgf, "_TEXT_CHUNK_BYTES", 40)
+    monkeypatch.setattr(bundle, "_take_rows", refuse)
+    monkeypatch.setattr(bundle, "_TEXT_CHUNK_BYTES", 40)
     assert mat_from_text(text) == M
 
 
