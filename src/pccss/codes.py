@@ -29,6 +29,7 @@ from .galois import FieldSpec, field_of_size
 from .matgf import (
     MatrixGF,
     _min_weight_outside,
+    _pack_rows,
     _span_chunks,
     identity,
     kron,
@@ -423,9 +424,9 @@ def _graph_checks(code: LinearCode) -> MatrixGF:
 def _graph_generator(code: LinearCode) -> MatrixGF:
     """nullspace(code.H), checked against code's graph: column j of G·Hᵀ is
     the XOR of G's columns at graph.right[j], taken here over G's columns
-    packed eight rows to a byte."""
+    packed 64 rows to a word."""
     G = nullspace(code.H)
-    columns = np.ascontiguousarray(np.packbits(G.data, axis=0).T)
+    columns = _pack_rows(G.data.T)
     assert not np.bitwise_xor.reduce(columns[np.array(code.graph.right)], axis=1).any()
     return G
 

@@ -33,7 +33,7 @@ from dataclasses import InitVar, dataclass, field as dc_field
 import numpy as np
 
 from .bundle import read_bundle, write_bundle
-from .codes import LinearCode, _from_checks, _Lazy, lift_block, make_expander, make_repetition
+from .codes import LinearCode, _from_checks, _Lazy, make_expander, make_repetition
 from .galois import GF2, FieldSpec, _prime_factors, is_irreducible
 from .matgf import (
     MatrixGF,
@@ -464,29 +464,25 @@ def distance_stabilizer(s: StabilizerCode, cap: int = 12) -> int:
 
 # --------------------------------------------------------- counting checks
 
-def _counting_core(n1: int, kdim: int, f: int, m: int, lam: int, q: int):
-    if not 1 <= f <= kdim:
-        raise ValueError(f"f = {f} must lie in [1, {kdim}]")
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    if (n1 - f) % m:
-        raise ValueError(f"m = {m} must divide n1 - f = {n1 - f}")
-    s = sum((q - 1) ** j * math.comb(n1, j) for j in range(1, lam))
-    ok = s**m < (q**m - 1) ** (kdim - f)
-    margin = (kdim - f) / m * math.log(q**m - 1) - (math.log(s) if s else 0.0)
-    return ok, margin
-
-
 def counting_check(n1: int, k1: int, f_x: int, m: int, lam_x: int, q: int = 2):
     """Exact big-integer evaluation of the search-space counting inequality,
     returning its truth value and the log margin."""
-    return _counting_core(n1, k1, f_x, m, lam_x, q)
+    if not 1 <= f_x <= k1:
+        raise ValueError(f"f = {f_x} must lie in [1, {k1}]")
+    if m < 2:
+        raise ValueError("m must be at least 2")
+    if (n1 - f_x) % m:
+        raise ValueError(f"m = {m} must divide n1 - f = {n1 - f_x}")
+    s = sum((q - 1) ** j * math.comb(n1, j) for j in range(1, lam_x))
+    ok = s**m < (q**m - 1) ** (k1 - f_x)
+    margin = (k1 - f_x) / m * math.log(q**m - 1) - (math.log(s) if s else 0.0)
+    return ok, margin
 
 
 def counting_check_enlarged(n1: int, r1: int, f_a: int, m: int, lam_a: int, q: int = 2):
     """Same inequality with the enlarged construction's row count in place
     of the code dimension."""
-    return _counting_core(n1, r1, f_a, m, lam_a, q)
+    return counting_check(n1, r1, f_a, m, lam_a, q)
 
 
 # ----------------------------------------------------------------- bundles

@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .galois import GF2, FieldSpec
-from .matgf import _SPAN_CHUNK, MatrixGF, _column, _field_ops, _span_chunks, mul, solver
+from .matgf import (_SPAN_CHUNK, MatrixGF, _column, _field_ops, _pack_rows, _span_chunks,
+                    _unpack_rows, mul, solver)
 
 __all__ = [
     "DecodeOutcome",
@@ -351,22 +352,8 @@ def bdd_alternant(code, s, t: int | None = None) -> DecodeOutcome:
 # ------------------------------------------------------------------- flip
 # The flip rule runs on bit lanes: row 64w + i of a stack of syndromes is
 # bit i of word w, so one uint64 word carries 64 syndromes and every numpy
-# step works on all of them.
-
-_LANE = np.dtype("<u8")
-
-
-def _pack_lanes(S: np.ndarray, words: int) -> np.ndarray:
-    """A stack of 0/1 rows as lane words: entry (j, w) holds column j of
-    rows 64w .. 64w + 63, of shape (columns, words)."""
-    out = np.zeros((S.shape[1], 8 * words), dtype=np.uint8)
-    out[:, : -(-len(S) // 8)] = np.packbits(S, axis=0, bitorder="little").T
-    return out.view(_LANE)
-
-
-def _unpack_lanes(words: np.ndarray, rows: int) -> np.ndarray:
-    """The first rows lanes of lane words as 0/1 rows: _pack_lanes undone."""
-    return np.unpackbits(words.view(np.uint8), axis=1, count=rows, bitorder="little").T
+# step works on all of them.  The lane words of a stack S are matgf's
+# packed rows of S.T: entry (j, w) holds column j of rows 64w .. 64w + 63.
 
 
 def _padded(owner: np.ndarray, member: np.ndarray, count: int, fill: int) -> np.ndarray:
@@ -423,7 +410,7 @@ class _FlipKernel:
         for i, j in self._plan:
             step = words[i] if j == 1 else T[j - 1] & words[i]
             T[j] = step if T[j] is None else T[j] | step
-        return np.zeros(words.shape[1:], dtype=_LANE) if T[k] is None else T[k]
+        return np.zeros(words.shape[1:], dtype=np.uint64) if T[k] is None else T[k]
 
     def run(self, S: np.ndarray, budget: float, parallel: bool = False):
         """The flip rule on every row of a stack of syndromes S at once.
@@ -439,13 +426,13 @@ class _FlipKernel:
         rows = len(S)
         r, n = self.shape
         words = -(-rows // 64)
-        unsat = np.zeros((r + 2, words), dtype=_LANE)
-        unsat[:r] = _pack_lanes(np.asarray(S, dtype=np.uint8), words)
+        unsat = np.zeros((r + 2, words), dtype=np.uint64)
+        unsat[:r] = _pack_rows(np.asarray(S, dtype=np.uint8).T)
         unsat[r + 1] = ~np.uint64(0)
-        live = _pack_lanes(np.ones((rows, 1), dtype=np.uint8), words)[0]
-        est = np.zeros((n, words), dtype=_LANE)
+        live = _pack_rows(np.ones((1, rows), dtype=np.uint8))[0]
+        est = np.zeros((n, words), dtype=np.uint64)
         # the bits flipped in a step, then the zero word checks' padding reads
-        flip = np.zeros((n + 1, words), dtype=_LANE)
+        flip = np.zeros((n + 1, words), dtype=np.uint64)
         stepped = []
         flips = np.zeros(rows, dtype=np.int64)
         while len(stepped) < budget and live.any():
@@ -453,7 +440,7 @@ class _FlipKernel:
             if parallel:
                 flip[:n] = majority
                 live = np.bitwise_or.reduce(majority, axis=0)
-                flips += _unpack_lanes(majority, rows).sum(axis=1, dtype=np.int64)
+                flips += _unpack_rows(majority, rows).sum(axis=0, dtype=np.int64)
             else:
                 # a running OR over the bits turns on at each row's lowest
                 # majority bit
@@ -465,11 +452,11 @@ class _FlipKernel:
             est ^= flip[:n]
             unsat[:r] ^= np.bitwise_xor.reduce(flip.take(self.checks, axis=0), axis=0)
             stepped.append(live)
-        steps = _unpack_lanes(np.array(stepped, dtype=_LANE).reshape(-1, words), rows)
-        steps = steps.sum(axis=1, dtype=np.int64)
+        steps = _unpack_rows(np.array(stepped, dtype=np.uint64).reshape(len(stepped), words), rows)
+        steps = steps.sum(axis=0, dtype=np.int64)
         if not parallel:
             flips = steps
-        return _unpack_lanes(est, rows), flips, steps, _unpack_lanes(unsat[:r], rows)
+        return _unpack_rows(est, rows).T, flips, steps, _unpack_rows(unsat[:r], rows).T
 
     def __call__(self, S: np.ndarray, budget: float):
         """The sequential rule on a stack of syndromes, within budget flips

@@ -55,15 +55,6 @@ DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
 # ------------------------------------------------------------ polynomials
 # A polynomial over a field f is a list of f's element indices, lowest power
 # first.  Helpers that return a polynomial return it trimmed of high zero
@@ -175,7 +166,7 @@ def default_modulus(p: int, degree: int) -> tuple[int, ...]:
     lower coefficients c_0, ..., c_(degree-1) in increasing order of their
     radix-p index c_0 + c_1 p + ... + c_(degree-1) p^(degree-1), from 1.
     """
-    if not _is_prime(p) or degree < 1:
+    if _prime_factors(p) != [p] or degree < 1:
         raise ValueError(f"no modulus for GF({p}^{degree}): needs a prime and a positive degree")
     if degree == 1:
         return (1, 1)
@@ -190,7 +181,7 @@ class FieldSpec:
     """GF(p^(m0*m)), presented as a degree-m extension of GF(p^m0)."""
 
     def __init__(self, p: int, m0: int = 1, m: int = 1, modulus=None):
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise ValueError(f"characteristic {p} is not prime")
         if m0 < 1 or m < 1:
             raise ValueError("extension degrees must be positive")
@@ -213,10 +204,7 @@ class FieldSpec:
             self._modmask = sum(c << i for i, c in enumerate(modulus))
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._generator: int | None = None
-        self._base: FieldSpec | None = None
         self._sub_cache: dict = {}
-        self._decomp: tuple | None = None
         if self.size <= _TABLE_LIMIT and self.size > 2:
             self._exp, self._log = self._tables()
 
@@ -367,20 +355,15 @@ class FieldSpec:
 
     # ------------------------------------------------------------ tables
 
-    @property
+    @functools.cached_property
     def generator(self) -> int:
         """Smallest index generating the multiplicative group."""
-        if self._generator is None:
-            n = self.size - 1
-            if n == 1:
-                self._generator = 1
-                return 1
-            factors = _prime_factors(n)
-            for g in range(2, self.size):
-                if all(self.pow(g, n // q) != 1 for q in factors):
-                    self._generator = g
-                    break
-        return self._generator
+        n = self.size - 1
+        if n == 1:
+            return 1
+        factors = _prime_factors(n)
+        return next(g for g in range(2, self.size)
+                    if all(self.pow(g, n // q) != 1 for q in factors))
 
     def _tables(self) -> tuple[list[int], list[int]]:
         """(exp, log): exp[i] = g^i for i < 2(q - 1), g the generator, and
@@ -407,12 +390,11 @@ class FieldSpec:
 
     def base_field(self) -> "FieldSpec":
         """GF(p^m0), the field this spec treats as its field of scalars."""
-        if self._base is None:
-            if self.m == 1:
-                self._base = self
-            else:
-                self._base = FieldSpec(self.p, self.m0, 1)
         return self._base
+
+    @functools.cached_property
+    def _base(self) -> "FieldSpec":
+        return self if self.m == 1 else FieldSpec(self.p, self.m0, 1)
 
     def _subfield_maps(self, sub: "FieldSpec"):
         key = (sub.p, sub.m0, sub.m, sub.modulus)
@@ -472,9 +454,10 @@ class FieldSpec:
 
     # ------------------------------------------------- base coordinates
 
-    def _decomp_matrix(self):
-        if self._decomp is not None:
-            return self._decomp
+    @functools.cached_property
+    def _decomp(self):
+        """(minv, base): the inverse over GF(p) of the matrix taking base
+        coordinates to polynomial digits, and the base field."""
         base = self.base_field()
         p, deg, m0, m = self.p, self.degree, self.m0, self.m
         z_pows = [self.embed(base, base.from_digits([0] * i + [1])) for i in range(m0)]
@@ -497,13 +480,11 @@ class FieldSpec:
                 if r != col and mat[r][col]:
                     f = mat[r][col]
                     mat[r] = [(v - f * w) % p for v, w in zip(mat[r], mat[col])]
-        minv = [row[deg:] for row in mat]
-        self._decomp = (minv, base)
-        return self._decomp
+        return [row[deg:] for row in mat], base
 
     def to_base_coords(self, a: int) -> tuple[int, ...]:
         """Coordinates of a over GF(p^m0) in the basis 1, x, ..., x^(m-1)."""
-        minv, base = self._decomp_matrix()
+        minv, base = self._decomp
         v = self.digits(a)
         p = self.p
         sol = [sum(minv[r][c] * v[c] for c in range(self.degree)) % p for r in range(self.degree)]
@@ -525,41 +506,25 @@ class FieldSpec:
         return acc
 
 
-_FIELDS_BY_SIZE: dict[int, FieldSpec] = {}
-
 # The largest field in the modulus table, 2^16: the largest field_of_size builds.
 _MAX_FIELD_SIZE = max(p**degree for p, degree in DEFAULT_MODULI)
 
 
+@functools.cache
 def field_of_size(q: int) -> FieldSpec:
     """GF(q) with the default modulus, cached so repeat calls share tables."""
-    hit = _FIELDS_BY_SIZE.get(q)
-    if hit is not None:
-        return hit
     if q < 2:
         raise ValueError(f"no field of size {q}")
-    # checked before the trial division below, which takes sqrt(q) steps
+    # checked before the factoring below, which takes sqrt(q) steps
     if q > _MAX_FIELD_SIZE:
         raise ValueError(
             f"field size {q} exceeds {_MAX_FIELD_SIZE}, the largest with a built-in modulus"
         )
-    p = None
-    for d in range(2, math.isqrt(q) + 1):
-        if q % d == 0:
-            p = d
-            break
-    if p is None:
-        p = q
-    k = 0
-    n = q
-    while n % p == 0 and n > 1:
-        n //= p
-        k += 1
-    if n != 1:
+    factors = _prime_factors(q)
+    if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
-    f = FieldSpec(p, k, 1)
-    _FIELDS_BY_SIZE[q] = f
-    return f
+    (p,) = factors
+    return FieldSpec(p, round(math.log(q, p)), 1)
 
 
 GF2 = field_of_size(2)

@@ -48,7 +48,7 @@ from .decode import (
     pccss_decode_z,
     syndrome_of,
 )
-from .matgf import in_rowspace, rref
+from .matgf import in_rowspace, reduce_vector, rref
 
 __all__ = [
     "ExperimentConfig",
@@ -285,9 +285,7 @@ def _reduce_block(q, x: np.ndarray | None, z: np.ndarray):
 
     z_logical = np.zeros(t, dtype=bool)
     if (hit := np.flatnonzero(w.any(axis=1))).size:
-        rr = _per_code(q.outer, _check_rref)
-        for i in hit:
-            z_logical[i] = not in_rowspace(rr, w[i])
+        z_logical[hit] = reduce_vector(_per_code(q.outer, _check_rref), w[hit]).any(axis=1)
     return parity, wt_x, wt_z, z_logical, seconds
 
 
@@ -343,9 +341,10 @@ def _decode_group(decode_outer, checks, blocks):
             ok_x[rows] = ~unsat.any(axis=1)
             parity[rows, :-1] ^= est_x
         seconds += time.perf_counter() - t0
-        # only decoded rows can have a nonzero residual syndrome
+        # only decoded rows can have a nonzero residual syndrome, and a
+        # decoded row's is zero exactly when it is corrected
         x_logical = parity.any(axis=1)
-        x_logical[rows] &= ~_syndromes(parity[rows], checks).any(axis=1)
+        x_logical[rows] &= ok_x[rows]
     return wt_x, wt_z, ok_x, flips, x_logical, z_logical, seconds
 
 
@@ -423,8 +422,8 @@ def run_trials(cfg: ExperimentConfig, code=None):
         "z_rate": z_fail / total,
         "x_wilson_upper95": wilson_upper(x_fail, total),
         "z_wilson_upper95": wilson_upper(z_fail, total),
-        "pz_bound": pz_upper_bound(q.n, q.n0, ch.p_z),
-        "pz_bound_tight": pz_upper_bound(q.n, q.n0, ch.p_z, tight=True),
+        "pz_bound": pz_upper_bound(q.n, q.n0, ch.p_z + ch.p_y),
+        "pz_bound_tight": pz_upper_bound(q.n, q.n0, ch.p_z + ch.p_y, tight=True),
     }
     if cfg.out:
         with open(cfg.out, "w") as fh:

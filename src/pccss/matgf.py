@@ -5,16 +5,19 @@ Entries are stored as element indices in a numpy array (uint8 when q <= 256,
 int64 above). Arithmetic takes one of two paths:
 
 - GF(2) works on words: elimination runs bit-packed, 64 columns per machine
-  word, clearing a word's columns per pass through 8-bit XOR tables,
+  word, clearing a word's columns per pass through 8-bit XOR tables, and
   products are float32 BLAS products reduced to parity by an exact integer
   cast (the inner dimension is split into chunks below 2^24 terms, so every
-  sum is an exact integer), and row-space reduction XORs rows.
+  sum is an exact integer).  _pack_rows and _unpack_rows are the one word
+  layout of the package: the flip decoder's bit lanes are the packed rows
+  of a transposed stack.
 - Every other field goes through one cached provider of elementwise
   (add, mul, neg, inv) over index arrays: q x q lookup tables up to q = 256,
   scalar FieldSpec calls above that (only small matrices live there).
 
 Both paths return the reduced row echelon form, which a matrix has only
-one of, so echelon forms are canonical and golden-file comparable.  The
+one of, so echelon forms are canonical and golden-file comparable, and
+row-space reduction against it is one product on any field.  The
 matrix text block lives with the rest of the bundle format, in bundle.
 """
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galois import GF2, FieldSpec
+from .galois import FieldSpec
 
 __all__ = [
     "MatrixGF",
@@ -162,6 +165,8 @@ def _field_ops(field: FieldSpec):
 # --------------------------------------------------------- bit packing
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """0/1 rows as uint64 words, column 64w + i in bit i of word w, at least
+    one word per row."""
     r, c = bits.shape
     words = max(1, (c + 63) // 64)
     by = np.zeros((r, words * 8), dtype=np.uint8)
@@ -170,8 +175,9 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
 
 
 def _unpack_rows(packed: np.ndarray, cols: int) -> np.ndarray:
-    r = packed.shape[0]
-    by = np.ascontiguousarray(packed).view(np.uint8).reshape(r, -1)
+    """The first cols columns of rows packed as _pack_rows packs them (in
+    words of any unsigned width, bytes included) as 0/1 rows."""
+    by = np.ascontiguousarray(packed).view(np.uint8)
     return np.unpackbits(by, axis=1, count=cols, bitorder="little")
 
 
@@ -483,9 +489,7 @@ def _min_weight_outside(basis: MatrixGF, exclude: MatrixGF, halves: int = 1) -> 
     """
     rr = rref(basis)
     B = rr.matrix.data[: rr.rank]
-    ex = rref(exclude)
-    part = mul(MatrixGF(GF2, B[:, list(ex.pivots)]), MatrixGF(GF2, ex.matrix.data[: ex.rank]))
-    residual = B ^ part.data
+    residual = reduce_vector(rref(exclude), B)
     if not residual.any():
         return None
     words = np.hstack([_pack_rows(half) for half in np.hsplit(B, halves)])
@@ -561,23 +565,19 @@ def standard_form(G: MatrixGF) -> tuple[MatrixGF, np.ndarray]:
 # ----------------------------------------------------- solve / rowspace
 
 def reduce_vector(rr: RrefResult, v: np.ndarray) -> np.ndarray:
-    """Residual of v after removing its row-space component of rr.
+    """Residual of v, a vector or a stack of them (one per row), after
+    removing its row-space component of rr.
 
     Because rr is fully reduced, the coefficient of row i is just v[pivots[i]],
-    so the reduction is a single pass.
+    so the residual is v - v[:, pivots]·R, one product for every field.
     """
     field = rr.matrix.field
     v = np.asarray(v)
-    R = rr.matrix.data[: rr.rank]
-    coeffs = v[list(rr.pivots)]
-    if field.size == 2:
-        return (v ^ np.bitwise_xor.reduce(R[coeffs == 1], axis=0)).astype(v.dtype)
-    add, mulf, neg, _ = _field_ops(field)
-    out = v
-    for c, row in zip(coeffs, R):
-        if c:
-            out = add(out, mulf(neg(c), row))
-    return out.astype(v.dtype)
+    V = np.atleast_2d(v).astype(_dtype_for(field.size))
+    part = mul(MatrixGF._wrap(field, V[:, list(rr.pivots)]),
+               MatrixGF._wrap(field, rr.matrix.data[: rr.rank]))
+    add, _, neg, _ = _field_ops(field)
+    return add(V, neg(part.data)).reshape(v.shape).astype(v.dtype)
 
 
 def in_rowspace(rr: RrefResult, v: np.ndarray) -> bool:

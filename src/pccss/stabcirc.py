@@ -17,7 +17,7 @@ import numpy as np
 
 from .decode import _require_gf2
 from .galois import GF2
-from .matgf import MatrixGF, mul, standard_form
+from .matgf import MatrixGF, _unpack_rows, mul, standard_form
 
 __all__ = [
     "Gate",
@@ -201,8 +201,7 @@ def _unpack_columns(cols: list[int], rows: int) -> np.ndarray:
     """The (rows, len(cols)) 0/1 array whose column a holds the bits of cols[a]."""
     width = (rows + 7) // 8
     by = np.frombuffer(b"".join(c.to_bytes(width, "little") for c in cols), dtype=np.uint8)
-    return np.unpackbits(by.reshape(len(cols), width), axis=1, count=rows,
-                         bitorder="little").T.copy()
+    return _unpack_rows(by.reshape(len(cols), width), rows).T.copy()
 
 
 def tableau_run(c: Circuit) -> Tableau:

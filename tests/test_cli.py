@@ -341,6 +341,24 @@ def test_sweep_reports_exhaustive_weight_one_success(shor_bundle, capsys):
     assert lines[1].split() == ["1", "9", "9", "1", "1"]
 
 
+def test_sweep_out_writes_the_printed_table_as_csv(shor_bundle, tmp_path, capsys):
+    path = tmp_path / "sweep.csv"
+    rc, out, _ = run(capsys, "sweep", "--bundle", str(shor_bundle),
+                     "--side", "x", "--weights", "1,2", "--out", str(path))
+    assert rc == 0
+    assert path.read_text() == out.replace(" ", ",")
+    assert path.read_text().splitlines()[0] == "weight,trials,successes,rate,exhaustive"
+
+
+def test_construct_fast_rep_refuses_a_block_length_not_dividing_n(tmp_path, capsys):
+    path = tmp_path / "rep.txt"
+    rc, out, err = run(capsys, "construct", "fast", "--N", "10", "--n0", "3",
+                       "--outer", "rep", "--out", str(path))
+    assert (rc, out) == (2, "")
+    assert "block length 3 must divide N = 10" in err
+    assert not path.exists()
+
+
 def test_enlarged_bundle_lifecycle(tmp_path, capsys):
     f = FieldSpec(2, 1, 3)
     alpha = [f.pow(2, i) for i in range(7)]

@@ -32,7 +32,7 @@ from pccss.codes import (
     probe_min_weight,
 )
 from pccss.galois import GF2, FieldSpec, field_of_size
-from pccss.matgf import MatrixGF, in_rowspace, mul, rank, rref, transpose
+from pccss.matgf import MatrixGF, in_rowspace, mul, nullspace, rank, rref, transpose
 
 GF4 = field_of_size(4)
 GF8 = field_of_size(8)
@@ -420,6 +420,17 @@ def test_dual_involution_row_space():
     dd = dual(dual(code))
     assert rref(dd.G).matrix == rref(code.G).matrix
     assert rref(dd.H).matrix == rref(code.H).matrix
+
+
+def test_dual_of_a_code_with_a_dependent_check_row():
+    # H's last row is the sum of the others, so the dual's generator is
+    # rref(H)'s nonzero rows, a basis of the same row space
+    H = MatrixGF(GF2, [[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0]])
+    code = LinearCode(GF2, 4, 2, nullspace(H), H)
+    d = dual(code)
+    assert (d.n, d.k) == (4, 2)
+    assert d.G == MatrixGF(GF2, [[1, 0, 1, 0], [0, 1, 1, 0]])
+    assert d.H == code.G
 
 
 def test_hamming_dual_simplex_nested():

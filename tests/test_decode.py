@@ -340,6 +340,74 @@ def test_bdd_refuses_syndrome_entries_outside_the_field(bad):
         bdd_alternant(bch_15_instance(), [bad, 0, 0, 0])
 
 
+def equal_multiplier_code():
+    """r = 1 over GF(8), every multiplier 1: s/y_i = s lies in GF(2) at every
+    point or at none."""
+    f = FieldSpec(2, 1, 3)
+    return make_alternant(f, a=[f.pow(2, i) for i in range(5)], y=[1] * 5, r=1)
+
+
+def zero_point_code():
+    f = FieldSpec(2, 1, 4)
+    return make_alternant(f, a=[0] + [f.pow(2, i) for i in range(7)], y=[1] * 8, r=4)
+
+
+@pytest.mark.parametrize("build", [bch_15_instance, equal_multiplier_code, zero_point_code])
+def test_bdd_random_syndromes_are_corrected_consistently_or_refused(build):
+    # random syndromes mostly lie outside the decoding balls, so they drive
+    # every refusal: no single point or too many (r = 1), too few roots, a
+    # value outside the base field, and a zero point's leftover residual
+    code = build()
+    prov = code.provenance
+    f, r = prov["ext"], prov["r"]
+    rng = np.random.default_rng(5)
+    statuses = set()
+    for s in rng.integers(0, f.size, size=(500, r)).tolist():
+        out = bdd_alternant(code, s)
+        statuses.add(out.status)
+        if out.status == "corrected":
+            assert grs_syndrome(f, prov["a"], prov["y"], r, out.estimate) == s
+        else:
+            assert out.status == "detected-uncorrectable" and not out.estimate.any()
+    assert "detected-uncorrectable" in statuses
+
+
+@pytest.mark.parametrize("s", [[1], [2]])
+def test_bdd_r1_refuses_a_syndrome_without_exactly_one_point(s):
+    # 1 lies in GF(2) at all five points, 2 (the element x) at none
+    out = bdd_alternant(equal_multiplier_code(), s)
+    assert out.status == "detected-uncorrectable" and not out.estimate.any()
+
+
+def test_bdd_refuses_an_error_value_outside_the_base_field():
+    # one error of value x (index 2) at point a_3: found, then refused
+    code = bch_15_instance()
+    f, a = code.provenance["ext"], code.provenance["a"]
+    s = [f.mul(2, f.pow(a[3], j)) for j in range(4)]
+    assert bdd_alternant(code, s).status == "detected-uncorrectable"
+
+
+def test_bdd_refuses_a_zero_point_value_outside_the_base_field():
+    # only the constant row sees the zero point; its residual x is no bit
+    out = bdd_alternant(zero_point_code(), [2, 0, 0, 0])
+    assert out.status == "detected-uncorrectable"
+    assert bdd_alternant(zero_point_code(), [1, 0, 0, 0]).estimate.tolist() == [1] + [0] * 7
+
+
+def test_bdd_refuses_an_evaluator_that_vanishes_at_a_root(monkeypatch):
+    # Euclid's sigma and omega share no root (their gcd divides x^r), so no
+    # syndrome gets here: a key equation that breaks this is refused
+    code = bch_15_instance()
+    a1 = code.provenance["a"][1]
+    monkeypatch.setattr(decode, "_key_equation", lambda *args: ([1, a1], [0], 1))
+    assert bdd_alternant(code, [1, 0, 0, 0]).status == "detected-uncorrectable"
+
+
+def test_bdd_refuses_a_radius_beyond_half_the_redundancy():
+    with pytest.raises(ValueError, match=r"requested radius 3 exceeds floor\(r/2\) = 2"):
+        bdd_alternant(bch_15_instance(), [1, 0, 0, 0], t=3)
+
+
 @pytest.mark.parametrize("p, m, n, r", [(2, 4, 15, 4), (2, 5, 24, 4), (3, 2, 8, 2)])
 def test_bdd_agrees_with_exhaustive_up_to_half_the_designed_distance(p, m, n, r):
     """Every error of weight <= t = r/2, every nonzero base-field value:
@@ -775,6 +843,16 @@ def test_pccss_x_rows_match_flip_decode_row_by_row():
     assert statuses == {"corrected", "detected-uncorrectable"}
     single = pccss_decode_x(q, S[0], max_rounds=3)
     assert single.estimate.tolist() == outs[0].estimate.tolist()
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_flip_kernel_on_an_empty_stack_returns_empty_results(parallel):
+    outer, _ = make_expander(64, 3, 6, seed=5)
+    est, flips, steps, unsat = decode._flip_kernel(outer).run(
+        np.zeros((0, 32), dtype=np.uint8), 10, parallel=parallel)
+    assert (est.shape, flips.shape, steps.shape, unsat.shape) == ((0, 64), (0,), (0,), (0, 32))
+    q = SimpleNamespace(n=256, n0=4, outer=outer)
+    assert pccss_decode_x_rows(q, np.zeros((0, 32), dtype=np.uint8)) == []
 
 
 def test_pccss_z_weight_one_per_block_exhaustive():

@@ -1,7 +1,8 @@
 """Every exported name resolves: the package's __all__ and each module's.
 And the package keeps its per-code state and its minimum-weight enumeration
 in one place each, with no module importing another inside a function, and
-the bundle text format in one module.
+the bundle text format in one module.  GF(2) words are packed in matgf
+alone, and no module imports a name it never uses.
 
 The benchmark's span tracer looks up every name in each module's __all__,
 so a stale entry breaks traced runs."""
@@ -87,3 +88,30 @@ def test_bundle_format_lives_in_bundle_alone():
     matgf = next(p for p in SOURCES if p.name == "matgf.py")
     assert [name for name in top_level_functions(matgf)
             if any(word in name for word in ("text", "bundle", "take"))] == []
+
+
+def test_gf2_words_are_packed_in_matgf_alone():
+    # decode's bit lanes, stabcirc's tableau columns and codes' generator
+    # check go through matgf._pack_rows and _unpack_rows
+    packers = {p.name: sum(called_names(p).count(f) for f in ("packbits", "unpackbits"))
+               for p in SOURCES}
+    assert {name for name, count in packers.items() if count} == {"matgf.py"}
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names path imports at module level and never reads, but for
+    __future__ imports and the names in the module's __all__ when it is
+    the package's __init__.py."""
+    tree = ast.parse(path.read_text())
+    imported = [(alias.asname or alias.name).split(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.name == "__init__.py":
+        used |= set(importlib.import_module("pccss").__all__)
+    return [name for name in imported if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = {p.name: unused_imports(p) for p in SOURCES}
+    assert {name: names for name, names in found.items() if names} == {}

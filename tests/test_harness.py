@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pccss import decode, harness
+from pccss.bounds import pz_upper_bound
 from pccss.channel import PauliError, make_channel, sample_error
 from pccss.codes import lift_block, make_alternant, make_repetition
 from pccss.css import fast_family, make_css, make_pccss
@@ -414,8 +415,23 @@ def test_run_trials_exhaustive_decoder_on_small_instance():
     records, summary = run_trials(cfg, code=shor_like_code())
     assert summary["trials"] == 200
     assert 0 <= summary["x_rate"] <= 1 and 0 <= summary["z_rate"] <= 1
-    pz = make_channel(cfg.p, cfg.zeta).p_z
+    ch = make_channel(cfg.p, cfg.zeta)
+    pz = ch.p_z + ch.p_y  # a qubit's Z part is set by Z and by Y errors
     assert summary["pz_bound"] == pytest.approx(3 * 4 * pz**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pz_bounds_hold_at_finite_zeta(seed):
+    # the sampler sets a qubit's Z part on a Z or a Y error, so the summary's
+    # block-failure bounds take p_Z + p_Y; at p_Z alone they would be 0.027
+    # and 0.036, far under this point's Z failure rate of about 0.099
+    cfg = ExperimentConfig(p=0.05, zeta=1.0, trials=20000, n=96, n0=3, seed=seed)
+    _, summary = run_trials(cfg)
+    ch = make_channel(cfg.p, cfg.zeta)
+    assert summary["pz_bound"] == pz_upper_bound(96, 3, ch.p_z + ch.p_y)
+    assert summary["pz_bound_tight"] == pz_upper_bound(96, 3, ch.p_z + ch.p_y, tight=True)
+    low, _ = wilson_interval(summary["z_failures"], cfg.trials)
+    assert low <= summary["pz_bound_tight"] <= summary["pz_bound"]
 
 
 def test_sweep_shor_single_x_errors_all_corrected():

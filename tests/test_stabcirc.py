@@ -266,6 +266,11 @@ def test_verify_matches_rowspace_reference_on_encoders_and_mutants():
     assert rejected > 100  # the mutants exercise the failing branch
 
 
+def test_circuit_text_unknown_gate_names_the_line():
+    with pytest.raises(ValueError, match="line 2: unrecognized gate line 'CZ 0 1'"):
+        circuit_from_text("H 0\nCZ 0 1\n")
+
+
 @pytest.mark.parametrize("text, lineno", [("CX 1\n", 1), ("H 0\n# qubits\n", 2)])
 def test_circuit_text_short_line_names_the_line(text, lineno):
     with pytest.raises(ValueError, match=f"line {lineno}: .* is missing an operand"):
