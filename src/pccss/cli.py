@@ -97,6 +97,13 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _print_violations(report) -> int:
+    """Print report's violations, one a line; the exit code it gives."""
+    for message in report.messages:
+        print(f"violation: {message}")
+    return 0 if report.ok else 1
+
+
 def _cmd_check(args) -> int:
     text = _read_text(args.bundle)
     if bundle_tag(text, args.bundle) == "csscode":
@@ -105,24 +112,24 @@ def _cmd_check(args) -> int:
         report = check_valid_stabilizer(stab_from_text(text, validate=False))
     if report.ok:
         print("ok")
-        return 0
-    for message in report.messages:
-        print(f"violation: {message}")
-    return 1
+    return _print_violations(report)
 
 
 def _cmd_distance(args) -> int:
+    # the code must pass check's validity report, but for the claims that
+    # are about to be recomputed
     text = _read_text(args.bundle)
     if bundle_tag(text, args.bundle) == "csscode":
         q = css_from_text(text, validate=False)
-        cap = args.cap if args.cap is not None else 26
         sides = ("x", "z") if args.side == "both" else (args.side,)
         for side in sides:
+            setattr(q, f"d_{side}", None)
+        if failed := _print_violations(check_valid(q)):
+            return failed
+        cap = args.cap if args.cap is not None else 26
+        for side in sides:
             dist = distance_css(q, side, cap=cap)
-            if side == "x":
-                q.d_x = dist
-            else:
-                q.d_z = dist
+            setattr(q, f"d_{side}", dist)
             print(f"d_{side} {dist}")
         q.d_method = "exhaustive"
         _write_text(args.bundle, css_to_text(q))
@@ -130,6 +137,8 @@ def _cmd_distance(args) -> int:
         if args.side != "both":
             raise ValueError("stabcode bundles have a single symplectic distance")
         s = stab_from_text(text, validate=False)
+        if failed := _print_violations(check_valid_stabilizer(s)):
+            return failed
         cap = args.cap if args.cap is not None else 12
         s.d = distance_stabilizer(s, cap=cap)
         s.d_method = "exhaustive"

@@ -113,20 +113,18 @@ class LinearCode:
         return self.field.size
 
 
-def _new_code(field, n, k, G, H, d=None, method=None, provenance=None, validate=True):
-    code = LinearCode(field, n, k, G, H, d, method, provenance or {})
-    if validate:
-        if G.cols != n or H.cols != n:
-            raise ValueError("generator/check length mismatch")
-        if G.rows != k:
-            raise ValueError("generator row count is not k")
-        if mul(G, transpose(H)).data.any():
-            raise ValueError("generator and check matrices do not annihilate")
-        if rank(G) != k:
-            raise ValueError("generator is rank-deficient")
-        if rank(H) != n - k:
-            raise ValueError(f"check matrix rank {rank(H)} != n - k = {n - k}")
-    return code
+def _new_code(field, n, k, G, H, d=None, method=None, provenance=None):
+    if G.cols != n or H.cols != n:
+        raise ValueError("generator/check length mismatch")
+    if G.rows != k:
+        raise ValueError("generator row count is not k")
+    if mul(G, transpose(H)).data.any():
+        raise ValueError("generator and check matrices do not annihilate")
+    if rank(G) != k:
+        raise ValueError("generator is rank-deficient")
+    if rank(H) != n - k:
+        raise ValueError(f"check matrix rank {rank(H)} != n - k = {n - k}")
+    return LinearCode(field, n, k, G, H, d, method, provenance or {})
 
 
 def _from_checks(H: MatrixGF) -> LinearCode:
@@ -144,8 +142,6 @@ def min_weight(G: MatrixGF, cap: int = 2**22) -> int:
     over every codeword. cap bounds the codeword count either way."""
     field = G.field
     k, n = G.rows, G.cols
-    if k == 0:
-        raise ValueError("zero-dimensional code has no nonzero codeword")
     total = field.size**k
     if total > cap:
         raise ValueError(f"{total} codewords exceed enumeration cap {cap}")
@@ -285,17 +281,8 @@ def make_grs(spec: GrsSpec) -> LinearCode:
     f = spec.field
     n, k = spec.n, spec.k
     r = n - k
-    G = np.zeros((k, n), dtype=np.int64)
-    H = np.zeros((r, n), dtype=np.int64)
-    for i in range(n):
-        ai, vi, yi = spec.a[i], spec.v[i], spec.y[i]
-        power = 1
-        for t in range(max(k, r)):
-            if t < k:
-                G[t, i] = f.mul(vi, power)
-            if t < r:
-                H[t, i] = f.mul(yi, power)
-            power = f.mul(power, ai)
+    G = np.array(f.power_rows(spec.a, spec.v, k), dtype=np.int64)
+    H = np.array(f.power_rows(spec.a, spec.y, r), dtype=np.int64)
     return _new_code(
         f, n, k, MatrixGF(f, G), MatrixGF(f, H),
         d=r + 1, method="mds",
@@ -324,15 +311,11 @@ def make_alternant(field: FieldSpec, a, y, r: int) -> LinearCode:
         raise ValueError("multipliers must be nonzero, one per point")
     if not 1 <= r < n:
         raise ValueError(f"redundancy {r} outside [1, {n - 1}]")
-    expanded = np.zeros((m * r, n), dtype=np.int64)
-    for i in range(n):
-        power = y[i]
-        for j in range(r):
-            coords = field.to_base_coords(power)
-            for l in range(m):
-                expanded[j * m + l, i] = coords[l]
-            power = field.mul(power, a[i])
-    rr = rref(MatrixGF(base, expanded))
+    # coords[j, i, l] is coordinate l of y_i a_i^j, and row j m + l of the
+    # expansion holds coordinate l of power row j
+    coords = np.array([[field.to_base_coords(x) for x in row]
+                       for row in field.power_rows(a, y, r)], dtype=np.int64)
+    rr = rref(MatrixGF(base, coords.transpose(0, 2, 1).reshape(m * r, n)))
     H = MatrixGF(base, rr.matrix.data[: rr.rank])
     k = n - rr.rank
     assert k >= n - m * r

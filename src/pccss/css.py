@@ -34,7 +34,7 @@ import numpy as np
 
 from .bundle import read_bundle, write_bundle
 from .codes import LinearCode, _from_checks, _Lazy, make_expander, make_repetition
-from .galois import GF2, FieldSpec, _prime_factors, is_irreducible
+from .galois import GF2, FieldSpec, is_irreducible
 from .matgf import (
     MatrixGF,
     _field_ops,
@@ -118,10 +118,6 @@ class CssCode:
             report = check_valid(self)
             if not report.ok:
                 raise ValueError(report.messages[0])
-            if n <= 26:
-                for side, claimed in (("x", d_x), ("z", d_z)):
-                    if claimed is not None and distance_css(self, side) != claimed:
-                        raise ValueError(f"claimed d_{side} = {claimed} fails re-verification")
         # drop what k or validation built from a builder: a large code keeps
         # only the matrices its users touch (a dense 2^16 hx is 128 MB)
         if self._hx_builder is not None:
@@ -237,14 +233,11 @@ def _outer_k(q: CssCode) -> int:
 # ------------------------------------------------------------- enlargement
 
 def _primitive_poly(deg: int) -> list[int]:
-    order = (1 << deg) - 1
-    primes = _prime_factors(order)
+    """The first binary primitive polynomial of degree deg >= 2, in the
+    order of its bits: x (element 2) generates the field it defines."""
     for enc in range(1 << deg, 1 << (deg + 1)):
         coeffs = [(enc >> i) & 1 for i in range(deg + 1)]
-        if coeffs[0] == 0 or not is_irreducible(coeffs, 2):
-            continue
-        f = FieldSpec(2, 1, deg, modulus=tuple(coeffs))
-        if all(f.pow(2, order // p) != 1 for p in primes):
+        if coeffs[0] and is_irreducible(coeffs, 2) and FieldSpec(2, 1, deg, coeffs).generator == 2:
             return coeffs
     raise RuntimeError(f"no primitive polynomial of degree {deg}")
 
@@ -285,19 +278,13 @@ def make_enlarged(c1: LinearCode, c2: LinearCode, seed: int = 0, attempts: int =
     if kq < 2:
         raise ValueError(f"quotient dimension {kq} must exceed 1")
 
+    # the rows of g3 that each enlarge the span of G1 and the rows picked
+    # before them: the pivot columns past k1 of rref([G1; g3]ᵀ)
     g3 = nullspace(h3b)
-    e_rows: list[np.ndarray] = []
-    span = c1.G
-    for row in g3.data:
-        cand = vstack([span, MatrixGF(field, row.reshape(1, -1))])
-        if rank(cand) > rank(span):
-            e_rows.append(row)
-            span = cand
-        if len(e_rows) == kq:
-            break
-    if len(e_rows) < kq:
+    picked = [c - k1 for c in rref(vstack([c1.G, g3]).T).pivots if c >= k1][:kq]
+    if len(picked) < kq:
         raise RuntimeError("quotient basis extraction failed")
-    e0 = np.array(e_rows, dtype=np.uint8)
+    e0 = g3.data[picked]
 
     a_mat = _companion(field, _primitive_poly(kq))
     rng = np.random.default_rng(seed)
@@ -377,9 +364,11 @@ def _check_block_hz(hz: MatrixGF, n0: int) -> None:
 
 
 def check_valid(q: CssCode) -> ValidityReport:
-    """Commutation, rank bookkeeping of k and its sign.  A code with n0 has
-    hz = I ⊗ [I | 1] (CssCode enforces it), so hz is never formed: the
-    commutator comes from _hz_products and rank(hz) is n/n0 · (n0 - 1).
+    """Commutation, rank bookkeeping of k and its sign, and, when those
+    hold on a code of n <= 26, each claimed distance (distance_css).  A
+    code with n0 has hz = I ⊗ [I | 1] (CssCode enforces it), so hz is
+    never formed: the commutator comes from _hz_products and rank(hz) is
+    n/n0 · (n0 - 1).
     A code with n0 whose hx is built from outer.H (see CssCode) commutes by
     construction, and rank(hx) = rank(outer.H) = outer.n - outer.k, outer.G
     being a full-rank basis of the kernel of outer.H."""
@@ -405,6 +394,10 @@ def check_valid(q: CssCode) -> ValidityReport:
         msgs.append(f"k = {q.k} but rank bookkeeping gives {k_rank}")
     if q.k < 0:
         msgs.append("negative logical dimension")
+    if not msgs and q.n <= 26:
+        msgs += [f"claimed d_{side} = {claimed} fails re-verification"
+                 for side, claimed in (("x", q.d_x), ("z", q.d_z))
+                 if claimed is not None and distance_css(q, side) != claimed]
     return ValidityReport(ok=not msgs, messages=tuple(msgs))
 
 

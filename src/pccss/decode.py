@@ -168,8 +168,7 @@ def _alternant_tables(field: FieldSpec, a: tuple, y: tuple, r: int):
     the points (None for a zero point); the field's (exp, log) lists; the
     Chien rows, entry (k, i) being log((1/a_i)^k) for k <= r/2 (0 at a
     zero point); and the base field's embedding list and projection dict."""
-    rows = tuple(tuple(field.mul(yi, field.pow(ai, j)) for ai, yi in zip(a, y))
-                 for j in range(r))
+    rows = field.power_rows(a, y, r)
     inverses = tuple(field.inv(ai) if ai else None for ai in a)
     exp, log = field._tables()
     chien = tuple(tuple(k * log[z] % (field.size - 1) if z else 0 for z in inverses)
@@ -322,6 +321,10 @@ def bdd_alternant(code, s, t: int | None = None) -> DecodeOutcome:
         errors = []
         for i in roots:
             den, num = at(dsigma, i), at(omega, i)
+            # no syndrome gets here: the roots are simple (as many as
+            # sigma's degree), so sigma' is nonzero at them, and omega shares
+            # no root with sigma (their gcd divides x^r); a guard on the key
+            # equation all the same
             if not den or not num:
                 return detected()
             ev = proj.get(field.neg(exp[(log[a[i]] + log[num] - log[y[i]] - log[den]) % m]))

@@ -204,7 +204,6 @@ class FieldSpec:
             self._modmask = sum(c << i for i, c in enumerate(modulus))
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._sub_cache: dict = {}
         if self.size <= _TABLE_LIMIT and self.size > 2:
             self._exp, self._log = self._tables()
 
@@ -353,6 +352,14 @@ class FieldSpec:
                     prod[top - deg + k] = (prod[top - deg + k] - c * mod[k]) % p
         return self.from_digits(prod[:deg])
 
+    def power_rows(self, points, mults, count: int) -> tuple[tuple[int, ...], ...]:
+        """Rows j < count of the power table: entry (j, i) is
+        mults[i]·points[i]^j, the GRS rows y_i·a_i^j (or v_i·a_i^j)."""
+        rows = [tuple(mults)] if count else []
+        while len(rows) < count:
+            rows.append(tuple(map(self.mul, rows[-1], points)))
+        return tuple(rows)
+
     # ------------------------------------------------------------ tables
 
     @functools.cached_property
@@ -396,18 +403,14 @@ class FieldSpec:
     def _base(self) -> "FieldSpec":
         return self if self.m == 1 else FieldSpec(self.p, self.m0, 1)
 
+    @functools.cache
     def _subfield_maps(self, sub: "FieldSpec"):
-        key = (sub.p, sub.m0, sub.m, sub.modulus)
-        hit = self._sub_cache.get(key)
-        if hit is not None:
-            return hit
+        """(emb, proj): the images here of sub's elements, and their inverse."""
         if sub.p != self.p or self.degree % sub.degree != 0:
             raise ValueError(f"{sub} does not embed in {self}")
         if sub.degree == self.degree and sub.modulus == self.modulus:
             ident = list(range(self.size))
-            maps = (ident, {a: a for a in ident})
-            self._sub_cache[key] = maps
-            return maps
+            return ident, {a: a for a in ident}
         root = next((z for z in range(self.size) if _peval(self, sub.modulus, z) == 0), None)
         if root is None:
             raise ValueError(f"no root of the modulus of {sub} inside {self}")
@@ -421,10 +424,7 @@ class FieldSpec:
                 for _ in range(c):
                     acc = self.add(acc, zp)
             emb[a] = acc
-        proj = {img: a for a, img in enumerate(emb)}
-        maps = (emb, proj)
-        self._sub_cache[key] = maps
-        return maps
+        return emb, {img: a for a, img in enumerate(emb)}
 
     def embed(self, sub: "FieldSpec", a: int) -> int:
         """Image in this field of the element a of the subfield."""
@@ -455,19 +455,19 @@ class FieldSpec:
     # ------------------------------------------------- base coordinates
 
     @functools.cached_property
+    def _x_powers(self) -> list[int]:
+        """1, x, ..., x^(m-1), the basis over the base field; x is element p."""
+        x = self.p if self.degree > 1 else 1
+        return [self.pow(x, j) for j in range(self.m)]
+
+    @functools.cached_property
     def _decomp(self):
         """(minv, base): the inverse over GF(p) of the matrix taking base
         coordinates to polynomial digits, and the base field."""
         base = self.base_field()
-        p, deg, m0, m = self.p, self.degree, self.m0, self.m
+        p, deg, m0 = self.p, self.degree, self.m0
         z_pows = [self.embed(base, base.from_digits([0] * i + [1])) for i in range(m0)]
-        x_pows = [1]
-        for _ in range(m - 1):
-            x_pows.append(self.mul(x_pows[-1], self.p if deg > 1 else 1))
-        cols = []
-        for j in range(m):
-            for i in range(m0):
-                cols.append(self.digits(self.mul(z_pows[i], x_pows[j])))
+        cols = [self.digits(self.mul(zp, xp)) for xp in self._x_powers for zp in z_pows]
         # invert the deg x deg matrix whose columns are cols, over GF(p)
         mat = [[cols[c][r] for c in range(deg)] + [int(r == k) for k in range(deg)]
                for r in range(deg)]
@@ -497,11 +497,8 @@ class FieldSpec:
         if len(coords) != self.m:
             raise ValueError(f"expected {self.m} coordinates, got {len(coords)}")
         base = self.base_field()
-        x_pows = [1]
-        for _ in range(self.m - 1):
-            x_pows.append(self.mul(x_pows[-1], self.p if self.degree > 1 else 1))
         acc = 0
-        for c, xp in zip(coords, x_pows):
+        for c, xp in zip(coords, self._x_powers):
             acc = self.add(acc, self.mul(self.embed(base, base._check(int(c))), xp))
         return acc
 

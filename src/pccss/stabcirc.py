@@ -15,6 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .css import ValidityReport
 from .decode import _require_gf2
 from .galois import GF2
 from .matgf import MatrixGF, _unpack_rows, mul, standard_form
@@ -227,10 +228,7 @@ def tableau_run(c: Circuit) -> Tableau:
                    r=_unpack_columns([r], 2 * n)[:, 0])
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    ok: bool
-    messages: tuple[str, ...] = ()
+VerifyReport = ValidityReport
 
 
 def verify_encoder(q, c: Circuit) -> VerifyReport:

@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from pccss.bundle import mat_from_text
 from pccss.cli import main
 from pccss.codes import (
     certify_distance,
@@ -135,6 +136,8 @@ REFUSED = [
     ("linearcode", set_line(21, "0 3 3"), "line 21: adjacency row 0 disagrees with H's column 0"),
     ("linearcode", set_line(33, "0 2 4 5 8 10"),
      "line 33: adjacency row 12 disagrees with H's row 0"),
+    # a matrix of negative shape
+    ("csscode", set_line(7, "2 -1 9"), "line 7: hx has negative shape -1 x 9"),
     # a key at most once, and one method for dx and dz
     ("csscode", insert_line(5, "dx 3 exhaustive"), "line 5: repeated bundle key 'dx'"),
     ("stabcode", insert_line(3, "d 2 exhaustive"), "line 3: repeated bundle key 'd'"),
@@ -161,3 +164,16 @@ def test_huge_header_length_is_refused_before_values_are_typed(tmp_path, capsys)
     out, err = capsys.readouterr()
     assert (rc, out) == (2, "")
     assert err == "error: line 3: expected 1000000000000 value(s) after points, got 1\n"
+
+
+def test_a_row_of_canonical_width_that_is_not_ascii_goes_to_the_row_reader():
+    # the chunk reader declines it, and the row reader names its line
+    text = edited("csscode", set_line(8, "1 1 1 0 0 0 1 1 \u00e9"))
+    with pytest.raises(ValueError, match="^line 8: hx row 0"):
+        css_from_text(text)
+
+
+def test_a_matrix_text_with_more_rows_than_its_header_is_refused():
+    assert mat_from_text("2 1 2\n1 0\n").data.tolist() == [[1, 0]]
+    with pytest.raises(ValueError, match="expected 1 rows, found 2"):
+        mat_from_text("2 1 2\n1 0\n0 1\n")

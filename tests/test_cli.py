@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from pccss import cli
 from pccss.cli import build_parser, main
 from pccss.codes import code_to_text, dual, make_alternant, make_expander, make_repetition
-from pccss.css import css_from_text, css_to_text, fast_family, stab_from_text, stab_to_text
+from pccss.css import (css_from_text, css_to_text, fast_family, make_enlarged, stab_from_text,
+                       stab_to_text)
 from pccss.decode import flip_decode, syndrome_of
 from pccss.galois import FieldSpec
 from pccss.stabcirc import circuit_from_text
@@ -70,19 +71,67 @@ def test_check_reports_ok(shor_bundle, capsys):
     assert out.strip() == "ok"
 
 
-def test_check_corrupted_bundle_exits_one_with_witness(shor_bundle, tmp_path, capsys):
-    lines = shor_bundle.read_text().splitlines()
+def corrupted_copy(bundle: Path, tmp_path) -> Path:
+    """A copy of bundle with hx entry (0, 0) flipped."""
+    lines = bundle.read_text().splitlines()
     at = lines.index("hx") + 2
     row = lines[at].split()
     row[0] = "1" if row[0] == "0" else "0"
     lines[at] = " ".join(row)
     bad = tmp_path / "bad.txt"
     bad.write_text("\n".join(lines) + "\n")
+    return bad
 
-    rc, out, _ = run(capsys, "check", str(bad))
+
+def test_check_corrupted_bundle_exits_one_with_witness(shor_bundle, tmp_path, capsys):
+    rc, out, _ = run(capsys, "check", str(corrupted_copy(shor_bundle, tmp_path)))
     assert rc == 1
     assert "violation:" in out
     assert "commut" in out
+
+
+def test_distance_refuses_an_invalid_code_as_check_does(shor_bundle, tmp_path, capsys):
+    # the distances of a code whose checks do not commute mean nothing
+    bad = corrupted_copy(shor_bundle, tmp_path)
+    before = bad.read_text()
+    checked = run(capsys, "check", str(bad))
+    assert checked == (1, "violation: commutator has 1 nonzero entries, first at (0,0)\n", "")
+    assert run(capsys, "distance", str(bad)) == checked
+    assert bad.read_text() == before
+
+
+def test_distance_refuses_an_invalid_stabcode_as_check_does(tmp_path, capsys):
+    f = FieldSpec(2, 1, 3)
+    alpha = [f.pow(2, i) for i in range(7)]
+    s = make_enlarged(make_alternant(f, a=alpha, y=alpha, r=1), dual(make_repetition(3)))
+    head, rest = stab_to_text(s).split("\n", 1)
+    assert head == f"stabcode 2 7 {s.k}"
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"stabcode 2 7 {s.k + 1}\n{rest}")
+    before = bad.read_text()
+    checked = run(capsys, "check", str(bad))
+    assert checked == (1, f"violation: k = {s.k + 1} but rank bookkeeping gives {s.k}\n", "")
+    assert run(capsys, "distance", str(bad)) == checked
+    assert bad.read_text() == before
+
+
+def test_check_refuses_a_wrong_distance_claim_that_distance_rewrites(shor_bundle, tmp_path,
+                                                                    capsys):
+    # check refuses what decode and encode-circuit refuse; distance
+    # recomputes the claims, so it ignores them and rewrites them
+    assert run(capsys, "distance", str(shor_bundle))[0] == 0
+    certified = shor_bundle.read_text()
+    assert "dx 3 exhaustive" in certified
+    claim = tmp_path / "claim.txt"
+    claim.write_text(certified.replace("dx 3 exhaustive", "dx 2 exhaustive"))
+    message = "claimed d_x = 2 fails re-verification"
+    assert run(capsys, "check", str(claim)) == (1, f"violation: {message}\n", "")
+    rc, _, err = run(capsys, "encode-circuit", str(claim), "--out", str(tmp_path / "c.txt"))
+    assert (rc, err) == (2, f"error: {message}\n")
+    # a claim on the side not recomputed is checked
+    assert run(capsys, "distance", str(claim), "--side", "z") == (1, f"violation: {message}\n", "")
+    assert run(capsys, "distance", str(claim)) == (0, "d_x 3\nd_z 3\n", "")
+    assert claim.read_text() == certified
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -1107,3 +1156,24 @@ def test_decoder_choices_are_read_from_the_decoder_table(monkeypatch):
 
     assert choices("simulate") == ("flip", "exhaustive", "bposd")
     assert choices("sweep") == ("auto", "flip", "exhaustive", "bposd")
+
+
+def test_commands_refuse_missing_or_wrong_inputs(tmp_path, capsys):
+    f = FieldSpec(2, 1, 3)
+    alpha = [f.pow(2, i) for i in range(7)]
+    stab = tmp_path / "stab.txt"
+    stab.write_text(stab_to_text(make_enlarged(make_alternant(f, a=alpha, y=alpha, r=1),
+                                               dual(make_repetition(3)))))
+    out = str(tmp_path / "out.txt")
+    cases = [
+        (("construct", "css", "--code1", str(stab), "--out", out),
+         "construct css needs --code1 and --code2"),
+        (("distance", str(stab), "--side", "x"),
+         "stabcode bundles have a single symplectic distance"),
+        (("decode", str(stab), "--side", "x", "--syndrome", str(stab)),
+         "decode needs a csscode bundle"),
+        (("encode-circuit", str(stab), "--out", out), "encode-circuit needs a csscode bundle"),
+        (("sweep", "--N", "32", "--n0", "4", "--side", "x", "--weights", ","), "no weights given"),
+    ]
+    for argv, message in cases:
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")

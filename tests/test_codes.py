@@ -506,3 +506,117 @@ def test_all_constructions_annihilate():
         assert not mul(code.G, transpose(code.H)).data.any()
         assert rank(code.G) == code.k
         assert rank(code.H) == code.n - code.k
+
+
+# ------------------------------------------- power rows against the old loops
+# make_grs and make_alternant build their rows from one power-row table
+# (FieldSpec.power_rows); these reference copies of the loops they replaced
+# pin their matrices byte for byte.
+
+def reference_grs(spec: GrsSpec) -> tuple[np.ndarray, np.ndarray]:
+    f, n, k = spec.field, spec.n, spec.k
+    r = n - k
+    G = np.zeros((k, n), dtype=np.int64)
+    H = np.zeros((r, n), dtype=np.int64)
+    for i in range(n):
+        ai, vi, yi = spec.a[i], spec.v[i], spec.y[i]
+        power = 1
+        for t in range(max(k, r)):
+            if t < k:
+                G[t, i] = f.mul(vi, power)
+            if t < r:
+                H[t, i] = f.mul(yi, power)
+            power = f.mul(power, ai)
+    return G, H
+
+
+def reference_alternant(field: FieldSpec, a, y, r: int) -> tuple[np.ndarray, np.ndarray]:
+    n, m = len(a), field.m
+    expanded = np.zeros((m * r, n), dtype=np.int64)
+    for i in range(n):
+        power = y[i]
+        for j in range(r):
+            coords = field.to_base_coords(power)
+            for l in range(m):
+                expanded[j * m + l, i] = coords[l]
+            power = field.mul(power, a[i])
+    rr = rref(MatrixGF(field.base_field(), expanded))
+    H = MatrixGF(field.base_field(), rr.matrix.data[: rr.rank])
+    return nullspace(H).data, H.data
+
+
+# GF(8), GF(16), GF(4^3), GF(9), GF(9^2), GF(64), GF(8^3): m0 > 1, odd p
+# and a field above 256 without log tables
+POWER_ROW_FIELDS = [(2, 1, 3), (2, 1, 4), (2, 2, 3), (3, 1, 2), (3, 2, 2), (2, 1, 6), (2, 3, 3)]
+
+
+@pytest.mark.parametrize("p, m0, m", POWER_ROW_FIELDS)
+def test_grs_and_alternant_matrices_match_the_old_loops(p, m0, m):
+    f = FieldSpec(p, m0, m)
+    rng = np.random.default_rng(p * 100 + m0 * 10 + m)
+    n = min(f.size - 1, 18)
+    for _ in range(3):
+        a = [int(x) for x in rng.choice(f.size, size=n, replace=False)]
+        v = [int(x) for x in rng.integers(1, f.size, size=n)]
+        for k in (1, n // 2, n - 1):
+            spec = GrsSpec(f, a, v, k)
+            code = make_grs(spec)
+            G, H = reference_grs(spec)
+            assert code.G.data.tobytes() == MatrixGF(f, G).data.tobytes()
+            assert code.H.data.tobytes() == MatrixGF(f, H).data.tobytes()
+        for r in sorted({1, max(1, n // (2 * m)), max(1, (n - 1) // m)}):
+            code = make_alternant(f, a, v, r)
+            G, H = reference_alternant(f, a, v, r)
+            assert (code.G.data.tobytes(), code.H.data.tobytes()) == (G.tobytes(), H.tobytes())
+
+
+# ---------------------------------------------------------------- refusals
+
+def test_new_code_refuses_matrices_that_do_not_make_the_code():
+    rep = make_repetition(3)
+    G, H = rep.G, rep.H
+    cases = [
+        ((3, 1, G, MatrixGF(GF2, [[1, 1]])), "generator/check length mismatch"),
+        ((3, 2, G, H), "generator row count is not k"),
+        ((3, 1, MatrixGF(GF2, [[1, 0, 0]]), H), "do not annihilate"),
+        ((3, 2, MatrixGF(GF2, [[1, 1, 1], [1, 1, 1]]), H), "rank-deficient"),
+        ((3, 1, G, MatrixGF(GF2, [[1, 1, 0], [1, 1, 0]])), r"check matrix rank 1 != n - k = 2"),
+    ]
+    for (n, k, G_, H_), message in cases:
+        with pytest.raises(ValueError, match=message):
+            codes._new_code(GF2, n, k, G_, H_)
+
+
+def test_component_constructions_refuse_bad_parameters():
+    with pytest.raises(ValueError, match="need at least one copy"):
+        lift_block(make_repetition(3), 0)
+    with pytest.raises(ValueError, match="points and multipliers differ in length"):
+        GrsSpec(GF8, a=(1, 2, 3), v=(1, 1), k=1)
+    with pytest.raises(ValueError, match="entry out of field range"):
+        GrsSpec(GF8, a=(1, 2, 8), v=(1, 1, 1), k=1)
+    with pytest.raises(ValueError, match=r"dimension 0 outside \[1, 6\]"):
+        make_random_gv(6, 0, seed=0)
+    with pytest.raises(ValueError, match="4 checks on 4 bits leaves no rate"):
+        make_expander(4, 3, 3, seed=0)
+
+
+def test_alternant_refuses_bad_recipes():
+    f = FieldSpec(2, 1, 3)
+    alpha = [f.pow(2, i) for i in range(7)]
+    with pytest.raises(ValueError, match="needs a proper extension field"):
+        make_alternant(FieldSpec(2, 3, 1), a=alpha, y=alpha, r=1)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        make_alternant(f, a=[1, 1, 2], y=[1, 1, 1], r=1)
+    with pytest.raises(ValueError, match="nonzero, one per point"):
+        make_alternant(f, a=alpha, y=alpha[:6], r=1)
+    with pytest.raises(ValueError, match="nonzero, one per point"):
+        make_alternant(f, a=alpha, y=[0] + alpha[1:], r=1)
+    for r in (0, 7):
+        with pytest.raises(ValueError, match=rf"redundancy {r} outside \[1, 6\]"):
+            make_alternant(f, a=alpha, y=alpha, r=r)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_min_weight_of_a_zero_dimensional_code_is_refused(q):
+    with pytest.raises(ValueError, match="zero-dimensional code has no nonzero codeword"):
+        min_weight(MatrixGF(field_of_size(q), np.zeros((0, 4), dtype=np.int64)))

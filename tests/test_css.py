@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from pccss.codes import (
     dual,
     lift_block,
+    make_alternant,
     make_expander,
     make_random_gv,
     make_repetition,
@@ -24,6 +25,7 @@ from pccss.codes import (
 )
 from pccss.css import (
     CssCode,
+    _companion,
     StabilizerCode,
     check_valid,
     counting_check,
@@ -39,14 +41,12 @@ from pccss.css import (
     stab_from_text,
     stab_to_text,
 )
-from pccss.galois import FieldSpec, field_of_size
+from pccss.galois import FieldSpec, _prime_factors, field_of_size, is_irreducible
 import pccss.matgf as matgf_module
-from pccss.matgf import MatrixGF, _field_ops, mul, nullspace, rank, rref, zeros
+from pccss.matgf import MatrixGF, _field_ops, hstack, mul, nullspace, rank, rref, vstack, zeros
 
 
 def hamming_code():
-    from pccss.codes import make_alternant
-
     f = FieldSpec(2, 1, 3)
     alpha = [f.pow(2, i) for i in range(7)]
     return make_alternant(f, a=alpha, y=alpha, r=1)
@@ -303,6 +303,15 @@ def test_csscode_rejects_wrong_claimed_distance():
     q = shor_code()
     with pytest.raises(ValueError):
         CssCode(n=9, hx=q.hx, hz=q.hz, k=1, d_x=2, d_method="exhaustive")
+
+
+def test_check_valid_reports_a_wrong_claimed_distance():
+    # the claims are checked only once the checks commute and k is right
+    q = shor_code()
+    claimed = CssCode(n=9, hx=q.hx, hz=q.hz, k=1, d_x=2, d_z=3, validate=False)
+    assert check_valid(claimed).messages == ("claimed d_x = 2 fails re-verification",)
+    wrong_k = CssCode(n=9, hx=q.hx, hz=q.hz, k=2, d_x=2, validate=False)
+    assert check_valid(wrong_k).messages == ("k = 2 but rank bookkeeping gives 1",)
 
 
 # ----------------------------------------------------------- make_enlarged
@@ -615,3 +624,74 @@ def test_validated_fast_family_drops_the_hx_validation_built():
     q = fast_family(2**10, 16, 3, 6, 0)
     assert q._hx is None and q._hz is None
     assert np.array_equal(q.hx.data, np.repeat(q.outer.H.data, 16, axis=1))
+
+
+# ------------------------------------- enlargement against the old loops
+
+def reference_enlarged_gens(c1, c2, seed: int = 0, attempts: int = 2000) -> np.ndarray:
+    """make_enlarged's generators by the loops it replaced: the quotient
+    basis picked by one rank test per row of g3, and the primitive
+    polynomial found by its own element-order test."""
+    field, n1, k1 = c1.field, c1.n, c1.k
+    rr3 = rref(mul(c2.H, c1.H))
+    h3b = MatrixGF(field, rr3.matrix.data[: rr3.rank])
+    kq = n1 - rr3.rank - k1
+    e_rows, span = [], c1.G
+    for row in nullspace(h3b).data:
+        cand = vstack([span, MatrixGF(field, row.reshape(1, -1))])
+        if rank(cand) > rank(span):
+            e_rows.append(row)
+            span = cand
+        if len(e_rows) == kq:
+            break
+    e0 = np.array(e_rows, dtype=np.uint8)
+    order = (1 << kq) - 1
+    for enc in range(1 << kq, 1 << (kq + 1)):
+        coeffs = [(enc >> i) & 1 for i in range(kq + 1)]
+        if coeffs[0] and is_irreducible(coeffs, 2):
+            f = FieldSpec(2, 1, kq, modulus=tuple(coeffs))
+            if all(f.pow(2, order // p) != 1 for p in _prime_factors(order)):
+                break
+    a_mat = _companion(field, coeffs)
+    rng = np.random.default_rng(seed)
+    for attempt in range(attempts):
+        shifted = e0
+        if attempt:
+            r = MatrixGF(field, rng.integers(0, 2, size=(kq, k1)).astype(np.uint8))
+            shifted = e0 ^ mul(r, c1.G).data
+        em = MatrixGF(field, shifted)
+        m = mul(em, em.T)
+        if mul(m, a_mat.T) == mul(a_mat, m) and np.vstack([h3b.data, shifted]).any(axis=0).all():
+            break
+    pad = zeros(field, h3b.rows, n1)
+    return vstack([hstack([h3b, pad]), hstack([pad, h3b]), hstack([em, mul(a_mat, em)])]).data
+
+
+@pytest.mark.parametrize("deg", [4, 5])
+def test_enlarged_generators_match_the_old_loops(deg):
+    # the [15,11] and [31,26] Hamming codes, with second codes that leave
+    # quotients of dimension 2 to 4
+    f = FieldSpec(2, 1, deg)
+    alpha = [f.pow(2, i) for i in range(f.size - 1)]
+    ham = make_alternant(f, a=alpha, y=alpha, r=1)
+    for c2 in (dual(make_repetition(deg)), make_random_gv(deg, 2, seed=1)):
+        for seed in range(3):
+            s = make_enlarged(ham, c2, seed=seed)
+            assert s.gens.data.tobytes() == reference_enlarged_gens(ham, c2, seed).tobytes()
+
+
+# ---------------------------------------------------------------- refusals
+
+def test_constructions_and_oracles_refuse_what_does_not_fit():
+    rep3, rep4 = make_repetition(3), make_repetition(4)
+    with pytest.raises(ValueError, match="must share field and length"):
+        make_css(rep3, rep4)
+    with pytest.raises(ValueError, match="second code length 4 must equal 3"):
+        make_enlarged(hamming_code(), dual(rep4))
+    with pytest.raises(ValueError, match="side must be x or z, got 'y'"):
+        distance_css(shor_code(), "y")
+    # hx · hzᵀ = 1 + 2 = 0 over GF(3)
+    f3 = field_of_size(3)
+    gf3 = CssCode(n=3, hx=MatrixGF(f3, [[1, 1, 0]]), hz=MatrixGF(f3, [[1, 2, 0]]))
+    with pytest.raises(ValueError, match="distance oracle implemented over GF\\(2\\)"):
+        distance_css(gf3, "x")

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pccss import decode
-from pccss.codes import LinearCode, make_alternant, make_expander, make_repetition
+from pccss.codes import LinearCode, dual, make_alternant, make_expander, make_repetition
 from pccss.css import fast_family
 from pccss.decode import (
     DecodeOutcome,
@@ -914,3 +914,18 @@ def test_outer_decoder_returns_residual_syndromes(decoder):
     if decoder != "flip":
         assert est[1].tolist() == [0, 0, 0] and residual[1].tolist() == [1, 0, 0]
         assert flips.tolist() == [0, 0, 0]
+
+
+def test_decoders_refuse_what_they_cannot_decode():
+    # 2^19 codewords: more than exhaustive decoding enumerates
+    with pytest.raises(ValueError, match="coset of 2\\^19 codewords is too large to enumerate"):
+        exhaustive_decode(dual(make_repetition(20)), np.zeros(1, dtype=np.uint8))
+    with pytest.raises(ValueError, match="bdd decoding needs an alternant construction recipe"):
+        bdd_alternant(make_repetition(3), [1, 0])
+    with pytest.raises(ValueError, match="syndrome length 3 does not match 4 power rows"):
+        bdd_alternant(bch_15_instance(), [1, 0, 0])
+    gf3 = MatrixGF(field_of_size(3), [[1, 1, 0], [0, 1, 1]])
+    with pytest.raises(ValueError, match="flip decoding is defined over GF\\(2\\)"):
+        flip_decode(gf3, np.zeros(2, dtype=np.uint8))
+    with pytest.raises(ValueError, match="block syndrome must have length 2"):
+        osmlg_block_decode(3, np.zeros(3, dtype=np.uint8))

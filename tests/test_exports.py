@@ -115,3 +115,12 @@ def unused_imports(path: Path) -> list[str]:
 def test_no_module_imports_a_name_it_never_uses():
     found = {p.name: unused_imports(p) for p in SOURCES}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_field_powers_are_taken_in_galois_alone():
+    # power rows come from FieldSpec.power_rows and element orders from
+    # FieldSpec.generator: no other module raises field elements to powers
+    callers = {p.name for p in SOURCES for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "pow"}
+    assert callers == {"galois.py"}

@@ -404,3 +404,58 @@ def test_gf9_ring_laws_hypothesis(a, b, c):
     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
     assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
     assert f.add(a, b) == f.add(b, a)
+
+
+# ---------------------------------------------------- refusals and corners
+
+def test_sub_on_a_prime_field_is_subtraction_mod_p():
+    f = field_of_size(5)
+    assert [f.sub(1, b) for b in range(5)] == [1, 0, 4, 3, 2]
+
+
+@pytest.mark.parametrize("field", [FieldSpec(7), FieldSpec(2, 1, 3), FieldSpec(2, 1, 9)],
+                         ids=["GF(7)", "GF(8) tables", "GF(512) no tables"])
+def test_negative_power_is_the_power_of_the_inverse(field):
+    for a in range(1, min(field.size, 64)):
+        for e in (1, 2, 5):
+            assert field.pow(a, -e) == field.inv(field.pow(a, e))
+
+
+def test_a_field_embeds_in_itself_identically():
+    for f in (FieldSpec(3), FieldSpec(2, 1, 4), FieldSpec(2, 2, 2)):
+        assert [f.embed(f, a) for a in range(f.size)] == list(range(f.size))
+        assert [f.project(f, a) for a in range(f.size)] == list(range(f.size))
+
+
+def test_base_coordinates_of_a_degree_one_extension_are_the_element():
+    f = FieldSpec(2, 3, 1)  # GF(8) over itself
+    assert [f.to_base_coords(a) for a in range(8)] == [(a,) for a in range(8)]
+    assert [f.from_base_coords([a]) for a in range(8)] == list(range(8))
+
+
+def test_trace_and_base_coordinates_refuse_what_does_not_fit():
+    f = FieldSpec(2, 2, 3)
+    with pytest.raises(ValueError, match="no trace from"):
+        f.trace(1, FieldSpec(2, 1, 4))
+    with pytest.raises(ValueError, match="no trace from"):
+        f.trace(1, FieldSpec(3))
+    with pytest.raises(ValueError, match="expected 3 coordinates, got 2"):
+        f.from_base_coords([1, 0])
+
+
+def test_a_field_keeps_no_hand_built_cache():
+    # derived values are cached through functools: a field holds no dict
+    f = FieldSpec(2, 2, 3)
+    f.embed(f.base_field(), 3)
+    f.to_base_coords(f.size - 1)
+    f.from_base_coords([1, 2, 3])
+    assert {k: v for k, v in vars(f).items() if isinstance(v, dict)} == {}
+
+
+def test_power_rows_are_multipliers_times_powers():
+    f = FieldSpec(3, 1, 2)
+    points, mults = [0, 1, 5, 7], [2, 1, 3, 8]
+    rows = f.power_rows(points, mults, 4)
+    assert rows == tuple(tuple(f.mul(v, f.pow(a, j)) for a, v in zip(points, mults))
+                         for j in range(4))
+    assert f.power_rows(points, mults, 0) == ()
